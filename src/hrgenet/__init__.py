@@ -22,7 +22,6 @@ from .graph import (
     LevelParams,
     VariantSpec,
     ViewGraph,
-    apply_variant,
     coarsen,
     hrge_forward,
     level_descriptor,
@@ -30,7 +29,7 @@ from .graph import (
     pairwise_relation,
 )
 from .layers import LinearLayer, Mlp, linear_forward, mlp_forward
-from .optim import Adam, LrSchedule, lr_at_epoch
+from .optim import Adam, LrSchedule
 from .retrieval import (
     DescriptorIndex,
     MetricsReport,
@@ -49,7 +48,6 @@ from .training import (
     TrainConfig,
     TrainLog,
     evaluate_accuracy,
-    predict,
     train,
 )
 

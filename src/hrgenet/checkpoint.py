@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .errors import DataFormatError
-from .graph import HrgeModel
+from .graph import VARIANTS, HrgeModel
 from .training import Classifier
 
 MAGIC = b"HRGM"
@@ -23,21 +23,9 @@ VERSION = 1
 
 
 def _blocks(model: HrgeModel, classifier: Classifier | None):
-    named = []
-    for l, level in enumerate(model.levels):
-        if level.pairwise_mlp is not None:
-            for k, layer in enumerate(level.pairwise_mlp.layers):
-                named.append((f"level{l}.pairwise.{k}.weight", layer.weight))
-                named.append((f"level{l}.pairwise.{k}.bias", layer.bias))
-            named.append((f"level{l}.fusion.weight", level.fusion.weight))
-            named.append((f"level{l}.fusion.bias", level.fusion.bias))
-        if level.neighboring is not None:
-            named.append((f"level{l}.neighboring.weight", level.neighboring.weight))
-            named.append((f"level{l}.neighboring.bias", level.neighboring.bias))
-    if classifier is not None:
-        named.append(("classifier.head.weight", classifier.head.weight))
-        named.append(("classifier.head.bias", classifier.head.bias))
-    return named
+    if classifier is None:
+        return model.named_parameters()
+    return model.named_parameters() + classifier.named_parameters()
 
 
 def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
@@ -86,7 +74,11 @@ def load_model(path):
         offset = 24
         (tag_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        tag = blob[offset:offset + tag_len].decode("utf-8")
+        tag = blob[offset:offset + tag_len].decode("utf-8", "replace")
+        variant = VARIANTS.get(tag)
+        if variant is None:
+            raise DataFormatError(
+                f"{path}: unknown variant tag {tag!r} at byte {offset}")
         offset += tag_len
         num_classes, block_count = struct.unpack_from("<II", blob, offset)
         offset += 8
@@ -94,7 +86,7 @@ def load_model(path):
         raise DataFormatError(f"{path}: truncated header") from exc
     if version != VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    model = HrgeModel(num_views=num_views, width=width, variant=tag,
+    model = HrgeModel(num_views=num_views, width=width, variant=variant,
                       stride=stride,
                       depth=depth if depth > 0 else None)
     classifier = None

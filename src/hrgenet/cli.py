@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import autograd as ag
 from . import checkpoint, data
 from .errors import (
     ConfigError,
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .gradcheck import check_gradients
 from .graph import VARIANT_NAMES, HrgeModel, hrge_forward
+from .layers import linear_forward
 from .retrieval import build_index, evaluate_retrieval
 from .training import Classifier, TrainConfig, evaluate_accuracy, predict_batch, train
 
@@ -273,10 +275,16 @@ def _cmd_retrieve(args):
     return EXIT_OK
 
 
-def _cmd_gradcheck(args):
-    from . import autograd as ag
-    from .layers import linear_forward
+def _wrong_gradient(param, amount):
+    """A zero-valued loss term whose backward adds ``amount`` to the first
+    entry of ``param``'s gradient: the --perturb negative control."""
+    bump = np.zeros_like(param.data)
+    bump.ravel()[0] = amount
+    return ag.Tensor(0.0, _parents=(param,),
+                     _grad_fn=lambda g: param._accumulate(g * bump))
 
+
+def _cmd_gradcheck(args):
     _validate_geometry(args.views, args.stride,
                        args.depth if args.depth is not None else 0)
     rng = np.random.default_rng(args.seed)
@@ -287,25 +295,17 @@ def _cmd_gradcheck(args):
                             seed=args.seed + 1)
     views = rng.normal(size=(args.views, args.dim))
     label = np.array([int(rng.integers(args.classes))])
+    named = model.named_parameters() + classifier.named_parameters()
 
     def loss_fn():
         desc = hrge_forward(model, views).concat
         logits = linear_forward(classifier.head, ag.stack_rows([desc]))
-        return ag.softmax_cross_entropy(logits, label)
+        loss = ag.softmax_cross_entropy(logits, label)
+        if args.perturb:
+            loss = ag.add(loss, _wrong_gradient(named[0][1], args.perturb))
+        return loss
 
-    named = _named_parameters(model, classifier)
-    for _, p in named:
-        p.zero_grad()
-    loss_fn().backward()
-    if args.perturb:
-        named[0][1].grad.ravel()[0] += args.perturb
-    saved = [(name, p.grad.copy()) for name, p in named]
-    report = {}
-    from .gradcheck import numeric_gradient
-    for (name, param), (_, analytic) in zip(named, saved):
-        numeric = numeric_gradient(loss_fn, param)
-        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-        report[name] = float(np.max(np.abs(analytic - numeric) / denom))
+    report = check_gradients(loss_fn, named)
     failed = False
     for name, err in report.items():
         status = "ok" if err < args.tol else "FAIL"
@@ -316,11 +316,6 @@ def _cmd_gradcheck(args):
         return EXIT_NUMERIC
     print(f"gradient check passed at tolerance {args.tol:g}")
     return EXIT_OK
-
-
-def _named_parameters(model, classifier):
-    from .checkpoint import _blocks
-    return _blocks(model, classifier)
 
 
 _COMMANDS = {

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
-
 
 def numeric_gradient(loss_fn, param, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar loss w.r.t. one parameter."""
@@ -42,15 +40,3 @@ def check_gradients(loss_fn, named_params, h: float = 1e-5):
         report[name] = float(np.max(np.abs(a - n) / denom))
     return report
 
-
-def assert_gradients_match(loss_fn, named_params, h: float = 1e-5,
-                           tol: float = 1e-4):
-    report = check_gradients(loss_fn, named_params, h=h)
-    worst_name = max(report, key=report.get)
-    worst = report[worst_name]
-    if worst >= tol:
-        raise NumericError(
-            f"gradient check failed: block {worst_name!r} has relative "
-            f"error {worst:.3e} >= {tol:.1e}"
-        )
-    return report

@@ -5,7 +5,8 @@ module (all ordered node pairs through a small MLP, summed per node and
 fused with the original feature), records a pooled level descriptor, runs
 a neighboring relation module on ring triplets, and coarsens the ring by a
 fixed stride.  The concatenated per-level descriptors form the global
-shape descriptor.
+shape descriptor.  Each ablation variant is one row of ``VARIANTS``,
+switching these modules on or off.
 """
 
 from __future__ import annotations
@@ -24,65 +25,53 @@ from .errors import (
 )
 from .layers import LinearLayer, Mlp, linear_forward, mlp_forward
 
-NEIGHBOR_KINDS = ("learned", "max", "avg", "identity")
-
-_VARIANT_ALIASES = {
-    "baseline": "baseline",
-    "pr": "pr",
-    "nr": "nr",
-    "hrge-1l": "1l",
-    "1l": "1l",
-    "hrge-full": "full",
-    "full": "full",
-    "hrge-won": "won",
-    "won": "won",
-    "w/o-n": "won",
-    "hrge-mp": "mp",
-    "mp": "mp",
-    "hrge-ap": "ap",
-    "ap": "ap",
-    "hrge-id": "id",
-    "id": "id",
-}
-
-VARIANT_NAMES = ("baseline", "pr", "nr", "1l", "full", "won", "mp", "ap", "id")
-
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Which pieces of the architecture a model variant wires in."""
+    """One ablation variant: which modules each level of the model runs.
+
+    ``neighbor_kind`` is ``learned``, ``max``, ``avg``, ``identity`` or
+    None for no neighboring module.  A hierarchical variant emits one
+    block per level and coarsens between levels; otherwise a single level
+    runs and only its output is pooled.  ``depth_override`` fixes the
+    level count; None leaves it to the model's ``depth`` argument.
+    """
 
     name: str
     use_pairwise: bool
-    use_neighboring: bool
+    neighbor_kind: str | None
     hierarchical: bool
     normalize_blocks: bool
-    neighbor_kind: str
     depth_override: int | None = None
 
     @classmethod
     def from_name(cls, name: str) -> "VariantSpec":
-        key = _VARIANT_ALIASES.get(name.strip().lower())
-        if key is None:
+        """Resolve a variant key or paper name (``HRGE-full``, ``w/o-N``)."""
+        key = name.strip().lower().removeprefix("hrge-")
+        spec = VARIANTS.get(_IRREGULAR_NAMES.get(key, key))
+        if spec is None:
             raise ConfigError(
                 f"unknown variant {name!r}; expected one of {VARIANT_NAMES}"
             )
-        if key == "baseline":
-            return cls(key, False, False, False, True, "learned")
-        if key == "pr":
-            return cls(key, True, False, False, True, "learned")
-        if key == "nr":
-            return cls(key, False, True, False, True, "learned")
-        if key == "1l":
-            return cls(key, True, True, True, True, "learned", depth_override=1)
-        if key == "won":
-            return cls(key, True, True, True, False, "learned")
-        if key in ("mp", "ap"):
-            kind = "max" if key == "mp" else "avg"
-            return cls(key, True, True, True, True, kind)
-        if key == "id":
-            return cls(key, True, True, True, True, "identity")
-        return cls("full", True, True, True, True, "learned")
+        return spec
+
+
+VARIANTS = {spec.name: spec for spec in (
+    #           name        pairwise neighbor    hier.  normalized depth
+    VariantSpec("baseline", False,   None,       False, True),
+    VariantSpec("pr",       True,    None,       False, True),
+    VariantSpec("nr",       False,   "learned",  False, True),
+    VariantSpec("1l",       True,    "learned",  True,  True, 1),
+    VariantSpec("full",     True,    "learned",  True,  True),
+    VariantSpec("won",      True,    "learned",  True,  False),
+    VariantSpec("mp",       True,    "max",      True,  True),
+    VariantSpec("ap",       True,    "avg",      True,  True),
+    VariantSpec("id",       True,    "identity", True,  True),
+)}
+
+VARIANT_NAMES = tuple(VARIANTS)
+
+_IRREGULAR_NAMES = {"w/o-n": "won"}
 
 
 @dataclass
@@ -115,10 +104,11 @@ class LevelParams:
     pairwise_mlp consumes concatenated node pairs (2w -> w, three layers),
     fusion consumes [node, summed relations] (2w -> w), and neighboring
     consumes ring triplets (3w -> w).  The neighboring layer is absent
-    when the variant replaces it with a fixed pooling rule.
+    when the level has no neighboring module or replaces it with a fixed
+    pooling rule.
     """
 
-    def __init__(self, width: int, rng, neighbor_kind: str = "learned",
+    def __init__(self, width: int, rng, neighbor_kind: str | None = "learned",
                  use_pairwise: bool = True):
         self.width = width
         self.neighbor_kind = neighbor_kind
@@ -131,15 +121,15 @@ class LevelParams:
         if neighbor_kind == "learned":
             self.neighboring = LinearLayer(3 * width, width, rng)
 
+    def named_parameters(self):
+        modules = (("pairwise", self.pairwise_mlp), ("fusion", self.fusion),
+                   ("neighboring", self.neighboring))
+        return [(f"{prefix}.{name}", p) for prefix, module in modules
+                if module is not None
+                for name, p in module.named_parameters()]
+
     def parameters(self):
-        params = []
-        if self.pairwise_mlp is not None:
-            params += self.pairwise_mlp.parameters()
-        if self.fusion is not None:
-            params += self.fusion.parameters()
-        if self.neighboring is not None:
-            params += self.neighboring.parameters()
-        return params
+        return [p for _, p in self.named_parameters()]
 
 
 def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
@@ -250,7 +240,7 @@ def max_depth_for(num_views: int, stride: int) -> int:
 
 
 class HrgeModel:
-    """The full hierarchical relational embedding network."""
+    """The hierarchical relational embedding network of one variant."""
 
     def __init__(self, num_views: int, width: int, variant="full",
                  stride: int = 2, depth: int | None = None, seed: int = 0):
@@ -261,11 +251,12 @@ class HrgeModel:
         self.width = width
         self.stride = stride
         self.seed = seed
+        self.depth = 0
         if variant.hierarchical:
-            if depth is None:
-                depth = variant.depth_override or max_depth_for(num_views, stride)
-            elif variant.depth_override is not None:
+            if variant.depth_override is not None:
                 depth = variant.depth_override
+            elif depth is None:
+                depth = max_depth_for(num_views, stride)
             if depth < 1:
                 raise ConfigError(f"hierarchy depth must be >= 1, got {depth}")
             n = num_views
@@ -282,23 +273,12 @@ class HrgeModel:
                     )
                 n //= stride
             self.depth = depth
-        else:
-            self.depth = 0
         rng = np.random.default_rng(seed)
-        self.levels = []
-        if variant.name in ("pr", "nr"):
-            self.levels.append(LevelParams(
-                width, rng,
-                neighbor_kind=variant.neighbor_kind,
-                use_pairwise=variant.use_pairwise,
-            ))
-        else:
-            for _ in range(self.depth):
-                self.levels.append(LevelParams(
-                    width, rng,
-                    neighbor_kind=variant.neighbor_kind,
-                    use_pairwise=True,
-                ))
+        self.levels = [
+            LevelParams(width, rng, neighbor_kind=variant.neighbor_kind,
+                        use_pairwise=variant.use_pairwise)
+            for _ in range(self.depth if variant.hierarchical else 1)
+        ]
 
     @property
     def descriptor_length(self) -> int:
@@ -310,24 +290,21 @@ class HrgeModel:
             return self.depth + 1
         return 1
 
+    def named_parameters(self):
+        return [(f"level{l}.{name}", p) for l, level in enumerate(self.levels)
+                for name, p in level.named_parameters()]
+
     def parameters(self):
-        return [p for level in self.levels for p in level.parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
-    def forward(self, views) -> GlobalDescriptor:
-        return hrge_forward(self, views)
+        return [p for _, p in self.named_parameters()]
 
 
 def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
     """Run the hierarchical forward pass and build the global descriptor.
 
-    Per level: pairwise relations update the features, the level block is
-    pooled from those updated features, then the neighboring module and
-    coarsening produce the next level's ring.  The final level is pooled
-    from its raw node features.
+    Per level: pairwise relations update the features, a hierarchical
+    variant pools the level block from those updated features, then the
+    neighboring module and (hierarchical variants only) coarsening produce
+    the next level's ring.  The final ring is pooled as the last block.
     """
     views = as_tensor(views)
     if views.data.ndim != 2 or views.data.shape[0] != model.num_views:
@@ -353,23 +330,15 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
         flags.append(degenerate)
 
     graph = ViewGraph(0, views)
-    if variant.name == "baseline":
-        emit(graph.features)
-    elif variant.name == "pr":
-        emit(pairwise_relation(graph, model.levels[0]).features)
-    elif variant.name == "nr":
-        emit(neighboring_relation(graph, model.levels[0]).features)
-    else:
-        for level_params in model.levels:
-            updated = pairwise_relation(graph, level_params)
-            emit(updated.features)
-            shifted = neighboring_relation(updated, level_params)
-            graph = coarsen(shifted, model.stride)
-        emit(graph.features)
+    for level_params in model.levels:
+        if level_params.pairwise_mlp is not None:
+            graph = pairwise_relation(graph, level_params)
+        if variant.hierarchical:
+            emit(graph.features)
+        if level_params.neighbor_kind is not None:
+            graph = neighboring_relation(graph, level_params)
+        if variant.hierarchical:
+            graph = coarsen(graph, model.stride)
+    emit(graph.features)
     concat = ag.concat_vecs(blocks) if len(blocks) > 1 else blocks[0]
     return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)
-
-
-def apply_variant(name: str) -> VariantSpec:
-    """Resolve a variant name into its architecture wiring."""
-    return VariantSpec.from_name(name)

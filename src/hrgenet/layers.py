@@ -47,8 +47,11 @@ class LinearLayer:
     def grad_bias(self):
         return self.bias.grad
 
+    def named_parameters(self):
+        return [("weight", self.weight), ("bias", self.bias)]
+
     def parameters(self):
-        return [self.weight, self.bias]
+        return [p for _, p in self.named_parameters()]
 
     def zero_grad(self):
         self.weight.zero_grad()
@@ -80,12 +83,12 @@ class Mlp:
             LinearLayer(dims[k], dims[k + 1], rng) for k in range(len(dims) - 1)
         ]
 
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
+    def named_parameters(self):
+        return [(f"{k}.{name}", p) for k, layer in enumerate(self.layers)
+                for name, p in layer.named_parameters()]
 
-    def zero_grad(self):
-        for layer in self.layers:
-            layer.zero_grad()
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
 
 
 def mlp_forward(mlp: Mlp, x) -> Tensor:

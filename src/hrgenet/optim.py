@@ -23,10 +23,6 @@ class LrSchedule:
         return self.initial_lr * self.decay_factor ** (epoch // self.decay_period)
 
 
-def lr_at_epoch(schedule: LrSchedule, epoch: int) -> float:
-    return schedule.lr_at_epoch(epoch)
-
-
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 

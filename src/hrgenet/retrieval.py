@@ -78,7 +78,7 @@ def retrieve(index: DescriptorIndex, query_id: str, query_vec: np.ndarray,
     """
     if len(index) == 0:
         raise EmptyInputError("cannot retrieve from an empty index")
-    if threshold <= 0:
+    if not threshold > 0:
         raise ConfigError(f"distance threshold must be > 0, got {threshold}")
     dists = np.linalg.norm(index.vectors - query_vec, axis=1)
     order = np.argsort(dists, kind="stable")

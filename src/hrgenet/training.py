@@ -23,11 +23,14 @@ class Classifier:
         self.head = LinearLayer(descriptor_length, num_classes,
                                 np.random.default_rng(seed))
 
-    def parameters(self):
-        return self.head.parameters()
+    def named_parameters(self):
+        """Qualified as ``classifier.head.*`` so they can follow the
+        embedding model's names in one list."""
+        return [(f"classifier.head.{name}", p)
+                for name, p in self.head.named_parameters()]
 
-    def zero_grad(self):
-        self.head.zero_grad()
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,8 @@ def _descriptor_batch(model, views_list):
     return ag.stack_rows(descs)
 
 
-def predict(model: HrgeModel, classifier: Classifier, views):
-    """Logits and argmax label (first-wins tie-break) for one shape."""
-    batch = _descriptor_batch(model, [views])
-    logits = linear_forward(classifier.head, batch).data[0]
-    return logits, int(np.argmax(logits))
-
-
 def predict_batch(model, classifier, views_list):
+    """Logits and argmax labels (first-wins tie-break), one row per shape."""
     batch = _descriptor_batch(model, views_list)
     logits = linear_forward(classifier.head, batch).data
     return logits, logits.argmax(axis=1)

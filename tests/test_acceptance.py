@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hrgenet import autograd as ag
-from hrgenet.checkpoint import _blocks, load_model, save_model
+from hrgenet.checkpoint import load_model, save_model
 from hrgenet.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -57,7 +57,7 @@ def test_criterion_1_gradient_fidelity():
         logits = linear_forward(classifier.head, ag.stack_rows([desc]))
         return ag.softmax_cross_entropy(logits, labels)
 
-    named = _blocks(model, classifier)
+    named = model.named_parameters() + classifier.named_parameters()
     for _, p in named:
         p.zero_grad()
     loss_fn().backward()

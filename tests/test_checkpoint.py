@@ -76,3 +76,15 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x01\x02")
     with pytest.raises(DataFormatError, match="trailing"):
         load_model(path)
+
+
+@pytest.mark.parametrize("tag", [b"fuzz", b"\xff\xfe\xfd\xfc"])
+def test_corrupt_variant_tag_located(tmp_path, tag):
+    model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path)
+    blob = path.read_bytes()
+    assert blob[26:30] == b"full"
+    path.write_bytes(blob[:26] + tag + blob[30:])
+    with pytest.raises(DataFormatError, match="variant tag .* at byte 26"):
+        load_model(path)

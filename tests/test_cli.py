@@ -123,6 +123,28 @@ class TestRetrieve:
             outs.append((out / "metrics.txt").read_text())
         assert outs[0] == outs[1]
 
+    def test_nan_tau_is_usage_error(self, synth_file, tmp_path):
+        train_dir = tmp_path / "train"
+        run(["train", "--data", str(synth_file), "--epochs", "1",
+             "--batch", "6", "--out", str(train_dir)])
+        assert run(["retrieve", "--data", str(synth_file),
+                    "--checkpoint", str(train_dir / "checkpoint.hrgm"),
+                    "--tau", "nan", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("tag", [b"fuzz", b"\xff\xfe\xfd\xfc"])
+    def test_corrupt_variant_tag_is_data_error(self, synth_file, tmp_path,
+                                               capsys, tag):
+        train_dir = tmp_path / "train"
+        run(["train", "--data", str(synth_file), "--epochs", "1",
+             "--batch", "6", "--out", str(train_dir)])
+        ckpt = train_dir / "checkpoint.hrgm"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:26] + tag + blob[30:])
+        assert run(["retrieve", "--data", str(synth_file),
+                    "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "r")]) == 3
+        assert "at byte 26" in capsys.readouterr().err
+
     def test_rerank_with_fine_checkpoint(self, tmp_path):
         data = tmp_path / "fine.hrgf"
         run(["synth", "--mode", "prototype", "--classes", "2",

@@ -9,11 +9,11 @@ from hrgenet.errors import (
     ShapeMismatchError,
 )
 from hrgenet.graph import (
+    VARIANTS,
     HrgeModel,
     LevelParams,
     VariantSpec,
     ViewGraph,
-    apply_variant,
     coarsen,
     hrge_forward,
     level_descriptor,
@@ -320,13 +320,29 @@ class TestHrgeForward:
 class TestVariants:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
-            apply_variant("attention")
+            VariantSpec.from_name("attention")
 
     def test_known_names_resolve(self):
-        for name in ("Baseline", "PR", "NR", "HRGE-1L", "HRGE-full",
-                     "HRGE-woN", "HRGE-MP", "HRGE-AP", "HRGE-ID"):
-            spec = apply_variant(name)
+        for name, key in (("Baseline", "baseline"), ("PR", "pr"),
+                          ("NR", "nr"), ("HRGE-1L", "1l"),
+                          ("HRGE-full", "full"), ("HRGE-woN", "won"),
+                          ("w/o-N", "won"), ("HRGE-MP", "mp"),
+                          ("HRGE-AP", "ap"), ("HRGE-ID", "id")):
+            spec = VariantSpec.from_name(name)
             assert isinstance(spec, VariantSpec)
+            assert spec is VARIANTS[key]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_named_block_gets_gradient(self, variant):
+        rng = np.random.default_rng(17)
+        model = HrgeModel(num_views=12, width=8, variant=variant, seed=18)
+        classifier = Classifier(model.descriptor_length, 3, seed=19)
+        views = rng.normal(size=(12, 8))
+        desc = hrge_forward(model, views).concat
+        logits = linear_forward(classifier.head, ag.stack_rows([desc]))
+        ag.softmax_cross_entropy(logits, np.array([1])).backward()
+        for name, p in model.named_parameters() + classifier.named_parameters():
+            assert p.grad is not None and np.any(p.grad != 0), name
 
     def test_baseline_is_permutation_invariant(self, rng):
         model = HrgeModel(num_views=12, width=4, variant="baseline")

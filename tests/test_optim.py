@@ -3,7 +3,7 @@ import pytest
 
 from hrgenet.autograd import Tensor
 from hrgenet.errors import ConfigError
-from hrgenet.optim import Adam, LrSchedule, lr_at_epoch
+from hrgenet.optim import Adam, LrSchedule
 
 
 class TestAdam:
@@ -81,7 +81,7 @@ class TestLrSchedule:
         s = LrSchedule(1e-5, 0.5, 20)
         for e in range(60):
             expected = 1e-5 * 0.5 ** (e // 20)
-            assert lr_at_epoch(s, e) == expected
+            assert s.lr_at_epoch(e) == expected
             assert expected > 0
 
     def test_negative_epoch_rejected(self):

@@ -9,7 +9,7 @@ from hrgenet.training import (
     TrainConfig,
     TrainLog,
     evaluate_accuracy,
-    predict,
+    predict_batch,
     train,
 )
 
@@ -38,7 +38,8 @@ class TestPredict:
         model, classifier = tiny_model
         classifier.head.weight.data[...] = 0.0
         classifier.head.bias.data[...] = 0.0
-        logits, label = predict(model, classifier, rng.normal(size=(4, 3)))
+        (logits,), (label,) = predict_batch(model, classifier,
+                                            [rng.normal(size=(4, 3))])
         np.testing.assert_array_equal(logits, np.zeros(2))
         assert label == 0
 
@@ -49,17 +50,17 @@ class TestPredict:
         desc = hrge_forward(model, views).concat.data
         classifier.head.weight.data[...] = 0.0
         classifier.head.weight.data[1] = desc
-        _, label = predict(model, classifier, views)
+        _, (label,) = predict_batch(model, classifier, [views])
         assert label == 1
 
     def test_baseline_predictions_permutation_invariant(self, rng):
         model = HrgeModel(num_views=6, width=3, variant="baseline", seed=0)
         classifier = Classifier(model.descriptor_length, 3, seed=1)
         views = rng.normal(size=(6, 3))
-        logits, label = predict(model, classifier, views)
+        (logits,), (label,) = predict_batch(model, classifier, [views])
         for _ in range(10):
-            logits_p, label_p = predict(model, classifier,
-                                        views[rng.permutation(6)])
+            (logits_p,), (label_p,) = predict_batch(
+                model, classifier, [views[rng.permutation(6)]])
             np.testing.assert_array_equal(logits_p, logits)
             assert label_p == label
 
