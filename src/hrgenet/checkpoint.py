@@ -14,7 +14,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError
+from .data import ByteReader
+from .errors import HrgeError
 from .graph import VARIANTS, HrgeModel
 from .training import Classifier
 
@@ -63,61 +64,61 @@ def _write_manifest(model, path, named, num_classes):
 
 
 def load_model(path):
-    """Returns (model, classifier_or_None)."""
+    """Returns (model, classifier_or_None).
+
+    The whole block table is read and checked against the header before
+    the model is built, so no array is sized by a header field that the
+    bytes do not back.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r} at offset 0")
-    try:
-        version, num_views, stride, depth, width = struct.unpack_from(
-            "<IIIII", blob, 4)
-        offset = 24
-        (tag_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        tag = blob[offset:offset + tag_len].decode("utf-8", "replace")
-        variant = VARIANTS.get(tag)
-        if variant is None:
-            raise DataFormatError(
-                f"{path}: unknown variant tag {tag!r} at byte {offset}")
-        offset += tag_len
-        num_classes, block_count = struct.unpack_from("<II", blob, offset)
-        offset += 8
-    except struct.error as exc:
-        raise DataFormatError(f"{path}: truncated header") from exc
+        r = ByteReader(f.read(), str(path), MAGIC)
+    version, num_views, stride, depth, width = r.unpack("IIIII")
     if version != VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    model = HrgeModel(num_views=num_views, width=width, variant=variant,
-                      stride=stride,
-                      depth=depth if depth > 0 else None)
-    classifier = None
+        raise r.error(f"unsupported version {version}", at=4)
+    (tag_len,) = r.unpack("H")
+    tag = r.text(tag_len, "variant tag")
+    if tag not in VARIANTS:
+        raise r.error(f"unknown variant tag {tag!r}", at=26)
+    table_at = r.offset + 4
+    num_classes, block_count = r.unpack("II")
+    blocks = []
+    for k in range(block_count):
+        at = r.offset
+        (ndim,) = r.unpack("I", f"block {k}")
+        if ndim not in (1, 2):
+            raise r.error(f"block {k} declares {ndim} dims", at=at)
+        shape = r.unpack(f"{ndim}I", f"block {k}")
+        blocks.append((at, r.floats(shape, f"block {k}")))
+    r.end()
+
+    def build(width, num_classes):
+        try:
+            model = HrgeModel(num_views=num_views, width=width,
+                              variant=VARIANTS[tag], stride=stride,
+                              depth=depth if depth > 0 else None)
+            classifier = None
+            if num_classes:
+                classifier = Classifier(model.descriptor_length, num_classes)
+        except HrgeError as exc:
+            raise r.error(f"header describes no valid model ({exc})",
+                          at=8) from None
+        return model, classifier
+
+    # Every parameter dim is a multiple of the width, so a width-1 model
+    # gives the block shapes the header implies without allocating them.
+    unit, _ = build(1, 0)
+    implied = [tuple(width * s for s in p.data.shape)
+               for _, p in unit.named_parameters()]
     if num_classes:
-        classifier = Classifier(model.descriptor_length, num_classes)
-    named = _blocks(model, classifier)
-    if len(named) != block_count:
-        raise DataFormatError(
-            f"{path}: expected {len(named)} parameter blocks, header "
-            f"declares {block_count}")
-    for name, tensor in named:
-        if offset + 4 > len(blob):
-            raise DataFormatError(f"{path}: truncated at byte {offset} ({name})")
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if ndim != tensor.data.ndim or offset + 4 * ndim > len(blob):
-            raise DataFormatError(
-                f"{path}: bad block header for {name} at byte {offset}")
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        if shape != tensor.data.shape:
-            raise DataFormatError(
-                f"{path}: block {name} has shape {shape}, expected "
-                f"{tensor.data.shape}")
-        count = int(np.prod(shape))
-        if offset + 8 * count > len(blob):
-            raise DataFormatError(f"{path}: truncated payload for {name}")
-        tensor.data[...] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-    if offset != len(blob):
-        raise DataFormatError(
-            f"{path}: {len(blob) - offset} trailing bytes at offset {offset}")
+        implied += [(num_classes, width * unit.num_blocks), (num_classes,)]
+    if len(blocks) != len(implied):
+        raise r.error(f"header implies {len(implied)} parameter blocks, "
+                      f"table declares {len(blocks)}", at=table_at)
+    for k, ((at, block), shape) in enumerate(zip(blocks, implied)):
+        if block.shape != shape:
+            raise r.error(f"block {k} has shape {block.shape}, header "
+                          f"implies {shape}", at=at)
+    model, classifier = build(width, num_classes)
+    for (_, tensor), (_, block) in zip(_blocks(model, classifier), blocks):
+        tensor.data[...] = block
     return model, classifier

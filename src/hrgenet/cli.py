@@ -1,9 +1,10 @@
 """Command-line surface: synth, train, eval, retrieve, gradcheck.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 data error,
-4 numeric failure.  Flags override config-file values, which override
-defaults; the config file is flat ``key=value`` lines keyed by flag
-destination names (e.g. ``epochs=5``).
+Exit codes: 0 success, 2 usage/configuration error, 3 data error (a
+corrupt or non-finite container, or a dataset that does not fit its
+checkpoint), 4 numeric failure.  Flags override config-file values, which
+override defaults; the config file is flat ``key=value`` lines keyed by
+flag destination names (e.g. ``epochs=5``).
 """
 
 from __future__ import annotations
@@ -149,10 +150,12 @@ def _apply_config_file(parser, argv):
 
 
 def _validate_geometry(views, stride, depth):
+    if stride < 2:
+        raise ConfigError(f"stride must be >= 2, got {stride}")
     if depth is None:
         return
-    if stride < 1 or depth < 0:
-        raise ConfigError("stride must be >= 1 and depth >= 0")
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
     if views % (stride ** depth) != 0:
         raise ConfigError(
             f"{views} views are not divisible by stride^depth = "
@@ -232,11 +235,29 @@ def parse_accuracy_report(text):
     return values["per_instance_acc"], values["per_class_acc"]
 
 
+def _load_fitting(path, dataset, head_size=None):
+    """Load a checkpoint and check that it fits ``dataset``: the same view
+    count and width; a classifier head unless ``head_size`` is None; and
+    a head of ``head_size`` classes unless that is 0 or None."""
+    model, classifier = checkpoint.load_model(path)
+    if (model.num_views, model.width) != (dataset.num_views, dataset.dim):
+        raise DataFormatError(
+            f"{path}: model takes {model.num_views} views of width "
+            f"{model.width}, dataset has {dataset.num_views} of width "
+            f"{dataset.dim}")
+    if head_size is not None and classifier is None:
+        raise ConfigError(f"{path} holds no classifier head")
+    if head_size and classifier.num_classes != head_size:
+        raise DataFormatError(
+            f"{path}: classifier head has {classifier.num_classes} classes, "
+            f"dataset declares {head_size}")
+    return model, classifier
+
+
 def _cmd_eval(args):
     dataset = data.load_dataset(args.data)
-    model, classifier = checkpoint.load_model(args.checkpoint)
-    if classifier is None:
-        raise ConfigError(f"{args.checkpoint} holds no classifier head")
+    model, classifier = _load_fitting(args.checkpoint, dataset,
+                                      dataset.num_classes)
     per_instance, per_class = evaluate_accuracy(model, classifier, dataset)
     lines = accuracy_report_lines(per_instance, per_class)
     for line in lines:
@@ -249,14 +270,12 @@ def _cmd_eval(args):
 
 def _cmd_retrieve(args):
     dataset = data.load_dataset(args.data)
-    model, _ = checkpoint.load_model(args.checkpoint)
+    model, _ = _load_fitting(args.checkpoint, dataset)
     index = build_index(model, dataset)
     predict_fine = None
     if args.fine_checkpoint:
-        fine_model, fine_clf = checkpoint.load_model(args.fine_checkpoint)
-        if fine_clf is None:
-            raise ConfigError(
-                f"{args.fine_checkpoint} holds no classifier head")
+        fine_model, fine_clf = _load_fitting(
+            args.fine_checkpoint, dataset, dataset.num_fine_classes)
         _, fine_preds = predict_batch(fine_model, fine_clf,
                                       [r.views for r in dataset.records])
         fine_by_id = dict(zip([r.id for r in dataset.records], fine_preds))

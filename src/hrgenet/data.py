@@ -11,9 +11,10 @@ followed by one block per record:
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,41 +115,78 @@ def load_dataset(path) -> FeatureDataset:
     return _decode(blob, str(path))
 
 
+class ByteReader:
+    """Little-endian cursor over one container's bytes.
+
+    The only code that knows the container rules: the leading magic,
+    reads bounded by the bytes that remain, UTF-8 text, finite float
+    payloads and no trailing bytes.  Every failure is a DataFormatError
+    naming the source and the byte offset.
+    """
+
+    def __init__(self, blob: bytes, source: str, magic: bytes):
+        self.blob, self.source, self.offset = blob, source, 0
+        if blob[:len(magic)] != magic:
+            raise self.error(f"bad magic {blob[:len(magic)]!r}")
+        self.offset = len(magic)
+
+    def error(self, message: str, at: int | None = None) -> DataFormatError:
+        at = self.offset if at is None else at
+        return DataFormatError(f"{self.source}: {message} at byte {at}")
+
+    def _take(self, size: int, what: str) -> int:
+        start, remain = self.offset, len(self.blob) - self.offset
+        if size > remain:
+            raise self.error(
+                f"truncated {what} ({size} bytes needed, {remain} remain)")
+        self.offset += size
+        return start
+
+    def unpack(self, fmt: str, what: str = "header") -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack_from(
+            fmt, self.blob, self._take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        start = self._take(n, what)
+        try:
+            return self.blob[start:self.offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not UTF-8",
+                             at=start + exc.start) from None
+
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        count = math.prod(shape)
+        start = self._take(8 * count, what)
+        values = np.frombuffer(self.blob, dtype="<f8", count=count,
+                               offset=start)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise self.error(f"non-finite value in {what}",
+                             at=start + 8 * int(np.argmin(finite)))
+        return values.reshape(shape).copy()
+
+    def end(self) -> None:
+        if self.offset != len(self.blob):
+            raise self.error(
+                f"{len(self.blob) - self.offset} trailing bytes")
+
+
 def _decode(blob: bytes, source: str) -> FeatureDataset:
-    if blob[:4] != MAGIC:
-        raise DataFormatError(f"{source}: bad magic {blob[:4]!r} at offset 0")
-    if len(blob) < 28:
-        raise DataFormatError(f"{source}: truncated header ({len(blob)} bytes)")
-    version, count, n, d, num_classes, num_fine = struct.unpack_from(
-        "<IIIIII", blob, 4)
+    r = ByteReader(blob, source, MAGIC)
+    version, count, n, d, num_classes, num_fine = r.unpack("IIIIII")
     if version != VERSION:
-        raise DataFormatError(f"{source}: unsupported version {version}")
-    offset = 28
+        raise r.error(f"unsupported version {version}", at=4)
     records = []
-    payload_bytes = n * d * 8
     for k in range(count):
-        if offset + 2 > len(blob):
-            raise DataFormatError(
-                f"{source}: truncated at byte {offset} (record {k})")
-        (id_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        end = offset + id_len + 8 + payload_bytes
-        if end > len(blob):
-            raise DataFormatError(
-                f"{source}: truncated at byte {offset} (record {k})")
-        rec_id = blob[offset:offset + id_len].decode("utf-8")
-        offset += id_len
-        coarse, fine = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        views = np.frombuffer(blob, dtype="<f8", count=n * d,
-                              offset=offset).reshape(n, d).copy()
-        offset += payload_bytes
+        (id_len,) = r.unpack("H", f"record {k}")
+        rec_id = r.text(id_len, f"record {k} id")
+        coarse, fine = r.unpack("II", f"record {k}")
+        views = r.floats((n, d), f"record {k} views")
         records.append(ShapeRecord(
             id=rec_id, views=views, coarse_label=coarse,
             fine_label=None if fine == NO_FINE_LABEL else fine))
-    if offset != len(blob):
-        raise DataFormatError(
-            f"{source}: {len(blob) - offset} trailing bytes at offset {offset}")
+    r.end()
     return FeatureDataset(records=records, num_classes=num_classes,
                           num_fine_classes=num_fine)
 

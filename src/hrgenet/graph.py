@@ -246,6 +246,8 @@ class HrgeModel:
                  stride: int = 2, depth: int | None = None, seed: int = 0):
         if isinstance(variant, str):
             variant = VariantSpec.from_name(variant)
+        if stride < 2:
+            raise ConfigError(f"stride must be >= 2, got {stride}")
         self.variant = variant
         self.num_views = num_views
         self.width = width

@@ -1,9 +1,13 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hrgenet import graph
 from hrgenet.checkpoint import load_model, save_model
 from hrgenet.errors import DataFormatError
-from hrgenet.graph import HrgeModel, hrge_forward
+from hrgenet.graph import HrgeModel, LevelParams, hrge_forward
 from hrgenet.training import Classifier
 
 
@@ -87,4 +91,62 @@ def test_corrupt_variant_tag_located(tmp_path, tag):
     assert blob[26:30] == b"full"
     path.write_bytes(blob[:26] + tag + blob[30:])
     with pytest.raises(DataFormatError, match="variant tag .* at byte 26"):
+        load_model(path)
+
+
+def saved_blob(tmp_path):
+    """A valid 6-view, width-3 full-variant checkpoint: header fields
+    num_views/stride/depth/width at bytes 8/12/16/20, num_classes at 30."""
+    model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path, Classifier(model.descriptor_length, 2))
+    return path, bytearray(path.read_bytes())
+
+
+@pytest.mark.parametrize("stride,depth", [(0, 1), (0, 0), (3, 2), (2, 5)])
+def test_bad_header_geometry_is_data_error(tmp_path, stride, depth):
+    path, blob = saved_blob(tmp_path)
+    struct.pack_into("<II", blob, 12, stride, depth)
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match="at byte 8"):
+        load_model(path)
+
+
+def test_stride_one_fails_before_any_level_is_built(tmp_path, monkeypatch):
+    built = []
+
+    def counting_level(*args, **kwargs):
+        built.append(1)
+        return LevelParams(*args, **kwargs)
+
+    path, blob = saved_blob(tmp_path)
+    struct.pack_into("<II", blob, 12, 1, 2000)
+    path.write_bytes(blob)
+    monkeypatch.setattr(graph, "LevelParams", counting_level)
+    with pytest.raises(DataFormatError, match="stride"):
+        load_model(path)
+    assert built == []
+
+
+@pytest.mark.parametrize("offset,value", [(20, 1024), (30, 2 ** 20)])
+def test_unbacked_header_size_allocates_nothing(tmp_path, offset, value):
+    path, blob = saved_blob(tmp_path)
+    struct.pack_into("<I", blob, offset, value)
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="header implies"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_non_finite_payload_located(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    at = len(blob) - 8  # last value of the classifier bias
+    struct.pack_into("<d", blob, at, float("nan"))
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=f"non-finite .* at byte {at}"):
         load_model(path)

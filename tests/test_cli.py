@@ -1,16 +1,38 @@
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hrgenet
+from hrgenet.checkpoint import save_model
 from hrgenet.cli import main, parse_accuracy_report
-from hrgenet.data import load_dataset
+from hrgenet.data import load_dataset, save_dataset
+from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import MetricsReport
-from hrgenet.training import TrainLog
+from hrgenet.training import Classifier, TrainLog
 
 
 def run(args):
     return main(args)
+
+
+def run_in_child(args, timeout=60):
+    """Run the CLI in a child process, so that a hang fails the test
+    instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(hrgenet.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "hrgenet", *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=timeout).returncode
+
+
+def write_checkpoint(path, views, width, num_classes):
+    model = HrgeModel(num_views=views, width=width, variant="full", seed=0)
+    save_model(model, path, Classifier(model.descriptor_length, num_classes))
+    return path
 
 
 @pytest.fixture
@@ -77,6 +99,42 @@ class TestTrainEval:
         per_instance, per_class = parse_accuracy_report(report.read_text())
         assert 0.0 <= per_instance <= 1.0
         assert 0.0 <= per_class <= 1.0
+
+    def test_non_finite_dataset_is_data_error(self, synth_file, tmp_path,
+                                              capsys):
+        ds = load_dataset(synth_file)
+        ds.records[3].views[0, 0] = np.nan
+        bad = tmp_path / "nan.hrgf"
+        save_dataset(ds, bad)
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(bad), "--epochs", "1",
+                    "--batch", "6", "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.hrgm").exists()
+
+    @pytest.mark.parametrize("stride", [1, 0])
+    def test_stride_below_two_is_usage_error(self, synth_file, tmp_path,
+                                             stride):
+        assert run_in_child(["train", "--data", synth_file, "--epochs", "1",
+                             "--stride", stride,
+                             "--out", tmp_path / "run"]) == 2
+
+    def test_stride_one_checkpoint_is_data_error(self, synth_file, tmp_path):
+        ckpt = write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3)
+        blob = bytearray(ckpt.read_bytes())
+        struct.pack_into("<II", blob, 12, 1, 0)  # stride, depth
+        ckpt.write_bytes(blob)
+        assert run_in_child(["eval", "--data", synth_file,
+                             "--checkpoint", ckpt]) == 3
+
+    @pytest.mark.parametrize("views,width,classes", [
+        (12, 6, 2), (6, 6, 3), (12, 4, 3)])
+    def test_checkpoint_that_does_not_fit_is_data_error(
+            self, synth_file, tmp_path, capsys, views, width, classes):
+        ckpt = write_checkpoint(tmp_path / "m.hrgm", views, width, classes)
+        assert run(["eval", "--data", str(synth_file),
+                    "--checkpoint", str(ckpt)]) == 3
+        assert "dataset" in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.hrgf"),
@@ -161,6 +219,18 @@ class TestRetrieve:
                     "--fine-checkpoint", str(fine_dir / "checkpoint.hrgm"),
                     "--out", str(out)])
         assert code == 0
+
+    def test_fine_head_that_does_not_fit_is_data_error(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "fine.hrgf"
+        run(["synth", "--classes", "2", "--per-class", "4", "--views", "6",
+             "--dim", "4", "--fine-per-class", "2", "--out", str(data)])
+        coarse = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 2)
+        fine = write_checkpoint(tmp_path / "f.hrgm", 6, 4, 3)
+        assert run(["retrieve", "--data", str(data), "--checkpoint",
+                    str(coarse), "--fine-checkpoint", str(fine),
+                    "--out", str(tmp_path / "r")]) == 3
+        assert "dataset declares 4" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -78,6 +78,28 @@ class TestContainerFormat:
         with pytest.raises(DataFormatError, match="trailing"):
             load_dataset(path)
 
+    def test_non_finite_payload_located(self, rng, tmp_path):
+        ds = sample_dataset(rng)
+        ds.records[1].views[2, 3] = np.nan
+        path = tmp_path / "ds.hrgf"
+        save_dataset(ds, path)
+        record = 2 + len("shape-0-0") + 8 + 6 * 5 * 8
+        at = 28 + record + 2 + len("shape-0-1") + 8 + (2 * 5 + 3) * 8
+        with pytest.raises(DataFormatError,
+                           match=f"non-finite value in record 1 .* byte {at}"):
+            load_dataset(path)
+
+    def test_non_utf8_id_located(self, rng, tmp_path):
+        path = tmp_path / "ds.hrgf"
+        save_dataset(sample_dataset(rng), path)
+        blob = bytearray(path.read_bytes())
+        assert blob[30:39] == b"shape-0-0"
+        blob[33] = 0xFF
+        path.write_bytes(blob)
+        with pytest.raises(DataFormatError,
+                           match="record 0 id is not UTF-8 at byte 33"):
+            load_dataset(path)
+
     def test_row_count_mismatch_cites_record(self, rng):
         records = [ShapeRecord(id="good", views=rng.normal(size=(6, 5)),
                                coarse_label=0),
