@@ -5,6 +5,10 @@ A `Tensor` wraps a numpy array and remembers how it was produced; calling
 and accumulates gradients into every node's ``grad`` buffer.  The op set is
 deliberately small: exactly what the relational embedding network and its
 classifier head need.
+
+The row ops act on the last two axes, rows (graph nodes) on axis -2 and
+features on axis -1, so each accepts an optional leading batch axis and
+treats every batch item on its own.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape),
+                                 dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
@@ -119,10 +125,10 @@ def scale(a, c: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """Rectifier that lets NaN through instead of mapping it to 0."""
     a = as_tensor(a)
-    mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0), _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g * mask)
+    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,))
+    out._grad_fn = lambda g: a._accumulate(g * (a.data > 0.0))
     return out
 
 
@@ -140,35 +146,85 @@ def maximum(a, b) -> Tensor:
     return out
 
 
+def _rows(a):
+    """View of `a` with every leading axis folded into the rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def affine(x, weight, bias) -> Tensor:
-    """x @ weight.T + bias, with weight of shape (out, in)."""
+    """x @ weight.T + bias over the last axis, with weight of shape (out, in).
+
+    A batched ``(B, M, in)`` input runs as a stacked matmul, one GEMM of
+    M rows per item.  The weight gradient folds the batch into one GEMM.
+    """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"affine input must be 2-D, got {x.shape}")
-    if x.data.shape[1] != weight.data.shape[1]:
+    if x.data.ndim not in (2, 3):
         raise ShapeMismatchError(
-            f"input has {x.data.shape[1]} columns but weight expects "
+            f"affine input must be 2-D or batched 3-D, got {x.shape}")
+    if x.data.shape[-1] != weight.data.shape[1]:
+        raise ShapeMismatchError(
+            f"input has {x.data.shape[-1]} columns but weight expects "
             f"{weight.data.shape[1]}"
         )
-    out = Tensor(x.data @ weight.data.T + bias.data, _parents=(x, weight, bias))
+    y = np.matmul(x.data, weight.data.T)
+    y += bias.data
+    out = Tensor(y, _parents=(x, weight, bias))
 
     def _backward(g):
-        x._accumulate(g @ weight.data)
-        weight._accumulate(g.T @ x.data)
-        bias._accumulate(g.sum(axis=0))
+        x._accumulate(np.matmul(g, weight.data))
+        weight._accumulate(_rows(g).T @ _rows(x.data))
+        bias._accumulate(_rows(g).sum(axis=0))
+
+    out._grad_fn = _backward
+    return out
+
+
+def pair_affine(x, weight, bias) -> Tensor:
+    """`affine` of every ordered row pair ``[x_i, x_j]``, i != j.
+
+    Output row ``i * (n - 1) + k`` holds the pair of row i with the k-th
+    other row, in ascending order.  The map is factored: ``x W[:, :w]^T``
+    and ``x W[:, w:]^T + b`` are computed once per row and broadcast-added,
+    so the ``n (n - 1)`` concatenated pairs are never built.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.data.ndim not in (2, 3) or 2 * x.data.shape[-1] != weight.data.shape[1]:
+        raise ShapeMismatchError(
+            f"pairs of rows of {x.shape} do not match weight {weight.shape}")
+    *lead, n, w = x.data.shape
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    left = np.matmul(x.data, weight.data[:, :w].T)
+    right = np.matmul(x.data, weight.data[:, w:].T)
+    right += bias.data
+    full = left[..., :, None, :] + right[..., None, :, :]
+    dense_shape = full.shape
+    out = Tensor(full.reshape(*lead, n * n, -1)[..., off, :],
+                 _parents=(x, weight, bias))
+
+    def _backward(g):
+        dense = np.zeros(dense_shape)
+        dense.reshape(*lead, n * n, -1)[..., off, :] = g
+        g_left, g_right = dense.sum(axis=-2), dense.sum(axis=-3)
+        x._accumulate(np.matmul(g_left, weight.data[:, :w])
+                      + np.matmul(g_right, weight.data[:, w:]))
+        rows = _rows(x.data)
+        weight._accumulate(np.concatenate(
+            [_rows(g_left).T @ rows, _rows(g_right).T @ rows], axis=1))
+        bias._accumulate(_rows(g_right).sum(axis=0))
 
     out._grad_fn = _backward
     return out
 
 
 def take_rows(a, idx) -> Tensor:
+    """Rows ``idx`` of `a` along axis -2."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx], _parents=(a,))
+    out = Tensor(a.data[..., idx, :], _parents=(a,))
 
     def _backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        np.add.at(np.moveaxis(ga, -2, 0), idx, np.moveaxis(g, -2, 0))
         a._accumulate(ga)
 
     out._grad_fn = _backward
@@ -176,54 +232,42 @@ def take_rows(a, idx) -> Tensor:
 
 
 def segment_sum_rows(a, segments, num_segments: int) -> Tensor:
-    """Sum rows of `a` per segment id.
+    """Sum the rows (axis -2) of `a` per segment id.
 
-    Rows inside each segment are added in a canonical (lexicographically
-    sorted) order, so the result is bit-identical under any permutation of
-    the rows feeding a segment.  Every segment must be non-empty.
+    Every segment must hold the same, non-zero number of rows.  Each
+    column of a segment is sorted before it is summed, so the result is
+    bit-identical under any permutation of the rows feeding a segment.
     """
     a = as_tensor(a)
     segments = np.asarray(segments, dtype=np.intp)
     counts = np.bincount(segments, minlength=num_segments)
-    if np.any(counts == 0):
-        raise EmptyInputError("segment_sum_rows requires non-empty segments")
-    keys = [a.data[:, c] for c in range(a.data.shape[1] - 1, -1, -1)]
-    order = np.lexsort(keys + [segments])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = Tensor(
-        np.add.reduceat(a.data[order], starts, axis=0), _parents=(a,)
-    )
-    out._grad_fn = lambda g: a._accumulate(g[segments])
+    if counts.size != num_segments or np.any(counts == 0):
+        raise EmptyInputError(
+            f"segment_sum_rows needs non-empty segments 0..{num_segments - 1}")
+    if np.any(counts != counts[0]):
+        raise ShapeMismatchError(
+            f"segment_sum_rows needs equal segments, got sizes {counts}")
+    order = np.argsort(segments, kind="stable")
+    grouped = a.data[..., order, :].reshape(
+        *a.data.shape[:-2], num_segments, counts[0], a.data.shape[-1])
+    grouped.sort(axis=-2)
+    out = Tensor(grouped.sum(axis=-2), _parents=(a,))
+    out._grad_fn = lambda g: a._accumulate(g[..., segments, :])
     return out
 
 
 def concat_cols(tensors) -> Tensor:
+    """Concatenate along the last axis."""
     tensors = [as_tensor(t) for t in tensors]
-    widths = [t.data.shape[1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1),
+    widths = [t.data.shape[-1] for t in tensors]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1),
                  _parents=tuple(tensors))
 
     def _backward(g):
         off = 0
         for t, w in zip(tensors, widths):
-            t._accumulate(g[:, off:off + w])
+            t._accumulate(g[..., off:off + w])
             off += w
-
-    out._grad_fn = _backward
-    return out
-
-
-def concat_vecs(tensors) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[0] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors]),
-                 _parents=tuple(tensors))
-
-    def _backward(g):
-        off = 0
-        for t, n in zip(tensors, sizes):
-            t._accumulate(g[off:off + n])
-            off += n
 
     out._grad_fn = _backward
     return out
@@ -243,51 +287,52 @@ def stack_rows(tensors) -> Tensor:
 
 
 def maxpool_rows(a):
-    """Column-wise max over rows.
+    """Column-wise max over the rows (axis -2).
 
     Returns ``(tensor, argmax)`` where argmax holds the first maximal row
-    index per column; the gradient is routed there exclusively.
+    index per column (the first NaN, if any); the gradient is routed there
+    exclusively.
     """
     a = as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] < 1:
+    if a.data.ndim < 2 or a.data.shape[-2] < 1:
         raise EmptyInputError(f"maxpool_rows needs a non-empty matrix, got {a.shape}")
-    arg = a.data.argmax(axis=0)
-    cols = np.arange(a.data.shape[1])
-    out = Tensor(a.data[arg, cols], _parents=(a,))
+    arg = a.data.argmax(axis=-2)[..., None, :]
+    out = Tensor(np.take_along_axis(a.data, arg, axis=-2)[..., 0, :],
+                 _parents=(a,))
 
     def _backward(g):
         ga = np.zeros_like(a.data)
-        ga[arg, cols] = g
+        np.put_along_axis(ga, arg, g[..., None, :], axis=-2)
         a._accumulate(ga)
 
     out._grad_fn = _backward
-    return out, arg
+    return out, arg[..., 0, :]
 
 
 DEGENERATE_NORM = 1e-12
 
 
 def l2_normalize(v):
-    """Scale a 1-D tensor to unit norm.
+    """Scale each vector along the last axis to unit norm.
 
-    Returns ``(tensor, degenerate)``; when the norm is below
-    ``DEGENERATE_NORM`` the input passes through unchanged and the flag
-    is set instead of raising.
+    Returns ``(tensor, degenerate)``; a vector whose norm is below
+    ``DEGENERATE_NORM`` passes through unchanged and its entry of the
+    boolean ``degenerate`` array (0-d for a single vector) is set instead
+    of raising.
     """
     v = as_tensor(v)
-    norm = float(np.linalg.norm(v.data))
-    if norm < DEGENERATE_NORM:
-        out = Tensor(v.data.copy(), _parents=(v,))
-        out._grad_fn = lambda g: v._accumulate(g)
-        return out, True
+    norm = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
+    degenerate = norm < DEGENERATE_NORM
+    norm = np.where(degenerate, 1.0, norm)
     unit = v.data / norm
     out = Tensor(unit, _parents=(v,))
 
     def _backward(g):
-        v._accumulate(g / norm - unit * (unit @ g) / norm)
+        proj = np.sum(unit * g, axis=-1, keepdims=True)
+        v._accumulate(np.where(degenerate, g, (g - unit * proj) / norm))
 
     out._grad_fn = _backward
-    return out, False
+    return out, degenerate[..., 0]
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

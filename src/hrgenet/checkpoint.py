@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .data import ByteReader
-from .errors import HrgeError
+from .errors import DataFormatError, HrgeError
 from .graph import VARIANTS, HrgeModel
 from .training import Classifier
 
@@ -30,21 +30,28 @@ def _blocks(model: HrgeModel, classifier: Classifier | None):
 
 
 def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
+    """Write the checkpoint and its manifest.
+
+    A non-finite parameter block, which `load_model` would refuse, is
+    refused here by name before any file is created.
+    """
     named = _blocks(model, classifier)
+    for name, tensor in named:
+        if not np.isfinite(tensor.data).all():
+            raise DataFormatError(
+                f"{path}: refusing to write non-finite parameter block {name}")
     tag = model.variant.name.encode("utf-8")
+    num_classes = classifier.num_classes if classifier is not None else 0
+    parts = [MAGIC, struct.pack("<IIIII", VERSION, model.num_views,
+                                model.stride, model.depth, model.width),
+             struct.pack("<H", len(tag)), tag,
+             struct.pack("<II", num_classes, len(named))]
+    for _, tensor in named:
+        arr = tensor.data
+        parts += [struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                  arr.astype("<f8").tobytes()]
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IIIII", VERSION, model.num_views, model.stride,
-                            model.depth, model.width))
-        f.write(struct.pack("<H", len(tag)))
-        f.write(tag)
-        num_classes = classifier.num_classes if classifier is not None else 0
-        f.write(struct.pack("<II", num_classes, len(named)))
-        for _, tensor in named:
-            arr = tensor.data
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+        f.write(b"".join(parts))
     _write_manifest(model, path, named, num_classes)
 
 

@@ -317,8 +317,8 @@ def _cmd_gradcheck(args):
     named = model.named_parameters() + classifier.named_parameters()
 
     def loss_fn():
-        desc = hrge_forward(model, views).concat
-        logits = linear_forward(classifier.head, ag.stack_rows([desc]))
+        desc = hrge_forward(model, views[None]).concat
+        logits = linear_forward(classifier.head, desc)
         loss = ag.softmax_cross_entropy(logits, label)
         if args.perturb:
             loss = ag.add(loss, _wrong_gradient(named[0][1], args.perturb))

@@ -92,21 +92,33 @@ class FeatureDataset:
 
 
 def save_dataset(dataset: FeatureDataset, path) -> None:
-    """Write the canonical HRGF encoding (byte-deterministic)."""
+    """Write the canonical HRGF encoding (byte-deterministic).
+
+    Refuses, before it creates the file, what `load_dataset` would
+    refuse: no records, zero views or zero width, an over-long id, or a
+    non-finite view value.
+    """
     n, d = dataset.num_views, dataset.dim
+    if not dataset.records or n == 0 or d == 0:
+        raise DataFormatError(
+            f"{path}: refusing to write an empty dataset "
+            f"({len(dataset.records)} records of {n} x {d} views)")
+    parts = [MAGIC, struct.pack("<IIIIII", VERSION, len(dataset.records), n,
+                                d, dataset.num_classes,
+                                dataset.num_fine_classes)]
+    for rec in dataset.records:
+        encoded = rec.id.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise DataFormatError(f"record id too long: {rec.id[:32]!r}...")
+        if not np.isfinite(rec.views).all():
+            raise DataFormatError(
+                f"{path}: record {rec.id!r} has a non-finite view value")
+        fine = NO_FINE_LABEL if rec.fine_label is None else rec.fine_label
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack("<II", rec.coarse_label, fine),
+                  rec.views.astype("<f8").tobytes()]
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IIIIII", VERSION, len(dataset.records), n, d,
-                            dataset.num_classes, dataset.num_fine_classes))
-        for rec in dataset.records:
-            encoded = rec.id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise DataFormatError(f"record id too long: {rec.id[:32]!r}...")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            fine = NO_FINE_LABEL if rec.fine_label is None else rec.fine_label
-            f.write(struct.pack("<II", rec.coarse_label, fine))
-            f.write(rec.views.astype("<f8").tobytes())
+        f.write(b"".join(parts))
 
 
 def load_dataset(path) -> FeatureDataset:
@@ -177,6 +189,10 @@ def _decode(blob: bytes, source: str) -> FeatureDataset:
     version, count, n, d, num_classes, num_fine = r.unpack("IIIIII")
     if version != VERSION:
         raise r.error(f"unsupported version {version}", at=4)
+    for value, what, at in ((count, "records", 8), (n, "views per record", 12),
+                            (d, "view width", 16)):
+        if value == 0:
+            raise r.error(f"zero {what}", at=at)
     records = []
     for k in range(count):
         (id_len,) = r.unpack("H", f"record {k}")

@@ -7,6 +7,15 @@ a neighboring relation module on ring triplets, and coarsens the ring by a
 fixed stride.  The concatenated per-level descriptors form the global
 shape descriptor.  Each ablation variant is one row of ``VARIANTS``,
 switching these modules on or off.
+
+Views come as one ``(n, w)`` matrix or as a ``(B, n, w)`` batch, and the
+same code runs both.  Stacked-GEMM rule: every matrix product of the
+model is a ``np.matmul`` over ``(B, M, K)`` with M the rows of one shape,
+never one GEMM over the batch folded into ``B * M`` rows.  BLAS kernels
+round differently by matrix size, so a folded GEMM would give a shape's
+descriptor different last bits in different batches; one GEMM per shape
+keeps each descriptor bit-identical to the shape's own unbatched forward.
+Only weight gradients, which nothing compares bit for bit, fold the batch.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .errors import (
     RingTooSmallError,
     ShapeMismatchError,
 )
-from .layers import LinearLayer, Mlp, linear_forward, mlp_forward
+from .layers import LinearLayer, Mlp, linear_forward
 
 
 @dataclass(frozen=True)
@@ -76,26 +85,28 @@ _IRREGULAR_NAMES = {"w/o-n": "won"}
 
 @dataclass
 class ViewGraph:
-    """Ring-ordered node features at one hierarchy level."""
+    """Ring-ordered node features at one hierarchy level: an ``(n, w)``
+    matrix, or a ``(B, n, w)`` batch of rings of the same size."""
 
     level: int
     features: Tensor
 
     def __post_init__(self):
         self.features = as_tensor(self.features)
-        if self.features.data.ndim != 2 or self.features.data.shape[0] < 1:
+        shape = self.features.data.shape
+        if len(shape) not in (2, 3) or shape[-2] < 1:
             raise ShapeMismatchError(
-                f"view graph needs a non-empty 2-D feature matrix, "
-                f"got shape {self.features.shape}"
+                f"view graph needs a non-empty 2-D feature matrix or a "
+                f"batch of them, got shape {self.features.shape}"
             )
 
     @property
     def num_nodes(self) -> int:
-        return self.features.data.shape[0]
+        return self.features.data.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.features.data.shape[1]
+        return self.features.data.shape[-1]
 
 
 class LevelParams:
@@ -137,7 +148,10 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
 
     For each node i the relations r_ij over all other nodes j are computed
     by the pairwise MLP on concatenated features, summed, and fused with
-    the node's own feature through the fusion layer plus a rectifier.
+    the node's own feature through the fusion layer plus a rectifier.  The
+    MLP's first layer is factored over the pair (`ag.pair_affine`), and
+    the sum over j runs in sorted order, so it does not depend on the
+    order of the nodes.
     """
     x = graph.features
     n, width = graph.num_nodes, graph.width
@@ -148,12 +162,14 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
             f"graph width {width} does not match level width {params.width}"
         )
     if n == 1:
-        summed = Tensor(np.zeros((1, width)))
+        summed = Tensor(np.zeros(x.shape))
     else:
-        idx_i, idx_j = np.nonzero(~np.eye(n, dtype=bool))
-        pairs = ag.concat_cols([ag.take_rows(x, idx_i), ag.take_rows(x, idx_j)])
-        relations = mlp_forward(params.pairwise_mlp, pairs)
-        summed = ag.segment_sum_rows(relations, idx_i, n)
+        first, *rest = params.pairwise_mlp.layers
+        relations = ag.pair_affine(x, first.weight, first.bias)
+        for layer in rest:
+            relations = linear_forward(layer, ag.relu(relations))
+        summed = ag.segment_sum_rows(relations, np.repeat(np.arange(n), n - 1),
+                                     n)
     fused = linear_forward(params.fusion, ag.concat_cols([x, summed]))
     return ViewGraph(graph.level, ag.relu(fused))
 
@@ -219,7 +235,9 @@ def level_descriptor(features):
 
 @dataclass
 class GlobalDescriptor:
-    """Per-level pooled descriptors and their concatenation."""
+    """Per-level pooled descriptors, their concatenation and one
+    degenerate-norm flag per block; each carries the batch axis of the
+    views, if they had one."""
 
     blocks: list
     concat: Tensor
@@ -307,16 +325,19 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
     variant pools the level block from those updated features, then the
     neighboring module and (hierarchical variants only) coarsening produce
     the next level's ring.  The final ring is pooled as the last block.
+    A ``(B, n, w)`` batch of views gives ``(B, ...)`` blocks, each row
+    bit-identical to that shape's own unbatched forward.
     """
     views = as_tensor(views)
-    if views.data.ndim != 2 or views.data.shape[0] != model.num_views:
+    shape = views.data.shape
+    if len(shape) not in (2, 3) or shape[-2] != model.num_views:
         raise ShapeMismatchError(
-            f"expected a {model.num_views} x {model.width} view matrix, "
-            f"got shape {views.shape}"
+            f"expected a {model.num_views} x {model.width} view matrix "
+            f"or a batch of them, got shape {views.shape}"
         )
-    if views.data.shape[1] != model.width:
+    if shape[-1] != model.width:
         raise ShapeMismatchError(
-            f"view feature width {views.data.shape[1]} does not match "
+            f"view feature width {shape[-1]} does not match "
             f"model width {model.width}"
         )
     variant = model.variant
@@ -342,5 +363,5 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
         if variant.hierarchical:
             graph = coarsen(graph, model.stride)
     emit(graph.features)
-    concat = ag.concat_vecs(blocks) if len(blocks) > 1 else blocks[0]
+    concat = ag.concat_cols(blocks) if len(blocks) > 1 else blocks[0]
     return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)

@@ -59,8 +59,9 @@ class LinearLayer:
 
 
 def linear_forward(layer: LinearLayer, x) -> Tensor:
+    """The layer over the last axis of a matrix or of a batch of them."""
     x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != layer.in_dim:
+    if x.data.ndim not in (2, 3) or x.data.shape[-1] != layer.in_dim:
         raise ShapeMismatchError(
             f"input of shape {x.shape} does not match layer "
             f"({layer.out_dim} x {layer.in_dim})"

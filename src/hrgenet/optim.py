@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,16 @@ class Adam:
 
     Weight decay shrinks the parameter directly (p -= lr * wd * p) before
     the moment-based update, keeping the decay independent of the adaptive
-    scaling.
+    scaling.  ``params`` holds tensors or ``(name, tensor)`` pairs; the
+    names label the errors of `step`.
     """
 
     def __init__(self, params, lr=1e-5, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=1e-3):
-        self.params = list(params)
+        named = [p if isinstance(p, tuple) else (f"parameter {k}", p)
+                 for k, p in enumerate(params)]
+        self.names = [name for name, _ in named]
+        self.params = [p for _, p in named]
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
         self.lr = float(lr)
@@ -49,17 +53,24 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        """One update of every parameter, or of none: a missing, misshapen
+        or non-finite gradient, or a non-finite parameter, raises first."""
+        for name, p in zip(self.names, self.params):
+            g = p.grad
+            if g is None:
+                raise ConfigError(f"{name} has no gradient; run backward first")
+            if g.shape != p.data.shape:
+                raise ConfigError(
+                    f"{name}: gradient shape {g.shape} does not match "
+                    f"parameter shape {p.data.shape}"
+                )
+            for what, values in (("gradient", g), ("value", p.data)):
+                if not np.isfinite(values).all():
+                    raise NumericError(f"non-finite {what} in {name}")
         self.step_count += 1
         t = self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if g is None:
-                raise ConfigError("parameter has no gradient; run backward first")
-            if g.shape != p.data.shape:
-                raise ConfigError(
-                    f"gradient shape {g.shape} does not match parameter "
-                    f"shape {p.data.shape}"
-                )
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             m *= self.beta1

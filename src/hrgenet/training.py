@@ -98,15 +98,12 @@ class TrainLog:
         return log
 
 
-def _descriptor_batch(model, views_list):
-    descs = [hrge_forward(model, v).concat for v in views_list]
-    return ag.stack_rows(descs)
-
-
 def predict_batch(model, classifier, views_list):
-    """Logits and argmax labels (first-wins tie-break), one row per shape."""
-    batch = _descriptor_batch(model, views_list)
-    logits = linear_forward(classifier.head, batch).data
+    """Logits and argmax labels (first-wins tie-break), one row per shape.
+
+    Runs one forward per shape."""
+    descs = np.stack([hrge_forward(model, v).concat.data for v in views_list])
+    logits = linear_forward(classifier.head, descs).data
     return logits, logits.argmax(axis=1)
 
 
@@ -114,8 +111,10 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
           cfg: TrainConfig) -> TrainLog:
     """Shuffled mini-batch cross-entropy training with Adam.
 
+    Each step runs one batched forward and backward over its mini-batch.
     The last partial batch is used, not dropped.  Raises NumericError
-    with epoch/batch diagnostics if the loss goes non-finite.
+    with epoch/batch diagnostics if the loss goes non-finite, and Adam
+    raises it if a gradient or parameter does.
     """
     records = list(dataset.records)
     if not records:
@@ -126,7 +125,9 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
                 f"record {rec.id!r} has label {rec.coarse_label} outside "
                 f"[0, {classifier.num_classes})"
             )
-    params = model.parameters() + classifier.parameters()
+    views = np.stack([rec.views for rec in records])
+    all_labels = np.array([rec.coarse_label for rec in records])
+    params = model.named_parameters() + classifier.named_parameters()
     opt = Adam(params, lr=cfg.learning_rate, betas=cfg.betas,
                weight_decay=cfg.weight_decay)
     schedule = cfg.schedule
@@ -139,12 +140,11 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
         losses, correct = [], 0
         step = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [records[k] for k in order[start:start + cfg.batch_size]]
-            labels = np.array([r.coarse_label for r in batch])
+            batch = order[start:start + cfg.batch_size]
+            labels = all_labels[batch]
             opt.zero_grad()
-            logits = linear_forward(
-                classifier.head,
-                _descriptor_batch(model, [r.views for r in batch]))
+            logits = linear_forward(classifier.head,
+                                    hrge_forward(model, views[batch]).concat)
             loss = ag.softmax_cross_entropy(logits, labels)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):

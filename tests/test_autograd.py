@@ -140,6 +140,41 @@ class TestBackward:
             out.backward()
 
 
+class TestSegmentSumRows:
+    def test_matches_loop_sum_for_interleaved_segments(self, rng):
+        a = rng.normal(size=(2, 6, 3))
+        segments = [1, 0, 2, 1, 0, 2]
+        out = ag.segment_sum_rows(a, segments, 3)
+        for b in range(2):
+            for s in range(3):
+                rows = a[b][np.array(segments) == s]
+                np.testing.assert_allclose(out.data[b, s], rows.sum(axis=0),
+                                           atol=1e-15)
+
+    def test_unequal_segments_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.segment_sum_rows(np.zeros((3, 2)), [0, 0, 1], 2)
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(EmptyInputError):
+            ag.segment_sum_rows(np.zeros((2, 2)), [0, 0], 2)
+
+
+class TestRelu:
+    def test_nan_propagates(self):
+        out = ag.relu([[np.nan, -1.0, 2.0]])
+        assert np.isnan(out.data[0, 0])
+        np.testing.assert_array_equal(out.data[0, 1:], [0.0, 2.0])
+
+    def test_gradient_is_the_positive_mask(self):
+        a = ag.Tensor([[-1.0, 0.0, 3.0]])
+        out = ag.segment_sum_rows(
+            linear_forward(make_layer([[1.0, 1.0, 1.0]], [0.0]), ag.relu(a)),
+            [0], 1)
+        out.backward()
+        np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
+
+
 class TestMaxpoolRows:
     def test_hand_case(self):
         out, arg = ag.maxpool_rows([[1.0, 5.0], [3.0, 2.0]])

@@ -150,3 +150,13 @@ def test_non_finite_payload_located(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(DataFormatError, match=f"non-finite .* at byte {at}"):
         load_model(path)
+
+
+def test_writer_refuses_non_finite_block(tmp_path):
+    model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+    model.levels[0].fusion.weight.data[1, 2] = np.inf
+    path = tmp_path / "model.hrgm"
+    with pytest.raises(DataFormatError, match="level0.fusion.weight"):
+        save_model(model, path, Classifier(model.descriptor_length, 2))
+    assert not path.exists()
+    assert not (tmp_path / "model.hrgm.manifest.txt").exists()

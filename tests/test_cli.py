@@ -9,7 +9,7 @@ import pytest
 import hrgenet
 from hrgenet.checkpoint import save_model
 from hrgenet.cli import main, parse_accuracy_report
-from hrgenet.data import load_dataset, save_dataset
+from hrgenet.data import load_dataset
 from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import MetricsReport
 from hrgenet.training import Classifier, TrainLog
@@ -102,10 +102,12 @@ class TestTrainEval:
 
     def test_non_finite_dataset_is_data_error(self, synth_file, tmp_path,
                                               capsys):
-        ds = load_dataset(synth_file)
-        ds.records[3].views[0, 0] = np.nan
+        blob = bytearray(synth_file.read_bytes())
+        record = 2 + len("order-0-0") + 8 + 12 * 6 * 8
+        at = 28 + 3 * record + 2 + len("order-1-0") + 8
+        struct.pack_into("<d", blob, at, np.nan)  # record 3, views[0, 0]
         bad = tmp_path / "nan.hrgf"
-        save_dataset(ds, bad)
+        bad.write_bytes(blob)
         out = tmp_path / "run"
         assert run(["train", "--data", str(bad), "--epochs", "1",
                     "--batch", "6", "--out", str(out)]) == 3
@@ -135,6 +137,22 @@ class TestTrainEval:
         assert run(["eval", "--data", str(synth_file),
                     "--checkpoint", str(ckpt)]) == 3
         assert "dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count,views,width,at", [
+        (0, 12, 6, 8), (2, 0, 6, 12), (2, 12, 0, 16)])
+    def test_empty_geometry_is_data_error(self, tmp_path, capsys, count,
+                                          views, width, at):
+        path = tmp_path / "empty.hrgf"
+        blob = b"HRGF" + struct.pack("<IIIIII", 1, count, views, width, 3, 0)
+        for k in range(count):
+            blob += struct.pack("<H", 2) + f"s{k}".encode()
+            blob += struct.pack("<II", 0, 0xFFFFFFFF)
+            blob += bytes(8 * views * width)
+        path.write_bytes(blob)
+        assert run(["train", "--data", str(path), "--epochs", "1",
+                    "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: zero " in err and f"at byte {at}" in err
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.hrgf"),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,15 +81,30 @@ class TestContainerFormat:
             load_dataset(path)
 
     def test_non_finite_payload_located(self, rng, tmp_path):
-        ds = sample_dataset(rng)
-        ds.records[1].views[2, 3] = np.nan
         path = tmp_path / "ds.hrgf"
-        save_dataset(ds, path)
+        save_dataset(sample_dataset(rng), path)
         record = 2 + len("shape-0-0") + 8 + 6 * 5 * 8
         at = 28 + record + 2 + len("shape-0-1") + 8 + (2 * 5 + 3) * 8
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, at, np.nan)  # record 1, views[2, 3]
+        path.write_bytes(blob)
         with pytest.raises(DataFormatError,
                            match=f"non-finite value in record 1 .* byte {at}"):
             load_dataset(path)
+
+    def test_writer_refuses_non_finite_views(self, rng, tmp_path):
+        ds = sample_dataset(rng)
+        ds.records[5].views[1, 2] = np.inf
+        path = tmp_path / "ds.hrgf"
+        with pytest.raises(DataFormatError, match="'shape-1-1'"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_writer_refuses_empty_dataset(self, tmp_path):
+        path = tmp_path / "ds.hrgf"
+        with pytest.raises(DataFormatError, match="empty dataset"):
+            save_dataset(FeatureDataset(records=[], num_classes=2), path)
+        assert not path.exists()
 
     def test_non_utf8_id_located(self, rng, tmp_path):
         path = tmp_path / "ds.hrgf"

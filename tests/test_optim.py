@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hrgenet.autograd import Tensor
-from hrgenet.errors import ConfigError
+from hrgenet.errors import ConfigError, NumericError
 from hrgenet.optim import Adam, LrSchedule
 
 
@@ -55,6 +55,25 @@ class TestAdam:
         opt = Adam([Tensor([1.0])])
         with pytest.raises(ConfigError):
             opt.step()
+
+    @pytest.mark.parametrize("bad", ["gradient", "value"])
+    def test_non_finite_leaves_every_parameter_unchanged(self, bad):
+        params = [("a", Tensor([1.0, 2.0])), ("b", Tensor([3.0]))]
+        opt = Adam(params, lr=0.1)
+        for _, p in params:
+            p.grad = np.ones_like(p.data)
+        target = params[1][1]
+        if bad == "gradient":
+            target.grad[0] = np.nan
+        else:
+            target.data[0] = np.inf
+        before = [p.data.copy() for _, p in params]
+        with pytest.raises(NumericError, match=f"non-finite {bad} in b"):
+            opt.step()
+        for (_, p), b in zip(params, before):
+            np.testing.assert_array_equal(p.data, b)
+        assert opt.step_count == 0
+        assert all(not m.any() for m in opt.m)
 
     def test_step_counter_increments(self):
         p = Tensor([1.0])
