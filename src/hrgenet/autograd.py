@@ -2,7 +2,8 @@
 
 A `Tensor` wraps a numpy array and remembers how it was produced; calling
 ``backward()`` on a scalar loss walks the graph in reverse topological order
-and accumulates gradients into every node's ``grad`` buffer.  The op set is
+and accumulates gradients into the ``grad`` buffer of every leaf (a tensor
+no op produced, such as a parameter or an input).  The op set is
 deliberately small: exactly what the relational embedding network and its
 classifier head need.
 
@@ -39,10 +40,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add `g` into grad.  A `fresh` g is a new array of this node's
+        shape that nothing else holds; it becomes the buffer uncopied."""
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape),
-                                 dtype=np.float64)
+            self.grad = g if fresh else np.array(
+                np.broadcast_to(g, self.data.shape), dtype=np.float64)
         else:
             self.grad += g
 
@@ -65,8 +68,12 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._grad_fn is not None:
+                # Only leaves keep their gradient: an inner node's is
+                # dropped once handed to its grad_fn, so the pass holds the
+                # frontier's gradients rather than every node's.
                 node._spent = True
-                node._grad_fn(node.grad)
+                g, node.grad = node.grad, None
+                node._grad_fn(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -128,7 +135,7 @@ def relu(a) -> Tensor:
     """Rectifier that lets NaN through instead of mapping it to 0."""
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0), _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g * (a.data > 0.0))
+    out._grad_fn = lambda g: a._accumulate(g * (a.data > 0.0), fresh=True)
     return out
 
 
@@ -171,7 +178,7 @@ def affine(x, weight, bias) -> Tensor:
     out = Tensor(y, _parents=(x, weight, bias))
 
     def _backward(g):
-        x._accumulate(np.matmul(g, weight.data))
+        x._accumulate(np.matmul(g, weight.data), fresh=True)
         weight._accumulate(_rows(g).T @ _rows(x.data))
         bias._accumulate(_rows(g).sum(axis=0))
 
@@ -196,17 +203,18 @@ def pair_affine(x, weight, bias) -> Tensor:
     left = np.matmul(x.data, weight.data[:, :w].T)
     right = np.matmul(x.data, weight.data[:, w:].T)
     right += bias.data
-    full = left[..., :, None, :] + right[..., None, :, :]
-    dense_shape = full.shape
-    out = Tensor(full.reshape(*lead, n * n, -1)[..., off, :],
+    pairs = np.take(right, off % n, axis=-2).reshape(*lead, n, n - 1, -1)
+    pairs += left[..., :, None, :]
+    out = Tensor(pairs.reshape(*lead, n * (n - 1), -1),
                  _parents=(x, weight, bias))
 
     def _backward(g):
-        dense = np.zeros(dense_shape)
-        dense.reshape(*lead, n * n, -1)[..., off, :] = g
-        g_left, g_right = dense.sum(axis=-2), dense.sum(axis=-3)
+        g_left = g.reshape(*lead, n, n - 1, -1).sum(axis=-2)
+        dense = np.zeros((*lead, n * n, g.shape[-1]))
+        dense[..., off, :] = g
+        g_right = dense.reshape(*lead, n, n, -1).sum(axis=-3)
         x._accumulate(np.matmul(g_left, weight.data[:, :w])
-                      + np.matmul(g_right, weight.data[:, w:]))
+                      + np.matmul(g_right, weight.data[:, w:]), fresh=True)
         rows = _rows(x.data)
         weight._accumulate(np.concatenate(
             [_rows(g_left).T @ rows, _rows(g_right).T @ rows], axis=1))
@@ -220,7 +228,7 @@ def take_rows(a, idx) -> Tensor:
     """Rows ``idx`` of `a` along axis -2."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[..., idx, :], _parents=(a,))
+    out = Tensor(np.take(a.data, idx, axis=-2), _parents=(a,))
 
     def _backward(g):
         ga = np.zeros_like(a.data)
@@ -240,6 +248,9 @@ def segment_sum_rows(a, segments, num_segments: int) -> Tensor:
     """
     a = as_tensor(a)
     segments = np.asarray(segments, dtype=np.intp)
+    if segments.shape != a.data.shape[-2:-1]:
+        raise ShapeMismatchError(
+            f"{segments.size} segment ids for {a.data.shape[-2]} rows")
     counts = np.bincount(segments, minlength=num_segments)
     if counts.size != num_segments or np.any(counts == 0):
         raise EmptyInputError(
@@ -248,11 +259,12 @@ def segment_sum_rows(a, segments, num_segments: int) -> Tensor:
         raise ShapeMismatchError(
             f"segment_sum_rows needs equal segments, got sizes {counts}")
     order = np.argsort(segments, kind="stable")
-    grouped = a.data[..., order, :].reshape(
+    grouped = np.take(a.data, order, axis=-2).reshape(
         *a.data.shape[:-2], num_segments, counts[0], a.data.shape[-1])
     grouped.sort(axis=-2)
     out = Tensor(grouped.sum(axis=-2), _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g[..., segments, :])
+    out._grad_fn = lambda g: a._accumulate(np.take(g, segments, axis=-2),
+                                            fresh=True)
     return out
 
 

@@ -10,6 +10,7 @@ flag destination names (e.g. ``epochs=5``).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -36,6 +37,36 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _retain_freed_memory():
+    """Keep the memory numpy frees inside the process for reuse.
+
+    A batched training step allocates and frees the same activation and
+    gradient arrays every step (26 MB each at n=80 with batch 16).  With
+    glibc's defaults they go back to the kernel when freed and are
+    faulted in again page by page on the next step: 12-14 thousand page
+    faults per 32-shape call, a tenth to a fifth of its wall time spent
+    in the kernel, varying from call to call with the host's memory
+    pressure.  Without per-array mmap and heap trimming the freed blocks
+    are reused instead.  The setting lasts for the rest of the process;
+    where the C library has no mallopt nothing changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_MAX, 0)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,6 +379,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _retain_freed_memory()
     parser = build_parser()
     try:
         argv = _apply_config_file(parser, argv)

@@ -155,6 +155,8 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
             loss.backward()
             opt.step()
             correct += int((logits.data.argmax(axis=1) == labels).sum())
+            # Free this step's graph before the next forward builds one.
+            del logits, loss
             losses.append(loss_val)
             log.add(epoch=epoch, step=step, loss=loss_val, lr=opt.lr)
             step += 1

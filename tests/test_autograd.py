@@ -126,6 +126,21 @@ class TestBackward:
         np.testing.assert_array_equal(layer.grad_weight, np.zeros((2, 2)))
         np.testing.assert_array_equal(layer.grad_bias, np.zeros(2))
 
+    def test_only_leaves_keep_gradients(self):
+        x = ag.Tensor([[1.0, -2.0]])
+        hidden = ag.relu(x)
+        loss = ag.softmax_cross_entropy(hidden, [0])
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, [[-1.0 / (np.e + 1.0), 0.0]])
+
+    def test_gradient_reaching_a_leaf_twice_is_summed(self):
+        x = ag.Tensor([[1.0, -2.0]])
+        loss = ag.softmax_cross_entropy(ag.add(ag.relu(x), ag.relu(x)), [0])
+        loss.backward()
+        np.testing.assert_allclose(
+            x.grad, [[-2.0 / (np.exp(2.0) + 1.0), 0.0]])
+
     def test_backward_twice_raises_stale_error(self):
         layer = LinearLayer(2, 1)
         out = linear_forward(layer, np.ones((1, 2)))
@@ -154,6 +169,10 @@ class TestSegmentSumRows:
     def test_unequal_segments_rejected(self):
         with pytest.raises(ShapeMismatchError):
             ag.segment_sum_rows(np.zeros((3, 2)), [0, 0, 1], 2)
+
+    def test_segment_ids_must_cover_every_row(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.segment_sum_rows(np.zeros((3, 2)), [0, 1], 2)
 
     def test_empty_segment_rejected(self):
         with pytest.raises(EmptyInputError):

@@ -171,6 +171,32 @@ class TestTrainEval:
         assert "epochs=2" in manifest  # flag wins
         assert "batch=6" in manifest   # config file beats default 72
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts page faults under glibc's allocator")
+    def test_repeated_train_calls_reuse_freed_memory(self, tmp_path):
+        """Each step frees and allocates its arrays again (2.3 MB each at
+        n=24, batch 16); once one call has grown the heap, later calls in
+        the same process must not fault those pages back in."""
+        data = tmp_path / "n24.hrgf"
+        assert run(["synth", "--mode", "relational-order", "--classes", "4",
+                    "--per-class", "4", "--views", "24", "--dim", "32",
+                    "--seed", "1", "--out", str(data)]) == 0
+        probe = (
+            "import resource, sys\n"
+            "from hrgenet.cli import main\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hrgenet.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "train", "--data", str(data),
+             "--epochs", "1", "--batch", "16", "--out", str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120, check=True)
+        assert int(done.stdout.split()[-1]) < 500
+
 
 class TestRetrieve:
     def test_metrics_and_rankings_written(self, synth_file, tmp_path):
