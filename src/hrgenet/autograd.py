@@ -132,11 +132,20 @@ def scale(a, c: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """Rectifier that lets NaN through instead of mapping it to 0."""
+    """Rectifier that lets NaN through instead of mapping it to 0.
+
+    The gradient mask comes from the output (``max(a, 0) > 0`` is
+    ``a > 0``, NaN included).  When `a` is an op's output, the rectifier
+    takes that op's place in the graph and hands it the masked gradient,
+    so the graph does not keep the input array alive.
+    """
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g * (a.data > 0.0), fresh=True)
-    return out
+    y = np.maximum(a.data, 0.0)
+    if a._grad_fn is None:
+        parents, sink = (a,), lambda g: a._accumulate(g, fresh=True)
+    else:
+        parents, sink = a._parents, a._grad_fn
+    return Tensor(y, _parents=parents, _grad_fn=lambda g: sink(g * (y > 0.0)))
 
 
 def maximum(a, b) -> Tensor:
@@ -186,42 +195,143 @@ def affine(x, weight, bias) -> Tensor:
     return out
 
 
-def pair_affine(x, weight, bias) -> Tensor:
-    """`affine` of every ordered row pair ``[x_i, x_j]``, i != j.
+# Bytes of one pair-level array that `pair_relation_sum` works on at a
+# time: about one shape at n=80 and width 32, a whole batch of 16 at n=12.
+PAIR_GROUP_BYTES = 2 * 2**20
 
-    Output row ``i * (n - 1) + k`` holds the pair of row i with the k-th
-    other row, in ascending order.  The map is factored: ``x W[:, :w]^T``
-    and ``x W[:, w:]^T + b`` are computed once per row and broadcast-added,
-    so the ``n (n - 1)`` concatenated pairs are never built.
+
+def pair_relation_sum(x, layers) -> Tensor:
+    """Per row i, the sum over j != i of an MLP of the row pair ``[x_i, x_j]``.
+
+    ``layers`` holds the ``(weight, bias)`` of each MLP layer, weights of
+    shape (out, in), with a rectifier between consecutive layers; the
+    first layer takes the ``2 w`` columns of a pair of width-w rows.
+    Returns the ``(..., n, out)`` sums.
+
+    The first layer is factored: ``x W[:, :w]^T`` and ``x W[:, w:]^T + b``
+    are computed once per row and broadcast-added, so the concatenated
+    pairs are never built.  Each row's ``n - 1`` relations are sorted per
+    column before they are summed, so the sums do not depend on the order
+    of the rows.
+
+    Only `x` and the layers are kept for backward, which recomputes the
+    pair activations.  Both passes run over groups of shapes whose pair
+    rows fit ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does
+    not grow with the batch; every matrix product is one GEMM per shape
+    whatever the group, so the result does not depend on the grouping.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    if x.data.ndim not in (2, 3) or 2 * x.data.shape[-1] != weight.data.shape[1]:
+    x = as_tensor(x)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    if (x.data.ndim not in (2, 3) or len(layers) < 2
+            or 2 * x.data.shape[-1] != layers[0][0].data.shape[1]):
         raise ShapeMismatchError(
-            f"pairs of rows of {x.shape} do not match weight {weight.shape}")
-    *lead, n, w = x.data.shape
-    off = np.flatnonzero(~np.eye(n, dtype=bool))
-    left = np.matmul(x.data, weight.data[:, :w].T)
-    right = np.matmul(x.data, weight.data[:, w:].T)
-    right += bias.data
-    pairs = np.take(right, off % n, axis=-2).reshape(*lead, n, n - 1, -1)
-    pairs += left[..., :, None, :]
-    out = Tensor(pairs.reshape(*lead, n * (n - 1), -1),
-                 _parents=(x, weight, bias))
+            f"pairs of rows of {x.shape} do not match an MLP whose first "
+            f"weight has shape {layers[0][0].shape} ({len(layers)} layers)")
+    n, width = x.data.shape[-2:]
+    xs = x.data.reshape(-1, n, width)
+    hidden = max(w.data.shape[0] for w, _ in layers)
+    size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * (n - 1) * hidden))
+    groups = [slice(s, s + size) for s in range(0, len(xs), size)]
+    out = np.empty((len(xs), n, layers[-1][0].data.shape[0]))
+    arrays = [(w.data, b.data) for w, b in layers]
+    for s in groups:
+        h = _pair_activations(xs[s], arrays[:-1])[-1]
+        w_last, b_last = arrays[-1]
+        relations = np.matmul(h, w_last.T)
+        relations += b_last
+        out[s] = _sorted_sum(_by_node(relations, n))
+    parents = (x, *(t for layer in layers for t in layer))
+    result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
 
     def _backward(g):
-        g_left = g.reshape(*lead, n, n - 1, -1).sum(axis=-2)
-        dense = np.zeros((*lead, n * n, g.shape[-1]))
-        dense[..., off, :] = g
-        g_right = dense.reshape(*lead, n, n, -1).sum(axis=-3)
-        x._accumulate(np.matmul(g_left, weight.data[:, :w])
-                      + np.matmul(g_right, weight.data[:, w:]), fresh=True)
-        rows = _rows(x.data)
-        weight._accumulate(np.concatenate(
-            [_rows(g_left).T @ rows, _rows(g_right).T @ rows], axis=1))
-        bias._accumulate(_rows(g_right).sum(axis=0))
+        g = g.reshape(-1, n, g.shape[-1])
+        arrays = [(w.data, b.data) for w, b in layers]
+        grads = [[0.0, 0.0] for _ in layers]
+        gx = np.empty_like(xs)
+        for s in groups:
+            acts = _pair_activations(xs[s], arrays[:-1])
+            # Every relation of row i gets row i's gradient, so the last
+            # layer's terms are reduced over each row's pairs first.
+            g_rows = _rows(g[s])
+            grads[-1][0] += g_rows.T @ _rows(_by_node(acts[-1], n).sum(axis=2))
+            grads[-1][1] += (n - 1) * g_rows.sum(axis=0)
+            g_act = np.matmul(g[s], arrays[-1][0])[:, :, None, :]
+            gy = (g_act * (_by_node(acts[-1], n) > 0.0)).reshape(
+                acts[-1].shape)
+            for k in range(len(layers) - 2, 0, -1):
+                grads[k][0] += _rows(gy).T @ _rows(acts[k - 1])
+                grads[k][1] += _rows(gy).sum(axis=0)
+                gy = np.matmul(gy, arrays[k][0])
+                gy *= acts[k - 1] > 0.0
+            del acts
+            g_left = _by_node(gy, n).sum(axis=2)
+            g_right = _right_node_sum(gy, n)
+            w0, rows = arrays[0][0], _rows(xs[s])
+            gx[s] = (np.matmul(g_left, w0[:, :width])
+                     + np.matmul(g_right, w0[:, width:]))
+            grads[0][0] += np.concatenate(
+                [_rows(g_left).T @ rows, _rows(g_right).T @ rows], axis=1)
+            grads[0][1] += _rows(g_right).sum(axis=0)
+        x._accumulate(gx.reshape(x.data.shape), fresh=True)
+        for (w, b), (gw, gb) in zip(layers, grads):
+            w._accumulate(gw, fresh=True)
+            b._accumulate(gb, fresh=True)
 
-    out._grad_fn = _backward
-    return out
+    result._grad_fn = _backward
+    return result
+
+
+def _pair_activations(xs, layers):
+    """Rectified outputs of `layers` over every ordered row pair of each
+    ``(n, w)`` shape in `xs`: one ``(g, n (n - 1), h)`` array per layer,
+    whose row ``i (n - 1) + k`` pairs row i with the k-th other row."""
+    (w0, b0), *rest = layers
+    _, n, width = xs.shape
+    left = np.matmul(xs, w0[:, :width].T)
+    right = np.matmul(xs, w0[:, width:].T)
+    right += b0
+    others = np.flatnonzero(~np.eye(n, dtype=bool)) % n
+    h = np.take(right, others, axis=-2)
+    pairs = _by_node(h, n)
+    pairs += left[:, :, None, :]
+    np.maximum(h, 0.0, out=h)
+    acts = [h]
+    for w, b in rest:
+        h = np.matmul(h, w.T)
+        h += b
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
+
+
+def _by_node(pairs, n):
+    """View of ``(g, n (n - 1), h)`` pair rows as ``(g, n, n - 1, h)``."""
+    return pairs.reshape(pairs.shape[0], n, n - 1, pairs.shape[-1])
+
+
+def _right_node_sum(g, n):
+    """Sum of the ``(G, n (n - 1), h)`` pair rows per right-hand node.
+
+    Row ``i (n - 1) + k`` pairs row i with row ``k + (k >= i)``.  Cut into
+    ``n - 1`` chunks of n rows, each chunk given a zero row at its end and
+    the whole given one zero row in front, the rows become the dense
+    ``(n, n)`` pair grid with a zero diagonal, which sums over its left
+    node with no scatter.
+    """
+    count, _, h = g.shape
+    grid = np.empty((count, n * n, h))
+    grid[:, 0] = 0.0
+    body = grid[:, 1:].reshape(count, n - 1, n + 1, h)
+    body[:, :, :n] = g.reshape(count, n - 1, n, h)
+    body[:, :, n] = 0.0
+    return grid.reshape(count, n, n, h).sum(axis=1)
+
+
+def _sorted_sum(grouped):
+    """Sum over axis -2 after sorting it in place, so the sum does not
+    depend on the order of the summed rows."""
+    grouped.sort(axis=-2)
+    return grouped.sum(axis=-2)
 
 
 def take_rows(a, idx) -> Tensor:
@@ -261,8 +371,7 @@ def segment_sum_rows(a, segments, num_segments: int) -> Tensor:
     order = np.argsort(segments, kind="stable")
     grouped = np.take(a.data, order, axis=-2).reshape(
         *a.data.shape[:-2], num_segments, counts[0], a.data.shape[-1])
-    grouped.sort(axis=-2)
-    out = Tensor(grouped.sum(axis=-2), _parents=(a,))
+    out = Tensor(_sorted_sum(grouped), _parents=(a,))
     out._grad_fn = lambda g: a._accumulate(np.take(g, segments, axis=-2),
                                             fresh=True)
     return out

@@ -230,10 +230,23 @@ class SyntheticSpec:
             raise ConfigError("num_views and dim must be >= 1")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.fine_per_class < 0:
+            raise ConfigError(
+                f"fine_per_class must be >= 0, got {self.fine_per_class}")
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; "
                 f"expected one of {GENERATOR_KINDS}")
+        if self.kind == "relational-order":
+            # Each class is a ring order of the n views that is distinct up
+            # to rotation, and there are (n - 1)! of those; 20! exceeds
+            # any class count a dataset can hold.
+            orders = math.factorial(min(self.num_views - 1, 20))
+            if self.num_classes > orders:
+                raise ConfigError(
+                    f"{self.num_views} views have only {orders} ring orders "
+                    f"distinct up to rotation, fewer than "
+                    f"{self.num_classes} classes")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:

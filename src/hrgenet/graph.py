@@ -16,6 +16,12 @@ round differently by matrix size, so a folded GEMM would give a shape's
 descriptor different last bits in different batches; one GEMM per shape
 keeps each descriptor bit-identical to the shape's own unbatched forward.
 Only weight gradients, which nothing compares bit for bit, fold the batch.
+
+The pair level holds n (n - 1) rows per shape, so it is one recomputing
+op, `ag.pair_relation_sum`: it keeps no pair-level array for backward
+and runs both passes over groups of shapes whose pair rows fit
+``ag.PAIR_GROUP_BYTES`` per array.  Grouping cannot change a descriptor,
+since every GEMM is already per shape.
 """
 
 from __future__ import annotations
@@ -149,27 +155,20 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     For each node i the relations r_ij over all other nodes j are computed
     by the pairwise MLP on concatenated features, summed, and fused with
     the node's own feature through the fusion layer plus a rectifier.  The
-    MLP's first layer is factored over the pair (`ag.pair_affine`), and
-    the sum over j runs in sorted order, so it does not depend on the
-    order of the nodes.
+    pairs, the MLP and the sum are one op, `ag.pair_relation_sum`, which
+    factors the MLP's first layer over the pair, sums over j in sorted
+    order, so the sum does not depend on the order of the nodes, and
+    recomputes the pair activations in backward instead of keeping them.
     """
-    x = graph.features
-    n, width = graph.num_nodes, graph.width
+    x, width = graph.features, graph.width
     if params.pairwise_mlp is None:
         raise ConfigError("level has no pairwise module")
     if width != params.width:
         raise ShapeMismatchError(
             f"graph width {width} does not match level width {params.width}"
         )
-    if n == 1:
-        summed = Tensor(np.zeros(x.shape))
-    else:
-        first, *rest = params.pairwise_mlp.layers
-        relations = ag.pair_affine(x, first.weight, first.bias)
-        for layer in rest:
-            relations = linear_forward(layer, ag.relu(relations))
-        summed = ag.segment_sum_rows(relations, np.repeat(np.arange(n), n - 1),
-                                     n)
+    summed = ag.pair_relation_sum(
+        x, [(layer.weight, layer.bias) for layer in params.pairwise_mlp.layers])
     fused = linear_forward(params.fusion, ag.concat_cols([x, summed]))
     return ViewGraph(graph.level, ag.relu(fused))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,15 @@ class LrSchedule:
     initial_lr: float = 1e-5
     decay_factor: float = 0.5
     decay_period: int = 20
+
+    def __post_init__(self):
+        for what, value in (("learning rate", self.initial_lr),
+                            ("lr decay factor", self.decay_factor)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{what} must be finite and >= 0, got {value}")
+        if not self.decay_period >= 1:
+            raise ConfigError(
+                f"lr decay period must be >= 1, got {self.decay_period}")
 
     def lr_at_epoch(self, epoch: int) -> float:
         if epoch < 0:

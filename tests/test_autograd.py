@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,59 @@ class TestRelu:
             [0], 1)
         out.backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
+
+    def test_graph_does_not_keep_the_input_array(self, rng):
+        x = ag.Tensor(rng.normal(size=(5, 3)))
+        layer = make_layer(rng.normal(size=(4, 3)), rng.normal(size=4))
+        pre = linear_forward(layer, x)
+        pre_data = weakref.ref(pre.data)
+        mask = pre.data > 0.0
+        out = ag.relu(pre)
+        del pre
+        gc.collect()
+        assert pre_data() is None
+        ag.softmax_cross_entropy(out, [0, 1, 2, 3, 0]).backward()
+        probs = np.exp(out.data) / np.exp(out.data).sum(axis=1, keepdims=True)
+        probs[np.arange(5), [0, 1, 2, 3, 0]] -= 1.0
+        np.testing.assert_allclose(
+            x.grad, (probs / 5 * mask) @ layer.weight.data, atol=1e-15)
+
+
+def unfused_pair_relation_sum(x, layers):
+    """The pair path as separate numpy steps over the whole batch: the
+    factored first layer, rectifiers, the other layers over all pair rows,
+    then the per-node sum in sorted order."""
+    (w0, b0), *rest = [(w.data, b.data) for w, b in layers]
+    *lead, n, width = x.shape
+    others = np.flatnonzero(~np.eye(n, dtype=bool)) % n
+    left = np.matmul(x, w0[:, :width].T)
+    right = np.matmul(x, w0[:, width:].T)
+    right += b0
+    pairs = np.take(right, others, axis=-2).reshape(*lead, n, n - 1, -1)
+    pairs += left[..., :, None, :]
+    h = pairs.reshape(*lead, n * (n - 1), -1)
+    for w, b in rest:
+        h = np.matmul(np.maximum(h, 0.0), w.T)
+        h += b
+    grouped = h.reshape(*lead, n, n - 1, -1)
+    grouped.sort(axis=-2)
+    return grouped.sum(axis=-2)
+
+
+class TestPairRelationSum:
+    @pytest.mark.parametrize("group_bytes", [1, ag.PAIR_GROUP_BYTES])
+    def test_bitwise_equal_to_unfused_steps(self, rng, monkeypatch,
+                                            group_bytes):
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
+        mlp = Mlp([64, 32, 32, 32], rng)
+        for layer in mlp.layers:
+            layer.bias.data += rng.normal(scale=0.1, size=32)
+        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
+        x = rng.normal(size=(5, 12, 32))
+        np.testing.assert_array_equal(ag.pair_relation_sum(x, layers).data,
+                                      unfused_pair_relation_sum(x, layers))
+        np.testing.assert_array_equal(ag.pair_relation_sum(x[2], layers).data,
+                                      unfused_pair_relation_sum(x[2], layers))
 
 
 class TestMaxpoolRows:

@@ -63,6 +63,16 @@ class TestSynth:
         assert run(["synth", "--mode", "bogus",
                     "--out", str(tmp_path / "x.hrgf")]) == 2
 
+    def test_negative_fine_per_class_is_usage_error(self, tmp_path):
+        assert run(["synth", "--fine-per-class", "-1",
+                    "--out", str(tmp_path / "x.hrgf")]) == 2
+
+    def test_more_classes_than_ring_orders_is_usage_error(self, tmp_path):
+        # 3 views have 2 ring orders distinct up to rotation.
+        assert run_in_child(["synth", "--mode", "relational-order",
+                             "--views", "3", "--classes", "10", "--stride",
+                             "3", "--out", tmp_path / "x.hrgf"]) == 2
+
 
 class TestTrainEval:
     def test_train_writes_run_artifacts(self, synth_file, tmp_path):
@@ -86,6 +96,24 @@ class TestTrainEval:
                   for r in TrainLog.parse(
                       (out / "train.log").read_text()).epoch_records()]
         assert max(losses) - min(losses) < 1e-12
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr-decay-period", "0"],
+        ["--lr-decay-period", "-3"],
+        ["--lr", "-1"],
+        ["--lr", "nan"],
+        ["--lr", "inf"],
+        ["--weight-decay", "-5"],
+        ["--weight-decay", "nan"],
+        ["--weight-decay", "inf"],
+        ["--lr-decay-factor", "nan"],
+    ])
+    def test_bad_training_flag_is_usage_error(self, synth_file, tmp_path,
+                                              flags):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_file), "--epochs", "1",
+                    "--batch", "12", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_eval_report_round_trips(self, synth_file, tmp_path, capsys):
         out = tmp_path / "run"
@@ -290,6 +318,17 @@ class TestGradcheck:
                     "--classes", "3", "--seed", "1",
                     "--perturb", "0.5"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_fresh_six_view_model_passes(self, seed):
+        # Zero biases would put dead pair rows exactly on a rectifier's kink.
+        assert run(["gradcheck", "--views", "6", "--dim", "3",
+                    "--seed", str(seed)]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tol):
+        assert run(["gradcheck", "--views", "4", "--dim", "3",
+                    f"--tol={tol}"]) == 2
 
     def test_reports_per_block_errors(self, capsys):
         run(["gradcheck", "--views", "4", "--dim", "3", "--seed", "1"])

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hrgenet import autograd as ag
+from hrgenet.autograd import Tensor
 from hrgenet.errors import (
     CoarseningError,
     ConfigError,
@@ -450,6 +453,62 @@ class TestBatch:
         for name, p in named:
             numeric = finite_difference(loss_fn, p)
             assert max_rel_err(p.grad, numeric) < 1e-4, name
+
+
+class TestPairGroups:
+    """`ag.pair_relation_sum` runs its pair rows in groups of shapes."""
+
+    def test_rows_bit_identical_across_groups(self, monkeypatch):
+        # Level 0 at n=80, w=32 runs groups of 2, 2 and 1 shapes.
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 2 * 8 * 80 * 79 * 32)
+        model = HrgeModel(num_views=80, width=32, variant="full", seed=36)
+        views = np.random.default_rng(37).normal(size=(5, 80, 32))
+        batch = hrge_forward(model, views).concat.data
+        for b in range(5):
+            np.testing.assert_array_equal(
+                batch[b], hrge_forward(model, views[b]).concat.data)
+
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)
+        rng = np.random.default_rng(38)
+        model = HrgeModel(num_views=6, width=3, variant="full", seed=39)
+        classifier = Classifier(model.descriptor_length, 3, seed=40)
+        views = Tensor(rng.normal(size=(3, 6, 3)))
+        labels = np.array([1, 2, 0])
+        named = model.named_parameters() + classifier.named_parameters()
+        # Zero biases put dead rows exactly on a rectifier's kink.
+        for _, p in named:
+            p.data += rng.normal(scale=0.1, size=p.data.shape)
+
+        def loss_fn():
+            desc = hrge_forward(model, views).concat
+            return ag.softmax_cross_entropy(
+                linear_forward(classifier.head, desc), labels)
+
+        named.append(("views", views))
+        for _, p in named:
+            p.zero_grad()
+        loss_fn().backward()
+        for name, p in named:
+            numeric = finite_difference(loss_fn, p)
+            assert max_rel_err(p.grad, numeric) < 1e-4, name
+
+    def test_n80_step_holds_less_than_one_batch_pair_array(self):
+        """Forward and backward of 16 shapes at n=80 never hold as much as
+        one level-0 pair-level array of the batch (16 x 6320 x 32 floats,
+        25 MB): the pair rows are recomputed per group, not kept."""
+        model = HrgeModel(num_views=80, width=32, variant="full", seed=41)
+        classifier = Classifier(model.descriptor_length, 4, seed=42)
+        views = np.random.default_rng(43).normal(size=(16, 80, 32))
+        tracemalloc.start()
+        try:
+            logits = linear_forward(classifier.head,
+                                    hrge_forward(model, views).concat)
+            ag.softmax_cross_entropy(logits, np.arange(16) % 4).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 80 * 79 * 32 * 8
 
 
 def test_max_depth_for():

@@ -104,6 +104,15 @@ class TestTrain:
             train(model, classifier, dataset,
                   TrainConfig(batch_size=4, epochs=1))
 
+    @pytest.mark.parametrize("bad", [
+        {"lr_decay_period": 0}, {"learning_rate": float("nan")},
+        {"learning_rate": -1.0}, {"weight_decay": float("inf")},
+        {"lr_decay_factor": float("nan")},
+    ])
+    def test_bad_config_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
     def test_deterministic_under_seed(self, rng):
         dataset = make_dataset(rng)
         runs = []
