@@ -12,9 +12,7 @@ from hrgenet import (
     TrainConfig,
     build_index,
     evaluate_retrieval,
-    extract_descriptor,
     generate_synthetic,
-    retrieve,
     train,
 )
 
@@ -29,13 +27,14 @@ def main():
     train(model, classifier, dataset, cfg)
 
     index = build_index(model, dataset)
+    report, ranked_lists = evaluate_retrieval(index)
     query = dataset.records[0]
-    ranked = retrieve(index, query.id, extract_descriptor(model, query.views))
-    print(f"query {query.id} (class {query.coarse_label}), top 5 neighbors:")
+    ranked = ranked_lists[0]
+    print(f"query {ranked.query_id} (class {query.coarse_label}), "
+          "top 5 neighbors:")
     for rid, dist in list(zip(ranked.ids, ranked.distances))[:5]:
         print(f"  {rid:>12}  distance {dist:.4f}")
 
-    report, _ = evaluate_retrieval(index)
     print()
     print(report.render_table())
 

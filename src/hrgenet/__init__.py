@@ -35,13 +35,11 @@ from .retrieval import (
     MetricsReport,
     RankedList,
     aggregate,
-    average_precision,
     build_index,
     evaluate_retrieval,
     extract_descriptor,
-    ndcg,
-    precision_recall_f1_at_n,
-    retrieve,
+    pairwise_distances,
+    ranking_metrics,
 )
 from .training import (
     Classifier,

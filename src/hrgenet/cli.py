@@ -1,10 +1,10 @@
 """Command-line surface: synth, train, eval, retrieve, gradcheck.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error (a
-corrupt or non-finite container, or a dataset that does not fit its
-checkpoint), 4 numeric failure.  Flags override config-file values, which
-override defaults; the config file is flat ``key=value`` lines keyed by
-flag destination names (e.g. ``epochs=5``).
+corrupt or non-finite container, a checkpoint that does not fit its
+dataset, or an unusable path), 4 numeric failure.  Flags override
+config-file values, which override defaults; the config file is flat
+``key=value`` lines keyed by flag destination names (e.g. ``epochs=5``).
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ def parse_accuracy_report(text):
 
 def _load_fitting(path, dataset, head_size=None):
     """Load a checkpoint and check that it fits ``dataset``: the same view
-    count and width; a classifier head unless ``head_size`` is None; and
-    a head of ``head_size`` classes unless that is 0 or None."""
+    count and width; and, unless ``head_size`` is None, a classifier head
+    of ``head_size`` classes (a dataset declaring 0 fits no head)."""
     model, classifier = checkpoint.load_model(path)
     if (model.num_views, model.width) != (dataset.num_views, dataset.dim):
         raise DataFormatError(
@@ -278,7 +278,7 @@ def _load_fitting(path, dataset, head_size=None):
             f"{dataset.dim}")
     if head_size is not None and classifier is None:
         raise ConfigError(f"{path} holds no classifier head")
-    if head_size and classifier.num_classes != head_size:
+    if head_size is not None and classifier.num_classes != head_size:
         raise DataFormatError(
             f"{path}: classifier head has {classifier.num_classes} classes, "
             f"dataset declares {head_size}")
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, EmptyInputError, LabelError, FileNotFoundError) as exc:
+    except (DataFormatError, EmptyInputError, LabelError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError,) as exc:

@@ -50,6 +50,13 @@ class Adam:
         self.params = [p for _, p in named]
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
+        for what, value in (("learning rate", lr),
+                            ("weight decay", weight_decay)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{what} must be finite and >= 0, got {value}")
+        if not (all(0 <= beta < 1 for beta in betas) and eps > 0):
+            raise ConfigError("Adam needs betas in [0, 1) and eps > 0, got "
+                              f"betas={betas}, eps={eps}")
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)

@@ -1,10 +1,11 @@
 """Descriptor-based shape retrieval and SHREC-style evaluation metrics.
 
-Queries are ranked by L2 distance between unit-normalized global
-descriptors, entries beyond a distance threshold are dropped, and an
-optional sub-category predictor stably promotes same-sub-category items.
-Metric cutoffs follow the SHREC convention: N equals the number of other
-corpus items sharing the query's class.
+Every index item is a leave-one-out query.  Candidates are ranked by L2
+distance between unit-normalized global descriptors, entries beyond a
+distance threshold are dropped, and an optional sub-category predictor
+stably promotes same-sub-category items.  Queries are ranked and scored
+in blocks of arrays.  Metric cutoffs follow the SHREC convention: N
+equals the number of other corpus items sharing the query's class.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .errors import ConfigError, EmptyInputError
 from .graph import hrge_forward
 
 METRIC_KEYS = ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")
+# Queries ranked and scored together: per-block arrays are (QUERY_BLOCK, N).
+QUERY_BLOCK = 64
+# Bytes of one (queries, corpus tile, D) difference: small enough for L2.
+TILE_BYTES = 1 << 18
 
 
 def extract_descriptor(model, views) -> np.ndarray:
@@ -34,7 +39,6 @@ class DescriptorIndex:
     ids: list
     labels: np.ndarray
     vectors: np.ndarray
-    fine_labels: np.ndarray | None = None
 
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
@@ -49,14 +53,10 @@ class DescriptorIndex:
 def build_index(model, dataset) -> DescriptorIndex:
     vectors = np.stack([extract_descriptor(model, r.views)
                         for r in dataset.records])
-    fine = None
-    if any(r.fine_label is not None for r in dataset.records):
-        fine = np.array([-1 if r.fine_label is None else r.fine_label
-                         for r in dataset.records])
     return DescriptorIndex(
         ids=[r.id for r in dataset.records],
         labels=np.array([r.coarse_label for r in dataset.records]),
-        vectors=vectors, fine_labels=fine)
+        vectors=vectors)
 
 
 @dataclass
@@ -67,76 +67,68 @@ class RankedList:
     relevance: list = field(default_factory=list)
 
 
-def retrieve(index: DescriptorIndex, query_id: str, query_vec: np.ndarray,
-             threshold: float = math.inf, predict_fine=None) -> RankedList:
-    """Rank corpus items for one query.
+def pairwise_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
+    """Exact L2 distances, (len(queries), len(corpus)): the per-row norm
+    of each corpus row minus a query, bit for bit (2 - 2<a, b> would
+    change last bits and reorder ties), over corpus tiles that keep each
+    (queries, tile, D) difference near `TILE_BYTES`."""
+    out = np.empty((len(queries), len(corpus)))
+    step = max(1, TILE_BYTES // (8 * max(1, queries.size)))
+    for start in range(0, len(corpus), step):
+        tile = corpus[start:start + step]
+        out[:, start:start + step] = np.linalg.norm(
+            tile - queries[:, None], axis=-1)
+    return out
 
-    Sorts by ascending L2 distance (the query itself is excluded), drops
-    entries farther than `threshold`, then, if `predict_fine` is given,
-    stably moves items whose predicted sub-category matches the query's
-    to the front, preserving order inside both partitions.
+
+def _rank_block(index, queries, threshold, fine):
+    """(order, dists, kept) for the index rows ``queries``: corpus
+    positions by ascending distance, stably moving the query itself and
+    candidates not within ``threshold`` (NaN too) to the back, then kept
+    candidates whose ``fine`` label is the query's to the front; kept[i]
+    counts row i's kept candidates."""
+    dists = pairwise_distances(index.vectors[queries], index.vectors)
+    order = np.argsort(dists, axis=1, kind="stable")
+    dists = np.take_along_axis(dists, order, axis=1)
+    dropped = (order == queries[:, None]) | ~(dists <= threshold)
+    key = dropped.astype(np.uint8) * 2
+    if fine is not None:
+        key += fine[order] != fine[queries, None]
+    promote = np.argsort(key, axis=1, kind="stable")
+    return (np.take_along_axis(order, promote, axis=1),
+            np.take_along_axis(dists, promote, axis=1),
+            len(index) - dropped.sum(axis=1))
+
+
+def ranking_metrics(relevance, total_relevant) -> dict:
+    """METRIC_KEYS -> per-query values of ranked binary relevance rows.
+
+    ``relevance`` is (queries, L), False past the end of a shorter list.
+    ``total_relevant`` (>= 1 per query) is also the cutoff N; relevant
+    items missing from a list count against recall and AP.  NDCG has
+    binary gains and a 1/log2(1 + rank) discount.  Sums are sequential
+    `np.cumsum`, so values keep the bits of a loop down each list.
     """
-    if len(index) == 0:
-        raise EmptyInputError("cannot retrieve from an empty index")
-    if not threshold > 0:
-        raise ConfigError(f"distance threshold must be > 0, got {threshold}")
-    dists = np.linalg.norm(index.vectors - query_vec, axis=1)
-    order = np.argsort(dists, kind="stable")
-    kept = [k for k in order
-            if index.ids[k] != query_id and dists[k] <= threshold]
-    if predict_fine is not None and kept:
-        query_fine = predict_fine(query_id)
-        same = [k for k in kept if predict_fine(index.ids[k]) == query_fine]
-        other = [k for k in kept if predict_fine(index.ids[k]) != query_fine]
-        kept = same + other
-    return RankedList(
-        query_id=query_id,
-        ids=[index.ids[k] for k in kept],
-        distances=[float(dists[k]) for k in kept])
-
-
-def average_precision(flags, total_relevant: int) -> float:
-    """AP over a ranked binary relevance list.
-
-    Relevant corpus items missing from the list count against the score:
-    the precision sum is divided by `total_relevant`, not by the number
-    retrieved.
-    """
-    if total_relevant < 1:
-        raise ConfigError("average_precision needs >= 1 relevant item")
-    hits = 0
-    prec_sum = 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            hits += 1
-            prec_sum += hits / rank
-    return prec_sum / total_relevant
-
-
-def precision_recall_f1_at_n(flags, n: int, total_relevant: int):
-    """(P, R, F1) at cutoff n; F1 is 0 when both P and R are 0."""
-    if n < 1:
-        raise ConfigError(f"cutoff must be >= 1, got {n}")
-    hits = sum(bool(f) for f in flags[:n])
-    precision = hits / n
-    recall = hits / total_relevant if total_relevant else 0.0
-    if precision + recall == 0.0:
-        return 0.0, 0.0, 0.0
-    f1 = 2.0 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def ndcg(flags, total_relevant: int) -> float:
-    """Binary-gain NDCG with 1/log2(1 + rank) discount (rank 1 gains 1)."""
-    if total_relevant < 1:
-        raise ConfigError("ndcg needs >= 1 relevant item")
-    if not len(flags):
-        raise EmptyInputError("ndcg needs a non-empty ranked list")
-    dcg = sum(1.0 / math.log2(1 + rank)
-              for rank, flag in enumerate(flags, start=1) if flag)
-    ideal = sum(1.0 / math.log2(1 + rank)
-                for rank in range(1, total_relevant + 1))
-    return dcg / ideal
+    rel = np.asarray(relevance, dtype=bool)
+    total = np.asarray(total_relevant)
+    if rel.ndim != 2 or rel.size == 0:
+        raise EmptyInputError("ranking metrics need non-empty ranked lists")
+    if np.any(total < 1):
+        raise ConfigError("ranking metrics need >= 1 relevant item per query")
+    length = rel.shape[1]
+    hits = np.cumsum(rel, axis=1)
+    at_n = hits[np.arange(len(rel)), np.minimum(total, length) - 1]
+    precision = recall = at_n / total  # the cutoff N is total_relevant
+    f1 = np.divide(2.0 * precision * recall, precision + recall,
+                   out=np.zeros(len(rel)), where=precision > 0)
+    ranks = np.arange(1, length + 1)
+    ap = np.cumsum(np.where(rel, hits / ranks, 0.0), axis=1)[:, -1] / total
+    discount = np.array([1.0 / math.log2(1 + rank)
+                         for rank in range(1, max(length, total.max()) + 1)])
+    dcg = np.cumsum(np.where(rel, discount[:length], 0.0), axis=1)[:, -1]
+    ndcg = dcg / np.cumsum(discount)[total - 1]
+    return {"p_at_n": precision, "r_at_n": recall, "f1_at_n": f1,
+            "map": ap, "ndcg": ndcg}
 
 
 @dataclass
@@ -181,19 +173,18 @@ class MetricsReport:
         return "\n".join(rows)
 
 
-def aggregate(per_query: list, labels: list) -> MetricsReport:
-    """per_query: dicts keyed by METRIC_KEYS; labels: query class labels."""
-    if not per_query:
-        raise EmptyInputError("no evaluated queries to aggregate")
+def aggregate(per_query: dict, labels) -> MetricsReport:
+    """per_query: METRIC_KEYS -> per-query values; labels: query classes."""
     labels = np.asarray(labels)
-    micro = {k: float(np.mean([q[k] for q in per_query])) for k in METRIC_KEYS}
-    macro = {}
+    if not len(labels):
+        raise EmptyInputError("no evaluated queries to aggregate")
     classes = np.unique(labels)
+    micro, macro = {}, {}
     for k in METRIC_KEYS:
-        class_means = [float(np.mean([q[k] for q, lab in zip(per_query, labels)
-                                      if lab == c]))
-                       for c in classes]
-        macro[k] = float(np.mean(class_means))
+        values = np.asarray(per_query[k], dtype=np.float64)
+        micro[k] = float(np.mean(values))
+        macro[k] = float(np.mean([np.mean(values[labels == c])
+                                  for c in classes]))
     return MetricsReport(micro=micro, macro=macro)
 
 
@@ -201,32 +192,35 @@ def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
                        predict_fine=None):
     """Run every index item as a query and aggregate the metric suite.
 
-    Queries whose class has no other corpus member are skipped and listed
-    in the report notes.  Returns (report, ranked_lists).
+    ``predict_fine`` (id -> predicted sub-category) is called once per
+    id.  Queries whose class has no other corpus member are skipped and
+    listed in the report.  Queries run in blocks of `QUERY_BLOCK`, so
+    memory is O(QUERY_BLOCK * len(index)).  Returns (report,
+    ranked_lists): one `RankedList` per evaluated query, in index order.
     """
-    per_query, labels, skipped, ranked_lists = [], [], [], []
-    class_counts = {c: int((index.labels == c).sum())
-                    for c in np.unique(index.labels)}
-    id_to_label = dict(zip(index.ids, index.labels))
-    for k, query_id in enumerate(index.ids):
-        label = index.labels[k]
-        total_relevant = class_counts[label] - 1
-        ranked = retrieve(index, query_id, index.vectors[k],
-                          threshold=threshold, predict_fine=predict_fine)
-        if total_relevant < 1:
-            skipped.append(query_id)
-            continue
-        flags = [id_to_label[i] == label for i in ranked.ids]
-        ranked.relevance = flags
-        ranked_lists.append(ranked)
-        cutoff = total_relevant
-        p, r, f1 = precision_recall_f1_at_n(flags, cutoff, total_relevant)
-        per_query.append({
-            "p_at_n": p, "r_at_n": r, "f1_at_n": f1,
-            "map": average_precision(flags, total_relevant),
-            "ndcg": ndcg(flags, total_relevant) if flags else 0.0,
-        })
-        labels.append(label)
-    report = aggregate(per_query, labels)
-    report.skipped_queries = skipped
+    if not threshold > 0:
+        raise ConfigError(f"distance threshold must be > 0, got {threshold}")
+    _, label_pos, counts = np.unique(index.labels, return_inverse=True,
+                                     return_counts=True)
+    total = counts[label_pos] - 1
+    queries = np.flatnonzero(total >= 1)
+    fine = None
+    if predict_fine is not None:
+        fine = np.array([predict_fine(i) for i in index.ids])
+    ids = np.array(index.ids, dtype=object)
+    per_query = {k: np.empty(len(queries)) for k in METRIC_KEYS}
+    ranked_lists = []
+    for start in range(0, len(queries), QUERY_BLOCK):
+        block = queries[start:start + QUERY_BLOCK]
+        order, dists, kept = _rank_block(index, block, threshold, fine)
+        relevance = ((index.labels[order] == index.labels[block, None])
+                     & (np.arange(len(index)) < kept[:, None]))
+        for k, values in ranking_metrics(relevance, total[block]).items():
+            per_query[k][start:start + len(block)] = values
+        for q, row, dist, rel, n in zip(block, order, dists, relevance, kept):
+            ranked_lists.append(RankedList(
+                query_id=index.ids[q], ids=ids[row[:n]].tolist(),
+                distances=dist[:n].tolist(), relevance=rel[:n].tolist()))
+    report = aggregate(per_query, index.labels[queries])
+    report.skipped_queries = [index.ids[k] for k in np.flatnonzero(total < 1)]
     return report, ranked_lists

@@ -28,9 +28,8 @@ from hrgenet.graph import (
 from hrgenet.layers import linear_forward
 from hrgenet.retrieval import (
     DescriptorIndex,
-    average_precision,
     evaluate_retrieval,
-    ndcg,
+    ranking_metrics,
 )
 from hrgenet.training import Classifier, TrainConfig, evaluate_accuracy, train
 
@@ -170,9 +169,9 @@ def test_criterion_6_block_normalization():
 
 def test_criterion_7_retrieval_metric_oracle():
     # worked hand examples first
-    assert average_precision([1, 0, 1], 2) == pytest.approx(5.0 / 6.0,
-                                                            abs=1e-12)
-    assert ndcg([0, 1], 1) == pytest.approx(1.0 / math.log2(3), abs=1e-12)
+    hand = ranking_metrics([[1, 0, 1], [0, 1, 0]], [2, 1])
+    assert hand["map"][0] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert hand["ndcg"][1] == pytest.approx(1.0 / math.log2(3), abs=1e-12)
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         vectors = rng.normal(size=(20, 5))

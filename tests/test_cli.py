@@ -226,6 +226,41 @@ class TestTrainEval:
         assert int(done.stdout.split()[-1]) < 500
 
 
+class TestPathErrors:
+    """A path that cannot be read or written as asked is a data error
+    (exit 3) naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "data-is-dir", "checkpoint-is-dir", "synth-out-is-dir",
+        "eval-out-is-dir", "config-is-dir", "retrieve-out-is-file",
+        "train-out-under-file"])
+    def test_path_error_is_data_error(self, case, synth_file, tmp_path,
+                                      capsys):
+        ckpt = str(write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3))
+        data, folder = str(synth_file), str(tmp_path)
+        under_file = str(synth_file / "x")
+        argv, path = {
+            "data-is-dir": (["train", "--data", folder, "--out",
+                             str(tmp_path / "run")], folder),
+            "checkpoint-is-dir": (["eval", "--data", data,
+                                   "--checkpoint", folder], folder),
+            "synth-out-is-dir": (["synth", "--per-class", "2", "--dim", "4",
+                                  "--out", folder], folder),
+            "eval-out-is-dir": (["eval", "--data", data, "--checkpoint",
+                                 ckpt, "--out", folder], folder),
+            "config-is-dir": (["--config", folder, "synth", "--out",
+                               str(tmp_path / "s.hrgf")], folder),
+            "retrieve-out-is-file": (["retrieve", "--data", data,
+                                      "--checkpoint", ckpt, "--out", data],
+                                     data),
+            "train-out-under-file": (["train", "--data", data, "--epochs",
+                                      "1", "--out", under_file], under_file),
+        }[case]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and path in err
+
+
 class TestRetrieve:
     def test_metrics_and_rankings_written(self, synth_file, tmp_path):
         train_dir = tmp_path / "train"
@@ -303,6 +338,15 @@ class TestRetrieve:
                     str(coarse), "--fine-checkpoint", str(fine),
                     "--out", str(tmp_path / "r")]) == 3
         assert "dataset declares 4" in capsys.readouterr().err
+
+    def test_fine_checkpoint_without_fine_classes_is_data_error(
+            self, synth_file, tmp_path, capsys):
+        coarse = write_checkpoint(tmp_path / "c.hrgm", 12, 6, 3)
+        fine = write_checkpoint(tmp_path / "f.hrgm", 12, 6, 4)
+        assert run(["retrieve", "--data", str(synth_file), "--checkpoint",
+                    str(coarse), "--fine-checkpoint", str(fine),
+                    "--out", str(tmp_path / "r")]) == 3
+        assert "dataset declares 0" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ class TestAdam:
         for expected in range(1, 4):
             opt.step()
             assert opt.step_count == expected
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": -1e-3}, {"lr": math.nan}, {"lr": math.inf},
+        {"betas": (1.0, 0.999)}, {"betas": (0.9, -0.1)},
+        {"betas": (0.9, math.nan)},
+        {"eps": 0.0}, {"eps": -1e-8},
+        {"weight_decay": -0.1}, {"weight_decay": math.inf},
+        {"weight_decay": math.nan},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_argument_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            Adam([Tensor([1.0])], **kwargs)
+
+    def test_zero_lr_accepted(self):
+        assert Adam([Tensor([1.0])], lr=0.0).lr == 0.0
 
 
 class TestLrSchedule:

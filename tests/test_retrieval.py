@@ -7,20 +7,51 @@ from hrgenet.data import FeatureDataset, ShapeRecord
 from hrgenet.errors import ConfigError, EmptyInputError
 from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import (
+    QUERY_BLOCK,
     DescriptorIndex,
     MetricsReport,
     aggregate,
-    average_precision,
     build_index,
     evaluate_retrieval,
     extract_descriptor,
-    ndcg,
-    precision_recall_f1_at_n,
-    retrieve,
+    pairwise_distances,
+    ranking_metrics,
 )
 
 
-def brute_force_metrics(vectors, labels):
+def brute_force_ranking(vectors, q, tau=math.inf, fine=None):
+    """Corpus rows ranked for query row q, and their distances: the
+    per-row norm of the difference, then explicit loops."""
+    dists = np.linalg.norm(vectors - vectors[q], axis=1)
+    kept = sorted((float(dists[j]), j) for j in range(len(vectors))
+                  if j != q and dists[j] <= tau)
+    if fine is not None:
+        kept = ([t for t in kept if fine[t[1]] == fine[q]]
+                + [t for t in kept if fine[t[1]] != fine[q]])
+    return [j for _, j in kept], [d for d, _ in kept]
+
+
+def loop_metrics(flags, total_relevant):
+    """Metric suite of one ranked list by explicit loops; cutoff N is
+    total_relevant."""
+    hits, ap, dcg, idcg = 0, 0.0, 0.0, 0.0
+    for rank, flag in enumerate(flags, start=1):
+        if flag:
+            hits += 1
+            ap += hits / rank
+            dcg += 1.0 / math.log2(1 + rank)
+    for rank in range(1, total_relevant + 1):
+        idcg += 1.0 / math.log2(1 + rank)
+    n = total_relevant
+    tp = sum(bool(f) for f in flags[:n])
+    p = tp / n
+    r = tp / total_relevant
+    f1 = 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+    return {"p_at_n": p, "r_at_n": r, "f1_at_n": f1,
+            "map": ap / total_relevant, "ndcg": dcg / idcg}
+
+
+def brute_force_metrics(vectors, labels, tau=math.inf, fine=None):
     """Independent retrieval evaluator: explicit loops throughout."""
     m = len(labels)
     per_query, query_labels = [], []
@@ -29,27 +60,9 @@ def brute_force_metrics(vectors, labels):
                              if j != q and labels[j] == labels[q])
         if total_relevant == 0:
             continue
-        dists = [(float(np.linalg.norm(vectors[j] - vectors[q])), j)
-                 for j in range(m) if j != q]
-        dists.sort(key=lambda t: (t[0], t[1]))
-        flags = [labels[j] == labels[q] for _, j in dists]
-        hits, ap = 0, 0.0
-        for rank, flag in enumerate(flags, start=1):
-            if flag:
-                hits += 1
-                ap += hits / rank
-        ap /= total_relevant
-        n = total_relevant
-        tp = sum(flags[:n])
-        p = tp / n
-        r = tp / total_relevant
-        f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-        dcg = sum(1.0 / math.log2(1 + rank)
-                  for rank, f in enumerate(flags, start=1) if f)
-        idcg = sum(1.0 / math.log2(1 + rank)
-                   for rank in range(1, total_relevant + 1))
-        per_query.append({"p_at_n": p, "r_at_n": r, "f1_at_n": f1,
-                          "map": ap, "ndcg": dcg / idcg})
+        order, _ = brute_force_ranking(vectors, q, tau, fine)
+        flags = [labels[j] == labels[q] for j in order]
+        per_query.append(loop_metrics(flags, total_relevant))
         query_labels.append(labels[q])
     micro = {k: sum(q[k] for q in per_query) / len(per_query)
              for k in per_query[0]}
@@ -65,103 +78,172 @@ def brute_force_metrics(vectors, labels):
     return micro, macro
 
 
+def random_index(seed, size, dim=6, classes=4, duplicates=0):
+    """Unit vectors with random labels; the last ``duplicates`` rows copy
+    earlier rows exactly, so their distances tie."""
+    r = np.random.default_rng(seed)
+    vectors = r.normal(size=(size, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    if duplicates:
+        vectors[size - duplicates:] = vectors[
+            r.integers(0, size - duplicates, size=duplicates)]
+    labels = r.integers(0, classes, size=size)
+    return DescriptorIndex(ids=[f"s{k}" for k in range(size)],
+                           labels=labels, vectors=vectors)
+
+
+def assert_matches_brute_force(index, tau=math.inf, fine=None):
+    """Ranked ids, distances and relevance equal the oracle's exactly;
+    the metrics to 1e-12."""
+    predict = None if fine is None else dict(zip(index.ids, fine)).__getitem__
+    report, ranked = evaluate_retrieval(index, threshold=tau,
+                                        predict_fine=predict)
+    labels = index.labels
+    evaluated = [q for q in range(len(index))
+                 if (labels == labels[q]).sum() > 1]
+    assert [r.query_id for r in ranked] == [index.ids[q] for q in evaluated]
+    for q, r in zip(evaluated, ranked):
+        order, dists = brute_force_ranking(index.vectors, q, tau, fine)
+        assert r.ids == [index.ids[j] for j in order]
+        assert r.distances == dists
+        assert r.relevance == [labels[j] == labels[q] for j in order]
+    micro, macro = brute_force_metrics(index.vectors, labels, tau, fine)
+    for key in micro:
+        assert report.micro[key] == pytest.approx(micro[key], abs=1e-12)
+        assert report.macro[key] == pytest.approx(macro[key], abs=1e-12)
+
+
+def metrics_of(flags, total_relevant):
+    """The metric suite of one ranked list, as a block of one."""
+    return {k: v[0] for k, v in
+            ranking_metrics([flags], [total_relevant]).items()}
+
+
 class TestAveragePrecision:
     def test_all_relevant(self):
-        assert average_precision([1, 1, 1], 3) == 1.0
+        assert metrics_of([1, 1, 1], 3)["map"] == 1.0
 
     def test_hand_case_five_sixths(self):
-        assert average_precision([1, 0, 1], 2) == pytest.approx(5.0 / 6.0)
+        assert metrics_of([1, 0, 1], 2)["map"] == pytest.approx(5.0 / 6.0)
 
     def test_nothing_retrieved(self):
-        assert average_precision([0, 0], 1) == 0.0
+        assert metrics_of([0, 0], 1)["map"] == 0.0
 
     def test_missing_relevant_counts_against(self):
         # one relevant retrieved at rank 1, but two exist in the corpus
-        assert average_precision([1, 0], 2) == pytest.approx(0.5)
+        assert metrics_of([1, 0], 2)["map"] == pytest.approx(0.5)
+
+
+def prf(flags, total_relevant):
+    m = metrics_of(flags, total_relevant)
+    return m["p_at_n"], m["r_at_n"], m["f1_at_n"]
 
 
 class TestPrecisionRecallF1:
     def test_perfect_ranking(self):
-        assert precision_recall_f1_at_n([1, 1, 1], 3, 3) == (1.0, 1.0, 1.0)
+        assert prf([1, 1, 1], 3) == (1.0, 1.0, 1.0)
 
     def test_hand_case(self):
-        p, r, f1 = precision_recall_f1_at_n([1, 0], 2, 2)
-        assert (p, r, f1) == (0.5, 0.5, 0.5)
+        assert prf([1, 0], 2) == (0.5, 0.5, 0.5)
 
     def test_nothing_relevant(self):
-        assert precision_recall_f1_at_n([0, 0, 0], 3, 2) == (0.0, 0.0, 0.0)
+        assert prf([0, 0, 0], 2) == (0.0, 0.0, 0.0)
 
 
 class TestNdcg:
     def test_ideal_ordering(self):
-        assert ndcg([1, 1, 0, 0], 2) == pytest.approx(1.0)
+        assert metrics_of([1, 1, 0, 0], 2)["ndcg"] == pytest.approx(1.0)
 
     def test_hand_case_log2_3(self):
-        assert ndcg([0, 1], 1) == pytest.approx(1.0 / math.log2(3))
+        assert metrics_of([0, 1], 1)["ndcg"] == pytest.approx(
+            1.0 / math.log2(3))
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyInputError):
-            ndcg([], 1)
+            ranking_metrics(np.zeros((1, 0), dtype=bool), [1])
+
+
+class TestRankingMetrics:
+    def test_equal_to_loops_bit_for_bit(self):
+        r = np.random.default_rng(5)
+        relevance = r.random((40, 30)) < 0.3
+        kept = r.integers(0, 31, size=40)
+        relevance &= np.arange(30) < kept[:, None]
+        total = np.maximum(relevance.sum(axis=1), 1) + r.integers(0, 8, 40)
+        got = ranking_metrics(relevance, total)
+        for i in range(40):
+            want = loop_metrics(list(relevance[i, :kept[i]]), int(total[i]))
+            for key, value in want.items():
+                assert got[key][i] == value, (i, key)
 
 
 class TestAggregate:
     def test_single_class_micro_equals_macro(self):
-        per_query = [{k: v for k in
-                      ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")}
-                     for v in (0.5, 1.0, 0.25)]
+        per_query = {k: [0.5, 1.0, 0.25] for k in
+                     ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")}
         report = aggregate(per_query, [0, 0, 0])
         assert report.micro == report.macro
 
     def test_unbalanced_hand_case(self):
         keys = ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")
-        per_query = [dict.fromkeys(keys, 1.0) for _ in range(3)]
-        per_query.append(dict.fromkeys(keys, 0.0))
+        per_query = dict.fromkeys(keys, [1.0, 1.0, 1.0, 0.0])
         report = aggregate(per_query, [0, 0, 0, 1])
         assert report.micro["map"] == pytest.approx(0.75)
         assert report.macro["map"] == pytest.approx(0.5)
 
 
 class TestRetrieve:
+    """One query's ranked list, from a leave-one-out evaluation of an
+    index holding that query as "q" (class 0) beside the others."""
+
     def make_index(self):
         vectors = np.eye(4)
         return DescriptorIndex(ids=["a", "b", "c", "d"],
                                labels=np.array([0, 0, 1, 1]),
                                vectors=vectors)
 
+    def rank(self, index, query, **kwargs):
+        with_query = DescriptorIndex(
+            ids=index.ids + ["q"], labels=np.append(index.labels, 0),
+            vectors=np.vstack([index.vectors, query]))
+        _, ranked = evaluate_retrieval(with_query, **kwargs)
+        return next(r for r in ranked if r.query_id == "q")
+
     def test_pure_distance_ranking(self):
         index = self.make_index()
         query = np.array([1.0, 0.1, 0.0, 0.0])
-        ranked = retrieve(index, "q", query)
+        ranked = self.rank(index, query)
         assert ranked.ids[0] == "a"
         assert ranked.distances == sorted(ranked.distances)
 
     def test_query_excluded_from_results(self):
-        index = self.make_index()
-        ranked = retrieve(index, "a", index.vectors[0])
-        assert "a" not in ranked.ids
+        _, ranked = evaluate_retrieval(self.make_index())
+        assert [r.query_id for r in ranked] == ["a", "b", "c", "d"]
+        for r in ranked:
+            assert r.query_id not in r.ids
 
     def test_threshold_drops_far_items(self):
         index = self.make_index()
         query = np.array([1.0, 0.0, 0.0, 0.0])
-        ranked = retrieve(index, "q", query, threshold=1.0)
+        ranked = self.rank(index, query, threshold=1.0)
         assert ranked.ids == ["a"]
 
     def test_invalid_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            retrieve(self.make_index(), "q", np.zeros(4), threshold=0.0)
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError):
+                evaluate_retrieval(self.make_index(), threshold=threshold)
 
     def test_empty_index_rejected(self):
         index = DescriptorIndex(ids=[], labels=np.array([]),
                                 vectors=np.zeros((0, 4)))
         with pytest.raises(EmptyInputError):
-            retrieve(index, "q", np.zeros(4))
+            evaluate_retrieval(index)
 
     def test_rerank_identity_when_all_share_fine_label(self):
         index = self.make_index()
         query = np.array([0.2, 0.3, 0.1, 0.4])
-        plain = retrieve(index, "q", query)
-        reranked = retrieve(index, "q", query,
-                            predict_fine=lambda _id: 7)
+        plain = self.rank(index, query)
+        reranked = self.rank(index, query, predict_fine=lambda _id: 7)
         assert reranked.ids == plain.ids
 
     def test_rerank_stable_partition_hand_case(self):
@@ -172,8 +254,8 @@ class TestRetrieve:
                                 labels=np.zeros(5, dtype=int),
                                 vectors=vectors)
         fine = {"q": 1, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0}
-        ranked = retrieve(index, "q", np.array([0.0]),
-                          predict_fine=fine.__getitem__)
+        ranked = self.rank(index, np.array([0.0]),
+                           predict_fine=fine.__getitem__)
         # same-fine items (b, d) promoted, order inside partitions kept
         assert ranked.ids == ["b", "d", "a", "c", "e"]
 
@@ -202,19 +284,66 @@ class TestExtractDescriptor:
 class TestEvaluateRetrieval:
     def test_matches_brute_force_on_random_corpora(self):
         for seed in range(10):
-            r = np.random.default_rng(seed)
-            vectors = r.normal(size=(20, 6))
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-            labels = r.integers(0, 4, size=20)
-            index = DescriptorIndex(ids=[f"s{k}" for k in range(20)],
-                                    labels=labels, vectors=vectors)
-            report, _ = evaluate_retrieval(index)
-            micro, macro = brute_force_metrics(vectors, labels)
-            for key in micro:
-                assert report.micro[key] == pytest.approx(micro[key],
-                                                          abs=1e-12)
-                assert report.macro[key] == pytest.approx(macro[key],
-                                                          abs=1e-12)
+            assert_matches_brute_force(random_index(seed, 20))
+
+    def test_matches_brute_force_with_tau_and_fine_labels(self):
+        for seed in range(10):
+            index = random_index(seed, 20)
+            fine = np.random.default_rng(100 + seed).integers(0, 3, size=20)
+            # the last tau equals one distance exactly, which stays kept
+            at_tau = float(np.linalg.norm(index.vectors[1:2]
+                                          - index.vectors[0], axis=1)[0])
+            for tau in (0.8, 1.2, math.inf, at_tau):
+                assert_matches_brute_force(index, tau, fine)
+                assert_matches_brute_force(index, tau)
+
+    def test_matches_brute_force_with_exact_ties(self):
+        for seed in range(5):
+            index = random_index(seed, 24, duplicates=8)
+            fine = np.random.default_rng(200 + seed).integers(0, 2, size=24)
+            assert_matches_brute_force(index)
+            assert_matches_brute_force(index, 1.0, fine)
+
+    def test_nan_distances_are_dropped(self):
+        index = random_index(3, 20, duplicates=4)
+        index.vectors[5] = np.nan
+        fine = np.random.default_rng(3).integers(0, 2, size=20)
+        for tau in (1.0, math.inf):
+            assert_matches_brute_force(index, tau, fine)
+        _, ranked = evaluate_retrieval(index)
+        assert all("s5" not in r.ids for r in ranked)
+
+    @pytest.mark.parametrize("size", [QUERY_BLOCK - 1, QUERY_BLOCK,
+                                      QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 1])
+    def test_matches_brute_force_at_block_edges(self, size):
+        index = random_index(size, size, duplicates=size // 4)
+        fine = np.random.default_rng(size).integers(0, 3, size=size)
+        # two classes: every query runs, so blocks end at the edges
+        index.labels = np.arange(size) % 2
+        assert_matches_brute_force(index, 1.1, fine)
+        # size / 2 classes: singleton classes are skipped
+        index.labels = np.random.default_rng(size).integers(0, size // 2,
+                                                            size=size)
+        assert_matches_brute_force(index, 1.1, fine)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_all_queries_skipped_is_empty_input(self, size):
+        index = DescriptorIndex(ids=[f"s{k}" for k in range(size)],
+                                labels=np.arange(size),
+                                vectors=np.eye(size))
+        with pytest.raises(EmptyInputError):
+            evaluate_retrieval(index)
+
+    def test_tiled_distances_equal_per_row_norm_bit_for_bit(self):
+        # the geometry of the retrieve-n12 index: 500 unit vectors, D=96
+        vectors = random_index(0, 500, dim=96).vectors
+        for block in (1, 2, 8, QUERY_BLOCK):
+            for start in (0, 500 - block):
+                rows = vectors[start:start + block]
+                want = np.stack([np.linalg.norm(vectors - row, axis=1)
+                                 for row in rows])
+                assert np.array_equal(pairwise_distances(rows, vectors),
+                                      want)
 
     def test_singleton_class_queries_skipped(self, rng):
         vectors = rng.normal(size=(5, 3))
