@@ -14,6 +14,10 @@ treats every batch item on its own.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+
 import numpy as np
 
 from .errors import (
@@ -219,6 +223,9 @@ def pair_relation_sum(x, layers) -> Tensor:
     rows fit ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does
     not grow with the batch; every matrix product is one GEMM per shape
     whatever the group, so the result does not depend on the grouping.
+    The groups may run on several threads (`_in_group_order`): each
+    writes its own rows, and the weight gradients of the groups are added
+    in group order, so no bit depends on the thread count.
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -234,46 +241,74 @@ def pair_relation_sum(x, layers) -> Tensor:
     groups = [slice(s, s + size) for s in range(0, len(xs), size)]
     out = np.empty((len(xs), n, layers[-1][0].data.shape[0]))
     arrays = [(w.data, b.data) for w, b in layers]
-    for s in groups:
+
+    def forward(s):
         h = _pair_activations(xs[s], arrays[:-1])[-1]
         w_last, b_last = arrays[-1]
         relations = np.matmul(h, w_last.T)
         relations += b_last
         out[s] = _sorted_sum(_by_node(relations, n))
+
+    for _ in _in_group_order(forward, groups, _group_workers(groups)):
+        pass
     parents = (x, *(t for layer in layers for t in layer))
     result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
 
     def _backward(g):
         g = g.reshape(-1, n, g.shape[-1])
         arrays = [(w.data, b.data) for w, b in layers]
-        grads = [[0.0, 0.0] for _ in layers]
         gx = np.empty_like(xs)
-        for s in groups:
+        workers = _group_workers(groups)
+
+        def backward(s):
+            """Rows `s` of gx; returns the group's weight and bias
+            gradients, first layer first."""
             acts = _pair_activations(xs[s], arrays[:-1])
             # Every relation of row i gets row i's gradient, so the last
             # layer's terms are reduced over each row's pairs first.
             g_rows = _rows(g[s])
-            grads[-1][0] += g_rows.T @ _rows(_by_node(acts[-1], n).sum(axis=2))
-            grads[-1][1] += (n - 1) * g_rows.sum(axis=0)
-            g_act = np.matmul(g[s], arrays[-1][0])[:, :, None, :]
-            gy = (g_act * (_by_node(acts[-1], n) > 0.0)).reshape(
-                acts[-1].shape)
+            grads = [(g_rows.T @ _rows(_by_node(acts[-1], n).sum(axis=2)),
+                      (n - 1) * g_rows.sum(axis=0))]
+            # Each gradient takes the buffer of an activation that is no
+            # longer needed: the last rectifier's mask and gradient go into
+            # its own output, and each layer's input gradient into its
+            # input, once the input's mask is taken.  With other groups in
+            # flight, the first layer's mask is rebuilt from its terms once
+            # the spent gradient is freed, so that a group never holds more
+            # than two pair-level arrays.
+            gy = acts.pop()
+            last = _by_node(gy, n)
+            np.greater(last, 0.0, out=last)
+            last *= np.matmul(g[s], arrays[-1][0])[:, :, None, :]
+            del last
             for k in range(len(layers) - 2, 0, -1):
-                grads[k][0] += _rows(gy).T @ _rows(acts[k - 1])
-                grads[k][1] += _rows(gy).sum(axis=0)
-                gy = np.matmul(gy, arrays[k][0])
-                gy *= acts[k - 1] > 0.0
-            del acts
+                h = acts.pop()
+                grads.append((_rows(gy).T @ _rows(h), _rows(gy).sum(axis=0)))
+                mask = h > 0.0 if acts or workers < 2 else None
+                gy = np.matmul(gy, arrays[k][0], out=h)
+                del h  # the buffer is gy's alone, freed with it below
+                if mask is None:
+                    mask = _first_layer_mask(xs[s], *arrays[0])
+                gy *= mask
+                del mask
             g_left = _by_node(gy, n).sum(axis=2)
             g_right = _right_node_sum(gy, n)
+            del gy
             w0, rows = arrays[0][0], _rows(xs[s])
             gx[s] = (np.matmul(g_left, w0[:, :width])
                      + np.matmul(g_right, w0[:, width:]))
-            grads[0][0] += np.concatenate(
-                [_rows(g_left).T @ rows, _rows(g_right).T @ rows], axis=1)
-            grads[0][1] += _rows(g_right).sum(axis=0)
+            grads.append((np.concatenate([_rows(g_left).T @ rows,
+                                          _rows(g_right).T @ rows], axis=1),
+                          _rows(g_right).sum(axis=0)))
+            return grads[::-1]
+
+        sums = [[0.0, 0.0] for _ in layers]
+        for grads in _in_group_order(backward, groups, workers):
+            for total, (gw, gb) in zip(sums, grads):
+                total[0] += gw
+                total[1] += gb
         x._accumulate(gx.reshape(x.data.shape), fresh=True)
-        for (w, b), (gw, gb) in zip(layers, grads):
+        for (w, b), (gw, gb) in zip(layers, sums):
             w._accumulate(gw, fresh=True)
             b._accumulate(gb, fresh=True)
 
@@ -281,27 +316,162 @@ def pair_relation_sum(x, layers) -> Tensor:
     return result
 
 
+# Most threads, the calling one included, that run the groups of one
+# `pair_relation_sum` pass.
+MAX_PAIR_WORKERS = 4
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+_pool = None
+
+
+def _pair_workers():
+    """Threads for the groups of a pair pass: the usable CPUs over the
+    most BLAS threads any of `_BLAS_THREAD_VARS` declares, at most
+    ``MAX_PAIR_WORKERS``.  With none declared BLAS counts as using every
+    CPU, so there is one thread and the groups run in the caller."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    declared = [int(v) or cpus for v in map(os.environ.get, _BLAS_THREAD_VARS)
+                if v is not None and v.strip().isdigit()]
+    return max(1, min(MAX_PAIR_WORKERS, cpus // max(declared, default=cpus)))
+
+
+def _group_workers(groups):
+    """Threads to run `groups` on: one unless there are two groups or
+    more and `_pair_workers` gives two or more."""
+    return min(len(groups), _pair_workers()) if len(groups) > 1 else 1
+
+
+def _in_group_order(task, groups, workers):
+    """Yield ``task(group)`` for each of `groups`, in order.
+
+    With two or more workers, ``workers - 1`` pool threads and the calling
+    thread each take the next group nobody has taken as they come free.
+    A result is yielded, and let go, once every one before it has been,
+    and the calling thread takes more groups while it waits, so only
+    about one result per thread is held.  Tasks run numpy and private
+    helpers only.
+    """
+    if workers < 2:
+        for group in groups:
+            yield task(group)
+        return
+    from concurrent.futures import Future
+    slots = [Future() for _ in groups]
+    untaken = iter(range(len(groups)))
+    lock = threading.Lock()
+
+    def run_next():
+        with lock:
+            k = next(untaken, None)
+        if k is None:
+            return False
+        try:
+            slots[k].set_result(task(groups[k]))
+        except Exception as exc:
+            slots[k].set_exception(exc)
+        return True
+
+    def drain():
+        while run_next():
+            pass
+
+    helpers = [_executor().submit(drain) for _ in range(workers - 1)]
+    try:
+        for k in range(len(groups)):
+            while not slots[k].done() and run_next():
+                pass
+            yield slots[k].result()
+            slots[k] = None
+    finally:
+        with lock:
+            for _ in untaken:
+                pass
+        for helper in helpers:
+            helper.result()
+
+
+def _executor():
+    """The process's pool for `_in_group_order`, created on first use (and
+    again in a forked child, whose copy has no threads)."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(
+            MAX_PAIR_WORKERS - 1, thread_name_prefix="hrgenet-pairs"))
+    return _pool[1]
+
+
 def _pair_activations(xs, layers):
     """Rectified outputs of `layers` over every ordered row pair of each
     ``(n, w)`` shape in `xs`: one ``(g, n (n - 1), h)`` array per layer,
     whose row ``i (n - 1) + k`` pairs row i with the k-th other row."""
-    (w0, b0), *rest = layers
-    _, n, width = xs.shape
-    left = np.matmul(xs, w0[:, :width].T)
-    right = np.matmul(xs, w0[:, width:].T)
-    right += b0
-    others = np.flatnonzero(~np.eye(n, dtype=bool)) % n
-    h = np.take(right, others, axis=-2)
-    pairs = _by_node(h, n)
-    pairs += left[:, :, None, :]
+    h = _first_layer(xs, *layers[0])
     np.maximum(h, 0.0, out=h)
     acts = [h]
-    for w, b in rest:
+    for w, b in layers[1:]:
         h = np.matmul(h, w.T)
         h += b
         np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
+
+
+def _first_layer(xs, w0, b0):
+    """The first layer's pre-activations over the row pairs of `xs`."""
+    n = xs.shape[1]
+    left, right = _first_layer_halves(xs, w0, b0)
+    h = np.take(right, _pair_rows(n)[0], axis=-2)
+    pairs = _by_node(h, n)
+    pairs += left[:, :, None, :]
+    return h
+
+
+def _first_layer_halves(xs, w0, b0):
+    """Per row, the first layer's terms as the left and as the right row
+    of a pair; a pair's pre-activation is ``right_j + left_i``."""
+    width = xs.shape[-1]
+    left = np.matmul(xs, w0[:, :width].T)
+    right = np.matmul(xs, w0[:, width:].T)
+    right += b0
+    return left, right
+
+
+def _first_layer_mask(xs, w0, b0):
+    """``_first_layer(xs, w0, b0) > 0``, with no float array of the pairs.
+
+    A rounded sum of two floats is zero only when the exact sum is, and
+    has its sign, so ``right_j + left_i > 0`` is ``left_i > -right_j``.
+    Laid out by offset ``d = j - i`` (mod n), the pairs of one offset
+    compare the rows of `left` with a window of the rows of ``-right``
+    taken twice, so one comparison over whole rows covers every pair; a
+    row gather puts the mask in pair order.
+    """
+    left, right = _first_layer_halves(xs, w0, b0)
+    count, n, h = left.shape
+    twice = -np.concatenate([right, right], axis=1)
+    step = twice.strides
+    windows = np.lib.stride_tricks.as_strided(
+        twice[:, 1:], shape=(count, n - 1, n, h),
+        strides=(step[0], step[1], step[1], step[2]), writeable=False)
+    by_offset = np.greater(left[:, None], windows)
+    return np.take(by_offset.reshape(count, (n - 1) * n, h),
+                   _pair_rows(n)[1], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_rows(n):
+    """Row indices of the pair rows, row ``i (n - 1) + k`` pairing row i
+    with row ``j = k + (k >= i)``: each pair's j, and its row
+    ``(d - 1) n + i`` when the pairs are laid out by offset
+    ``d = j - i`` (mod n)."""
+    left = np.repeat(np.arange(n), n - 1)
+    right = np.flatnonzero(~np.eye(n, dtype=bool)) % n
+    by_offset = ((right - left) % n - 1) * n + left
+    right.flags.writeable = by_offset.flags.writeable = False
+    return right, by_offset
 
 
 def _by_node(pairs, n):

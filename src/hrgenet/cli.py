@@ -75,8 +75,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -301,6 +299,7 @@ def _cmd_eval(args):
 
 def _cmd_retrieve(args):
     dataset = data.load_dataset(args.data)
+    _write_manifest(args.out, args)
     model, _ = _load_fitting(args.checkpoint, dataset)
     index = build_index(model, dataset)
     predict_fine = None
@@ -313,7 +312,6 @@ def _cmd_retrieve(args):
         predict_fine = fine_by_id.__getitem__
     report, ranked_lists = evaluate_retrieval(index, threshold=args.tau,
                                               predict_fine=predict_fine)
-    _write_manifest(args.out, args)
     with open(os.path.join(args.out, "metrics.txt"), "w") as f:
         f.write("\n".join(report.to_lines()) + "\n")
     with open(os.path.join(args.out, "ranked.txt"), "w") as f:

@@ -21,7 +21,13 @@ The pair level holds n (n - 1) rows per shape, so it is one recomputing
 op, `ag.pair_relation_sum`: it keeps no pair-level array for backward
 and runs both passes over groups of shapes whose pair rows fit
 ``ag.PAIR_GROUP_BYTES`` per array.  Grouping cannot change a descriptor,
-since every GEMM is already per shape.
+since every GEMM is already per shape.  A pass of two groups or more
+runs them on up to ``ag.MAX_PAIR_WORKERS`` threads: the usable CPUs over
+the BLAS threads that ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` declares, and one thread when none is set, since
+BLAS then uses every CPU.  Set ``OPENBLAS_NUM_THREADS=1`` for
+throughput.  No bit depends on the thread count: each group writes its
+own rows and the weight gradients are added in group order.
 """
 
 from __future__ import annotations

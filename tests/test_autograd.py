@@ -1,4 +1,7 @@
 import gc
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -248,6 +251,150 @@ class TestPairRelationSum:
                                       unfused_pair_relation_sum(x, layers))
         np.testing.assert_array_equal(ag.pair_relation_sum(x[2], layers).data,
                                       unfused_pair_relation_sum(x[2], layers))
+
+    def test_first_layer_mask_is_the_rebuilt_sign(self):
+        """``left_i > -right_j`` is ``right_j + left_i > 0`` for floats:
+        with exact cancellations, subnormals, overflow, infinities and NaN
+        among the pairs."""
+        values = [0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0, 1e308, -1e308,
+                  np.inf, -np.inf, np.nan]
+        xs = np.array(values)[None, :, None]
+        w0 = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(
+                ag._first_layer_mask(xs, w0, np.zeros(3)),
+                ag._first_layer(xs, w0, np.zeros(3)) > 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dims", [[6, 4, 2], [6, 4, 5, 2],
+                                      [6, 4, 5, 3, 2]])
+    def test_gradients_match_finite_differences(self, rng, monkeypatch,
+                                                dims, workers):
+        # One shape per group through MLPs of 2 to 4 layers; on two
+        # threads the first layer's mask is rebuilt, deeper ones are kept.
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)
+        monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
+        mlp = Mlp(dims, rng)
+        for layer in mlp.layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
+        x = ag.Tensor(rng.normal(size=(3, 5, 3)))
+        upstream = rng.normal(size=(3, 5, 2))
+
+        def loss_fn():
+            out = ag.pair_relation_sum(
+                x, [(layer.weight, layer.bias) for layer in mlp.layers])
+            return dot_loss(out, upstream)
+
+        named = [("x", x)] + mlp.named_parameters()
+        for _, p in named:
+            p.zero_grad()
+        loss_fn().backward()
+        for name, p in named:
+            numeric = finite_difference(loss_fn, p)
+            assert max_rel_err(p.grad, numeric) < 1e-6, name
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, workers):
+        """At n=80 each shape is a group of its own; its rows and the
+        gradients of x and of every layer block are the same bits on one
+        thread as on several."""
+        threads = set()
+        activations = ag._pair_activations
+
+        def recorded(*args):
+            threads.add(threading.current_thread().name)
+            return activations(*args)
+
+        monkeypatch.setattr(ag, "_pair_activations", recorded)
+        runs = []
+        for count in (1, workers):
+            monkeypatch.setattr(ag, "_pair_workers", lambda: count)
+            rng = np.random.default_rng(44)
+            mlp = Mlp([64, 32, 32, 32], rng)
+            for layer in mlp.layers:
+                layer.bias.data += rng.normal(scale=0.1, size=32)
+            x = ag.Tensor(rng.normal(size=(6, 80, 32)))
+            out = ag.pair_relation_sum(
+                x, [(layer.weight, layer.bias) for layer in mlp.layers])
+            dot_loss(out, rng.normal(size=out.shape)).backward()
+            runs.append([out.data, x.grad]
+                        + [p.grad for p in mlp.parameters()])
+        assert len(threads) > 1
+        for one, many in zip(*runs):
+            np.testing.assert_array_equal(one, many)
+
+
+def dot_loss(out, upstream):
+    """``sum(out * upstream)``: a scalar whose gradient at `out` is the
+    dense `upstream`."""
+    return ag.Tensor(np.sum(out.data * upstream), _parents=(out,),
+                     _grad_fn=lambda g: out._accumulate(g * upstream))
+
+
+class TestPairWorkers:
+    """Threads for the pair groups: usable CPUs over declared BLAS threads."""
+
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
+        (16, {"MKL_NUM_THREADS": "1"}, ag.MAX_PAIR_WORKERS),
+        (4, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "many"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_worker_count(self, monkeypatch, cpus, env, workers):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert ag._pair_workers() == workers
+
+    def test_each_group_runs_once_in_order_under_contention(self):
+        """More workers than cores, switching threads every microsecond:
+        every group runs exactly once and the results come in order."""
+        failures = []
+
+        def stress():
+            try:
+                for _ in range(30):
+                    ran = []
+
+                    def task(k):
+                        ran.append(k)
+                        return k * k
+
+                    results = list(ag._in_group_order(task, range(40), 4))
+                    assert results == [k * k for k in range(40)]
+                    assert sorted(ran) == list(range(40))
+            except AssertionError as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=stress, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and not failures
+
+    def test_error_in_a_group_reaches_the_caller(self):
+        def task(k):
+            if k == 3:
+                raise ValueError("group 3")
+            return k
+
+        results = ag._in_group_order(task, list(range(6)), 2)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="group 3"):
+            next(results)
 
 
 class TestMaxpoolRows:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import hrgenet
+from hrgenet import autograd as ag
+from hrgenet import cli
 from hrgenet.checkpoint import save_model
 from hrgenet.cli import main, parse_accuracy_report
 from hrgenet.data import load_dataset
@@ -199,6 +201,36 @@ class TestTrainEval:
         assert "epochs=2" in manifest  # flag wins
         assert "batch=6" in manifest   # config file beats default 72
 
+    def test_checkpoint_bits_do_not_depend_on_pair_workers(
+            self, synth_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)  # a group per shape
+        saved = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
+            out = tmp_path / f"run{workers}"
+            assert run(["train", "--data", str(synth_file), "--epochs", "2",
+                        "--batch", "5", "--lr", "1e-3",
+                        "--out", str(out)]) == 0
+            saved.append((out / "checkpoint.hrgm").read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_one_group_per_pair_pass_starts_no_pool(self, synth_file,
+                                                    tmp_path):
+        """Every pair pass of a 12-shape n=12 batch is one group, so the
+        thread pool's module is never even imported."""
+        probe = ("import sys\n"
+                 "from hrgenet.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print('concurrent.futures' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(hrgenet.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "train", "--data", str(synth_file),
+             "--epochs", "1", "--batch", "12",
+             "--out", str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split()[-1] == "False"
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts page faults under glibc's allocator")
     def test_repeated_train_calls_reuse_freed_memory(self, tmp_path):
@@ -232,8 +264,8 @@ class TestPathErrors:
 
     @pytest.mark.parametrize("case", [
         "data-is-dir", "checkpoint-is-dir", "synth-out-is-dir",
-        "eval-out-is-dir", "config-is-dir", "retrieve-out-is-file",
-        "train-out-under-file"])
+        "eval-out-is-dir", "config-is-dir", "config-missing",
+        "retrieve-out-is-file", "train-out-under-file"])
     def test_path_error_is_data_error(self, case, synth_file, tmp_path,
                                       capsys):
         ckpt = str(write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3))
@@ -250,6 +282,9 @@ class TestPathErrors:
                                  ckpt, "--out", folder], folder),
             "config-is-dir": (["--config", folder, "synth", "--out",
                                str(tmp_path / "s.hrgf")], folder),
+            "config-missing": (["--config", str(tmp_path / "no.cfg"),
+                                "synth", "--out", str(tmp_path / "s.hrgf")],
+                               str(tmp_path / "no.cfg")),
             "retrieve-out-is-file": (["retrieve", "--data", data,
                                       "--checkpoint", ckpt, "--out", data],
                                      data),
@@ -259,6 +294,18 @@ class TestPathErrors:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and path in err
+
+    def test_retrieve_checks_out_before_any_work(self, synth_file, tmp_path,
+                                                 monkeypatch):
+        ckpt = str(write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3))
+
+        def too_early(*args, **kwargs):
+            raise AssertionError("retrieve worked before checking --out")
+
+        monkeypatch.setattr(cli, "_load_fitting", too_early)
+        monkeypatch.setattr(cli, "build_index", too_early)
+        assert run(["retrieve", "--data", str(synth_file), "--checkpoint",
+                    ckpt, "--out", str(synth_file)]) == 3
 
 
 class TestRetrieve:

@@ -510,6 +510,32 @@ class TestPairGroups:
             tracemalloc.stop()
         assert peak < 16 * 80 * 79 * 32 * 8
 
+    def test_two_groups_in_flight_hold_no_more_than_one_did(self,
+                                                             monkeypatch):
+        """With two threads on the pair groups, a step of 16 shapes at n=80
+        peaks no higher than it did on one thread before the backward
+        reused its spent pair arrays: 15,616,656 bytes under tracemalloc
+        (numpy 2.4, Python 3.11).  About 8.5 MB of that was one level-1
+        group of 5 shapes, 4.3 times its 2 MB pair array."""
+        monkeypatch.setattr(ag, "_pair_workers", lambda: 2)
+        model = HrgeModel(num_views=80, width=32, variant="full", seed=41)
+        classifier = Classifier(model.descriptor_length, 4, seed=42)
+        views = np.random.default_rng(43).normal(size=(16, 80, 32))
+
+        def step():
+            logits = linear_forward(classifier.head,
+                                    hrge_forward(model, views).concat)
+            ag.softmax_cross_entropy(logits, np.arange(16) % 4).backward()
+
+        step()  # the pool and the gradient buffers exist before tracing
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15_616_656
+
 
 def test_max_depth_for():
     assert max_depth_for(12, 2) == 2
