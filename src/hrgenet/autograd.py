@@ -504,16 +504,26 @@ def _sorted_sum(grouped):
     return grouped.sum(axis=-2)
 
 
-def take_rows(a, idx) -> Tensor:
-    """Rows ``idx`` of `a` along axis -2."""
+def ring_rows(a, shift: int, stride: int = 1) -> Tensor:
+    """Rows ``(shift + stride k) % n`` of the n rows (axis -2) of `a`, for
+    k in ``range(n // stride)`` and `stride` dividing n: a strided slice,
+    turned by joining two slices of it.  The backward writes through the
+    same slices."""
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(np.take(a.data, idx, axis=-2), _parents=(a,))
+    n = a.data.shape[-2]
+    if stride < 1 or n % stride:
+        raise ShapeMismatchError(f"stride {stride} does not divide {n} rows")
+    turn, start = divmod(shift % n, stride)
+    kept = a.data[..., start::stride, :]
+    out = Tensor(np.concatenate([kept[..., turn:, :], kept[..., :turn, :]],
+                                axis=-2), _parents=(a,))
 
     def _backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, -2, 0), idx, np.moveaxis(g, -2, 0))
-        a._accumulate(ga)
+        ga = (np.zeros_like if stride > 1 else np.empty_like)(a.data)
+        rows, back = ga[..., start::stride, :], n // stride - turn
+        rows[..., turn:, :] = g[..., :back, :]
+        rows[..., :turn, :] = g[..., back:, :]
+        a._accumulate(ga, fresh=True)
 
     out._grad_fn = _backward
     return out
@@ -559,19 +569,6 @@ def concat_cols(tensors) -> Tensor:
         for t, w in zip(tensors, widths):
             t._accumulate(g[..., off:off + w])
             off += w
-
-    out._grad_fn = _backward
-    return out
-
-
-def stack_rows(tensors) -> Tensor:
-    """Stack 1-D tensors into a matrix, one per row."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors]), _parents=tuple(tensors))
-
-    def _backward(g):
-        for k, t in enumerate(tensors):
-            t._accumulate(g[k])
 
     out._grad_fn = _backward
     return out

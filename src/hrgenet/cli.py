@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage/configuration error, 3 data error (a
 corrupt or non-finite container, a checkpoint that does not fit its
 dataset, or an unusable path), 4 numeric failure.  Flags override
 config-file values, which override defaults; the config file is flat
-``key=value`` lines keyed by flag destination names (e.g. ``epochs=5``).
+``key=value`` lines keyed by flag destination names (e.g. ``epochs=5``,
+``use_fine_labels=true``), checked as the flags are.
 """
 
 from __future__ import annotations
@@ -165,17 +166,39 @@ def _apply_config_file(parser, argv):
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ConfigError("--config needs a path argument")
-    values = _read_config_file(argv[idx + 1])
-    for action in parser._subparsers._group_actions[0].choices.values():
-        defaults = {}
-        dests = {a.dest: a for a in action._actions}
-        for key, value in values.items():
-            if key in dests:
-                a = dests[key]
-                defaults[key] = (value if a.type is None
-                                 else a.type(value))
-        action.set_defaults(**defaults)
+    path = argv[idx + 1]
+    values = _read_config_file(path)
+    commands = parser._subparsers._group_actions[0].choices.values()
+    known = {a.dest for command in commands for a in command._actions}
+    for key in values:
+        if key not in known or key == "help":
+            raise ConfigError(f"{path}: {key} is not a config key")
+    for command in commands:
+        command.set_defaults(**{a.dest: _config_value(path, a, values[a.dest])
+                                for a in command._actions
+                                if a.dest in values})
     return argv
+
+
+def _config_value(path, action, value):
+    """A config-file value parsed and checked as its flag would be: a
+    switch takes ``true`` or ``false``, any other key its flag's type and
+    choices."""
+    key = action.dest
+    if action.nargs == 0:
+        if value not in ("true", "false"):
+            raise ConfigError(
+                f"{path}: {key} must be true or false, got {value!r}")
+        return value == "true"
+    try:
+        parsed = value if action.type is None else action.type(value)
+    except ValueError:
+        raise ConfigError(f"{path}: {key} must be of type "
+                          f"{action.type.__name__}, got {value!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ConfigError(f"{path}: {key} must be one of "
+                          f"{list(action.choices)}, got {value!r}")
+    return parsed
 
 
 def _validate_geometry(views, stride, depth):

@@ -228,8 +228,9 @@ class SyntheticSpec:
             raise ConfigError("num_classes and shapes_per_class must be >= 1")
         if self.num_views < 1 or self.dim < 1:
             raise ConfigError("num_views and dim must be >= 1")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(
+                f"noise must be finite and >= 0, got {self.noise}")
         if self.fine_per_class < 0:
             raise ConfigError(
                 f"fine_per_class must be >= 0, got {self.fine_per_class}")

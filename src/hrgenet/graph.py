@@ -187,13 +187,10 @@ def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
             f"neighboring relation needs a ring of >= 3 nodes, got {n}"
         )
     x = graph.features
-    prev_idx = (np.arange(n) - 1) % n
-    next_idx = (np.arange(n) + 1) % n
     kind = params.neighbor_kind
     if kind == "identity":
         return ViewGraph(graph.level, x)
-    prev = ag.take_rows(x, prev_idx)
-    nxt = ag.take_rows(x, next_idx)
+    prev, nxt = ag.ring_rows(x, -1), ag.ring_rows(x, 1)
     if kind == "learned":
         if params.neighboring is None:
             raise ConfigError("level has no learned neighboring layer")
@@ -208,24 +205,22 @@ def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     return ViewGraph(graph.level, out)
 
 
-def coarsen(graph: ViewGraph, stride: int, offset: int = 0) -> ViewGraph:
+def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
     """Down-sample the ring, keeping every stride-th node.
 
     With 1-based ring indices the new node i takes the feature of old
-    node stride*i, so stride 2 keeps old nodes 2, 4, ..., N.  The optional
-    offset rotates that selection; ring order is preserved.
+    node stride*i, so stride 2 keeps old nodes 2, 4, ..., N: the rows
+    ``stride - 1::stride``, in ring order.
     """
     n = graph.num_nodes
     if stride < 1:
         raise CoarseningError(f"stride must be >= 1, got {stride}")
-    if stride == 1 and offset == 0:
-        return ViewGraph(graph.level + 1, graph.features)
     if n % stride != 0:
         raise CoarseningError(
             f"cannot coarsen {n} nodes with stride {stride}"
         )
-    kept = (np.arange(1, n // stride + 1) * stride - 1 + offset) % n
-    return ViewGraph(graph.level + 1, ag.take_rows(graph.features, kept))
+    return ViewGraph(graph.level + 1,
+                     ag.ring_rows(graph.features, stride - 1, stride))
 
 
 def level_descriptor(features):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .autograd import Tensor, affine, as_tensor, relu
+from .autograd import Tensor, affine, as_tensor
 from .errors import ShapeMismatchError
 
 
@@ -39,23 +39,11 @@ class LinearLayer:
     def out_dim(self) -> int:
         return self.weight.data.shape[0]
 
-    @property
-    def grad_weight(self):
-        return self.weight.grad
-
-    @property
-    def grad_bias(self):
-        return self.bias.grad
-
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self):
-        self.weight.zero_grad()
-        self.bias.zero_grad()
 
 
 def linear_forward(layer: LinearLayer, x) -> Tensor:
@@ -70,11 +58,8 @@ def linear_forward(layer: LinearLayer, x) -> Tensor:
 
 
 class Mlp:
-    """Stack of linear layers with a rectifier between them.
-
-    The activation applies between consecutive layers only; the final
-    layer's output is left affine.
-    """
+    """Stack of linear layers, run (by `pair_relation_sum`) with a
+    rectifier between consecutive layers and none after the last."""
 
     def __init__(self, dims, rng=None):
         if len(dims) < 2:
@@ -91,12 +76,3 @@ class Mlp:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-
-def mlp_forward(mlp: Mlp, x) -> Tensor:
-    out = as_tensor(x)
-    last = len(mlp.layers) - 1
-    for k, layer in enumerate(mlp.layers):
-        out = linear_forward(layer, out)
-        if k < last:
-            out = relu(out)
-    return out

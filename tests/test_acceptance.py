@@ -52,8 +52,8 @@ def test_criterion_1_gradient_fidelity():
     labels = np.array([1])
 
     def loss_fn():
-        desc = hrge_forward(model, views).concat
-        logits = linear_forward(classifier.head, ag.stack_rows([desc]))
+        desc = hrge_forward(model, views[None]).concat
+        logits = linear_forward(classifier.head, desc)
         return ag.softmax_cross_entropy(logits, labels)
 
     named = model.named_parameters() + classifier.named_parameters()

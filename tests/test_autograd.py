@@ -16,7 +16,7 @@ from hrgenet.errors import (
     ShapeMismatchError,
     StaleGraphError,
 )
-from hrgenet.layers import LinearLayer, Mlp, linear_forward, mlp_forward
+from hrgenet.layers import LinearLayer, Mlp, linear_forward
 
 from conftest import finite_difference, max_rel_err
 
@@ -59,48 +59,20 @@ class TestLinearForward:
             linear_forward(layer, np.zeros((3, 6)))
 
 
-class TestMlpForward:
-    def test_zero_weights_zero_output(self):
-        mlp = Mlp([3, 4, 2])
-        for layer in mlp.layers:
-            layer.weight.data[...] = 0.0
-        out = mlp_forward(mlp, np.ones((5, 3)))
-        assert out.data.shape == (5, 2)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
-
-    def test_no_rectifier_after_last_layer(self):
-        layer = make_layer([[-1.0]], [0.0])
-        mlp = Mlp([1, 1])
-        mlp.layers = [layer]
-        out = mlp_forward(mlp, [[2.0]])
-        # a trailing rectifier would clamp this to 0
-        np.testing.assert_array_equal(out.data, [[-2.0]])
-
-    def test_matches_hand_rolled_forward(self, rng):
-        mlp = Mlp([4, 4, 4, 4], rng)
-        x = rng.normal(size=(3, 4))
-        h = x
-        for k, layer in enumerate(mlp.layers):
-            h = h @ layer.weight.data.T + layer.bias.data
-            if k < 2:
-                h = np.maximum(h, 0.0)
-        out = mlp_forward(mlp, x)
-        np.testing.assert_allclose(out.data, h, atol=1e-12)
-
-
 class TestBackward:
     def test_linear_gradient_pattern(self):
         # loss = sum of the affine output with identity weights
         layer = make_layer(np.eye(2), [0.0, 0.0])
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        layer.zero_grad()
+        for p in layer.parameters():
+            p.zero_grad()
         out = linear_forward(layer, x)
         col_sums = linear_forward(make_layer([[1.0, 1.0]], [0.0]), out)
         scalar = ag.segment_sum_rows(col_sums, [0, 0], 1)
         scalar.backward()
-        np.testing.assert_allclose(layer.grad_weight,
+        np.testing.assert_allclose(layer.weight.grad,
                                    np.tile(x.sum(axis=0), (2, 1)))
-        np.testing.assert_allclose(layer.grad_bias, [2.0, 2.0])
+        np.testing.assert_allclose(layer.bias.grad, [2.0, 2.0])
 
     def test_gradients_match_finite_differences(self, rng):
         mlp = Mlp([3, 4, 4, 2], rng)
@@ -109,8 +81,11 @@ class TestBackward:
         labels = np.array([0, 2, 1, 1, 0])
 
         def loss_fn():
-            return ag.softmax_cross_entropy(
-                linear_forward(head, mlp_forward(mlp, x)), labels)
+            h = x
+            for layer in mlp.layers[:-1]:
+                h = ag.relu(linear_forward(layer, h))
+            out = linear_forward(mlp.layers[-1], h)
+            return ag.softmax_cross_entropy(linear_forward(head, out), labels)
 
         params = mlp.parameters() + head.parameters()
         for p in params:
@@ -122,15 +97,16 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_parameter_grads(self):
         layer = LinearLayer(2, 2)
-        layer.zero_grad()
+        for p in layer.parameters():
+            p.zero_grad()
         out = linear_forward(layer, np.ones((1, 2)))
         # multiply the whole output by zero before reducing
         zeroed = ag.scale(out, 0.0)
         reducer = make_layer([[1.0, 1.0]], [0.0])
         scalar = linear_forward(reducer, zeroed)
         scalar.backward()
-        np.testing.assert_array_equal(layer.grad_weight, np.zeros((2, 2)))
-        np.testing.assert_array_equal(layer.grad_bias, np.zeros(2))
+        np.testing.assert_array_equal(layer.weight.grad, np.zeros((2, 2)))
+        np.testing.assert_array_equal(layer.bias.grad, np.zeros(2))
 
     def test_only_leaves_keep_gradients(self):
         x = ag.Tensor([[1.0, -2.0]])
@@ -397,6 +373,37 @@ class TestPairWorkers:
             next(results)
 
 
+class TestRingRows:
+    """`ag.ring_rows`: the rows ``(shift + stride k) % n`` of a ring."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
+    def test_forward_matches_index_oracle(self, rng, shape, shift, stride):
+        x = rng.normal(size=shape)
+        rows = [(shift + stride * k) % 6 for k in range(6 // stride)]
+        out = ag.ring_rows(x, shift, stride)
+        np.testing.assert_array_equal(out.data, x[..., rows, :])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
+    def test_gradient_matches_finite_differences(self, rng, shape, shift,
+                                                 stride):
+        x = ag.Tensor(rng.normal(size=shape))
+        upstream = rng.normal(size=(*shape[:-2], 6 // stride, 3))
+
+        def loss_fn():
+            return dot_loss(ag.ring_rows(x, shift, stride), upstream)
+
+        loss_fn().backward()
+        assert max_rel_err(x.grad, finite_difference(loss_fn, x)) < 1e-6
+
+    def test_stride_must_divide_rows(self):
+        with pytest.raises(ShapeMismatchError, match="stride 4"):
+            ag.ring_rows(np.zeros((6, 2)), 1, 4)
+
+
 class TestMaxpoolRows:
     def test_hand_case(self):
         out, arg = ag.maxpool_rows([[1.0, 5.0], [3.0, 2.0]])
@@ -490,6 +497,7 @@ def test_determinism_bit_identical(rng):
     x = rng.normal(size=(4, 3))
     mlp1 = Mlp([3, 4, 2], np.random.default_rng(9))
     mlp2 = Mlp([3, 4, 2], np.random.default_rng(9))
-    out1 = mlp_forward(mlp1, x)
-    out2 = mlp_forward(mlp2, x)
+    out1, out2 = (linear_forward(mlp.layers[1],
+                                 ag.relu(linear_forward(mlp.layers[0], x)))
+                  for mlp in (mlp1, mlp2))
     np.testing.assert_array_equal(out1.data, out2.data)

@@ -65,6 +65,14 @@ class TestSynth:
         assert run(["synth", "--mode", "bogus",
                     "--out", str(tmp_path / "x.hrgf")]) == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", "--noise", noise, "--out", str(out)]) == 2
+        assert f"noise must be finite and >= 0, got {noise}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_fine_per_class_is_usage_error(self, tmp_path):
         assert run(["synth", "--fine-per-class", "-1",
                     "--out", str(tmp_path / "x.hrgf")]) == 2
@@ -200,6 +208,37 @@ class TestTrainEval:
         manifest = (out / "manifest.txt").read_text()
         assert "epochs=2" in manifest  # flag wins
         assert "batch=6" in manifest   # config file beats default 72
+
+    @pytest.mark.parametrize("line,key", [
+        ("epochs=abc", "epochs"),
+        ("use_fine_labels=0", "use_fine_labels"),
+        ("use_fine_labels=yes", "use_fine_labels"),
+        ("epoch=5", "epoch"),
+        ("variant=bogus", "variant"),
+    ])
+    def test_bad_config_value_is_usage_error(self, synth_file, tmp_path,
+                                             capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "train", "--data", str(synth_file),
+                    "--epochs", "1", "--out", str(out)]) == 2
+        assert f"{cfg}: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_config_switch_takes_true_or_false(self, tmp_path, value):
+        data = tmp_path / "fine.hrgf"
+        assert run(["synth", "--classes", "2", "--per-class", "4",
+                    "--views", "6", "--dim", "4", "--fine-per-class", "2",
+                    "--out", str(data)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"use_fine_labels={value}\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "train", "--data", str(data),
+                    "--epochs", "1", "--batch", "4", "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert f"use_fine_labels={value.title()}" in manifest
 
     def test_checkpoint_bits_do_not_depend_on_pair_workers(
             self, synth_file, tmp_path, monkeypatch):
