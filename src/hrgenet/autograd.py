@@ -212,16 +212,22 @@ def pair_relation_sum(x, layers) -> Tensor:
     first layer takes the ``2 w`` columns of a pair of width-w rows.
     Returns the ``(..., n, out)`` sums.
 
-    The first layer is factored: ``x W[:, :w]^T`` and ``x W[:, w:]^T + b``
-    are computed once per row and broadcast-added, so the concatenated
-    pairs are never built.  Each row's ``n - 1`` relations are sorted per
-    column before they are summed, so the sums do not depend on the order
-    of the rows.
+    Each shape's rows are first put in a canonical order
+    (`_canonical_rows`), so that any permutation of them gives the same
+    rows and every later step is the same computation.  The first layer
+    is factored: ``x W[:, :w]^T`` and ``x W[:, w:]^T + b`` are computed
+    once per row and broadcast-added, so the concatenated pairs are never
+    built.  Each row's ``n - 1`` rectified activations of the last hidden
+    layer are summed in that order into ``S``, and the last layer runs
+    once per row, as ``S W_last^T + (n - 1) b_last``.
 
     Only `x` and the layers are kept for backward, which recomputes the
-    pair activations.  Both passes run over groups of shapes whose pair
-    rows fit ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does
-    not grow with the batch; every matrix product is one GEMM per shape
+    pair activations.  It orders the rows by their bytes and then by
+    their gradients' bytes, so that under any permutation the gradients
+    are one computation too, equal rows with unequal gradients included.
+    Both passes run over groups of shapes whose pair rows fit
+    ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does not
+    grow with the batch; every matrix product is one GEMM per shape
     whatever the group, so the result does not depend on the grouping.
     The groups may run on several threads (`_in_group_order`): each
     writes its own rows, and the weight gradients of the groups are added
@@ -239,15 +245,16 @@ def pair_relation_sum(x, layers) -> Tensor:
     hidden = max(w.data.shape[0] for w, _ in layers)
     size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * (n - 1) * hidden))
     groups = [slice(s, s + size) for s in range(0, len(xs), size)]
-    out = np.empty((len(xs), n, layers[-1][0].data.shape[0]))
-    arrays = [(w.data, b.data) for w, b in layers]
+    places = _canonical_rows(xs)
+    w_last, b_last = layers[-1][0].data, layers[-1][1].data
+    out = np.empty((len(xs) * n, w_last.shape[0]))
+    arrays = [(w.data, b.data) for w, b in layers[:-1]]
 
     def forward(s):
-        h = _pair_activations(xs[s], arrays[:-1])[-1]
-        w_last, b_last = arrays[-1]
-        relations = np.matmul(h, w_last.T)
-        relations += b_last
-        out[s] = _sorted_sum(_by_node(relations, n))
+        h = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)[-1]
+        relations = np.matmul(_by_node(h, n).sum(axis=2), w_last.T)
+        relations += (n - 1) * b_last
+        out[places[s]] = relations
 
     for _ in _in_group_order(forward, groups, _group_workers(groups)):
         pass
@@ -255,18 +262,24 @@ def pair_relation_sum(x, layers) -> Tensor:
     result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
 
     def _backward(g):
-        g = g.reshape(-1, n, g.shape[-1])
+        g = g.reshape(len(xs), n, -1)
+        places = _canonical_rows(xs, g)
+        g = _rows(g)
         arrays = [(w.data, b.data) for w, b in layers]
-        gx = np.empty_like(xs)
+        gx = np.empty_like(_rows(xs))
         workers = _group_workers(groups)
 
         def backward(s):
-            """Rows `s` of gx; returns the group's weight and bias
-            gradients, first layer first."""
-            acts = _pair_activations(xs[s], arrays[:-1])
-            # Every relation of row i gets row i's gradient, so the last
-            # layer's terms are reduced over each row's pairs first.
-            g_rows = _rows(g[s])
+            """The rows of gx at `places[s]`; returns the group's weight
+            and bias gradients, first layer first."""
+            def sorted_rows():
+                return _rows(xs).take(places[s], axis=0)
+
+            acts = _pair_activations(sorted_rows(), arrays[:-1])
+            # The last layer runs on each row's ``S``, whose gradient every
+            # pair of the row gets.
+            g_sorted = g.take(places[s], axis=0)
+            g_rows = _rows(g_sorted)
             grads = [(g_rows.T @ _rows(_by_node(acts[-1], n).sum(axis=2)),
                       (n - 1) * g_rows.sum(axis=0))]
             # Each gradient takes the buffer of an activation that is no
@@ -277,10 +290,10 @@ def pair_relation_sum(x, layers) -> Tensor:
             # the spent gradient is freed, so that a group never holds more
             # than two pair-level arrays.
             gy = acts.pop()
-            last = _by_node(gy, n)
-            np.greater(last, 0.0, out=last)
-            last *= np.matmul(g[s], arrays[-1][0])[:, :, None, :]
-            del last
+            pairs = _by_node(gy, n)
+            np.greater(pairs, 0.0, out=pairs)
+            pairs *= np.matmul(g_sorted, arrays[-1][0])[:, :, None, :]
+            del pairs, g_sorted, g_rows
             for k in range(len(layers) - 2, 0, -1):
                 h = acts.pop()
                 grads.append((_rows(gy).T @ _rows(h), _rows(gy).sum(axis=0)))
@@ -288,15 +301,15 @@ def pair_relation_sum(x, layers) -> Tensor:
                 gy = np.matmul(gy, arrays[k][0], out=h)
                 del h  # the buffer is gy's alone, freed with it below
                 if mask is None:
-                    mask = _first_layer_mask(xs[s], *arrays[0])
+                    mask = _first_layer_mask(sorted_rows(), *arrays[0])
                 gy *= mask
                 del mask
             g_left = _by_node(gy, n).sum(axis=2)
             g_right = _right_node_sum(gy, n)
             del gy
-            w0, rows = arrays[0][0], _rows(xs[s])
-            gx[s] = (np.matmul(g_left, w0[:, :width])
-                     + np.matmul(g_right, w0[:, width:]))
+            w0, rows = arrays[0][0], _rows(sorted_rows())
+            gx[places[s]] = (np.matmul(g_left, w0[:, :width])
+                             + np.matmul(g_right, w0[:, width:]))
             grads.append((np.concatenate([_rows(g_left).T @ rows,
                                           _rows(g_right).T @ rows], axis=1),
                           _rows(g_right).sum(axis=0)))
@@ -314,6 +327,20 @@ def pair_relation_sum(x, layers) -> Tensor:
 
     result._grad_fn = _backward
     return result
+
+
+def _canonical_rows(*parts):
+    """The canonical order of the rows of each shape: ``(B, n)`` indices
+    into the ``B n`` rows of ``(B, n, .)`` arrays, shape by shape in the
+    order of the bytes of the rows of `parts` joined.  That is a total
+    order, NaN and -0.0 included, in which only equal rows tie, so any
+    permutation of a shape's rows sorts to the same rows."""
+    rows = np.concatenate(parts, axis=-1)
+    count, n, width = rows.shape
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[..., 0]
+    order = keys.argsort(axis=-1, kind="stable")
+    order += np.arange(0, count * n, n)[:, None]
+    return order
 
 
 # Most threads, the calling one included, that run the groups of one

@@ -168,7 +168,7 @@ def _apply_config_file(parser, argv):
         raise ConfigError("--config needs a path argument")
     path = argv[idx + 1]
     values = _read_config_file(path)
-    commands = parser._subparsers._group_actions[0].choices.values()
+    commands = _commands(parser)
     known = {a.dest for command in commands for a in command._actions}
     for key in values:
         if key not in known or key == "help":
@@ -178,6 +178,40 @@ def _apply_config_file(parser, argv):
                                 for a in command._actions
                                 if a.dest in values})
     return argv
+
+
+def _commands(parser):
+    """The subcommand parsers of `parser`."""
+    return parser._subparsers._group_actions[0].choices.values()
+
+
+def _attach_float_values(parser, argv):
+    """Join a float flag, or an abbreviation of one, and a value that
+    starts with ``-`` into one ``--flag=value`` argument.  argparse reads
+    only plain negative numbers as values, so ``--tau -inf`` would fail
+    as a flag missing its value, with a message that names no value;
+    joined, the value reaches the flag's own check."""
+    flags = {option for command in _commands(parser)
+             for action in command._actions if action.type is float
+             for option in action.option_strings}
+    joined = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if (len(prev) > 2 and "=" not in prev and arg.startswith("-")
+                and any(flag.startswith(prev) for flag in flags)
+                and _is_float(arg)):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _config_value(path, action, value):
@@ -223,6 +257,13 @@ def _write_manifest(run_dir, args):
             if key in skip:
                 continue
             f.write(f"{key}={getattr(args, key)}\n")
+        # What ran besides the flags: the numpy build, the declared BLAS
+        # threads (a checkpoint's last bits depend on the BLAS thread
+        # count) and the threads on the pair groups.
+        f.write(f"numpy={np.__version__}\n")
+        for var in ag._BLAS_THREAD_VARS:
+            f.write(f"{var}={os.environ.get(var, 'unset')}\n")
+        f.write(f"pair_workers={ag._pair_workers()}\n")
 
 
 def _cmd_synth(args):
@@ -388,7 +429,7 @@ def _cmd_gradcheck(args):
     for name, err in report.items():
         status = "ok" if err < args.tol else "FAIL"
         print(f"{status:4} {name:32} max_rel_err={err:.3e}")
-        failed = failed or err >= args.tol
+        failed = failed or not err < args.tol  # a NaN error fails too
     if failed:
         print(f"gradient check FAILED at tolerance {args.tol:g}")
         return EXIT_NUMERIC
@@ -410,7 +451,7 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _attach_float_values(parser, _apply_config_file(parser, argv))
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

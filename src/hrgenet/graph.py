@@ -18,16 +18,19 @@ keeps each descriptor bit-identical to the shape's own unbatched forward.
 Only weight gradients, which nothing compares bit for bit, fold the batch.
 
 The pair level holds n (n - 1) rows per shape, so it is one recomputing
-op, `ag.pair_relation_sum`: it keeps no pair-level array for backward
-and runs both passes over groups of shapes whose pair rows fit
-``ag.PAIR_GROUP_BYTES`` per array.  Grouping cannot change a descriptor,
-since every GEMM is already per shape.  A pass of two groups or more
-runs them on up to ``ag.MAX_PAIR_WORKERS`` threads: the usable CPUs over
-the BLAS threads that ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
-``MKL_NUM_THREADS`` declares, and one thread when none is set, since
-BLAS then uses every CPU.  Set ``OPENBLAS_NUM_THREADS=1`` for
-throughput.  No bit depends on the thread count: each group writes its
-own rows and the weight gradients are added in group order.
+op, `ag.pair_relation_sum`: it puts each shape's rows in a canonical
+order first, so that the relation sums do not depend on the order of the
+views, runs the last pair layer once per node after the sum, keeps no
+pair-level array for backward and runs both passes over groups of shapes
+whose pair rows fit ``ag.PAIR_GROUP_BYTES`` per array.  Grouping cannot
+change a descriptor, since every GEMM is already per shape.  A pass of
+two groups or more runs them on up to ``ag.MAX_PAIR_WORKERS`` threads:
+the usable CPUs over the BLAS threads that ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` declares, and one thread when
+none is set, since BLAS then uses every CPU.  Set
+``OPENBLAS_NUM_THREADS=1`` for throughput.  No bit depends on the thread
+count: each group writes its own rows and the weight gradients are added
+in group order.
 """
 
 from __future__ import annotations
@@ -162,9 +165,11 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     by the pairwise MLP on concatenated features, summed, and fused with
     the node's own feature through the fusion layer plus a rectifier.  The
     pairs, the MLP and the sum are one op, `ag.pair_relation_sum`, which
-    factors the MLP's first layer over the pair, sums over j in sorted
-    order, so the sum does not depend on the order of the nodes, and
-    recomputes the pair activations in backward instead of keeping them.
+    runs on the nodes in a canonical order of their features, so the sum
+    does not depend on the order of the nodes; it factors the MLP's first
+    layer over the pair, applies the last layer once per node to the sum
+    of the hidden activations, and recomputes the pair activations in
+    backward instead of keeping them.
     """
     x, width = graph.features, graph.width
     if params.pairwise_mlp is None:

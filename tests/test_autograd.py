@@ -193,24 +193,34 @@ class TestRelu:
 
 
 def unfused_pair_relation_sum(x, layers):
-    """The pair path as separate numpy steps over the whole batch: the
-    factored first layer, rectifiers, the other layers over all pair rows,
-    then the per-node sum in sorted order."""
-    (w0, b0), *rest = [(w.data, b.data) for w, b in layers]
+    """The pair path as separate numpy steps over the whole batch: each
+    shape's rows in the order of their bytes, the factored first layer,
+    rectifiers, the hidden layers over all pair rows, the per-node sum in
+    that order, then the last layer once per node, scattered back to the
+    rows' own places."""
+    (w0, b0), *hidden, (w_last, b_last) = [(w.data, b.data)
+                                           for w, b in layers]
     *lead, n, width = x.shape
+    keys = np.ascontiguousarray(x).view(np.dtype((np.void, 8 * width)))
+    order = np.argsort(keys[..., 0], axis=-1, kind="stable")[..., None]
+    xs = np.take_along_axis(x, order, axis=-2)
     others = np.flatnonzero(~np.eye(n, dtype=bool)) % n
-    left = np.matmul(x, w0[:, :width].T)
-    right = np.matmul(x, w0[:, width:].T)
+    left = np.matmul(xs, w0[:, :width].T)
+    right = np.matmul(xs, w0[:, width:].T)
     right += b0
     pairs = np.take(right, others, axis=-2).reshape(*lead, n, n - 1, -1)
     pairs += left[..., :, None, :]
-    h = pairs.reshape(*lead, n * (n - 1), -1)
-    for w, b in rest:
-        h = np.matmul(np.maximum(h, 0.0), w.T)
+    h = np.maximum(pairs.reshape(*lead, n * (n - 1), -1), 0.0)
+    for w, b in hidden:
+        h = np.matmul(h, w.T)
         h += b
-    grouped = h.reshape(*lead, n, n - 1, -1)
-    grouped.sort(axis=-2)
-    return grouped.sum(axis=-2)
+        h = np.maximum(h, 0.0)
+    summed = h.reshape(*lead, n, n - 1, -1).sum(axis=-2)
+    relations = np.matmul(summed, w_last.T)
+    relations += (n - 1) * b_last
+    out = np.empty_like(relations)
+    np.put_along_axis(out, order, relations, axis=-2)
+    return out
 
 
 class TestPairRelationSum:
@@ -227,6 +237,52 @@ class TestPairRelationSum:
                                       unfused_pair_relation_sum(x, layers))
         np.testing.assert_array_equal(ag.pair_relation_sum(x[2], layers).data,
                                       unfused_pair_relation_sum(x[2], layers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("group_bytes", [1, ag.PAIR_GROUP_BYTES])
+    @pytest.mark.parametrize("case", ["duplicates", "signed_zeros", "nan"])
+    def test_row_permutation_is_bitwise_equivariant(self, monkeypatch, case,
+                                                    group_bytes, workers):
+        """Permuting the rows permutes the sums and the gradient of x, and
+        keeps the weight gradients, bit for bit, also where the canonical
+        order meets equal rows, rows that differ only by the sign of a
+        zero, or a NaN."""
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
+        monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
+        rng = np.random.default_rng(45)
+        mlp = Mlp([8, 6, 5, 3], rng)
+        for layer in mlp.layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
+        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
+        x = rng.normal(size=(3, 7, 4))
+        if case == "duplicates":
+            x[:, 4] = x[:, 6] = x[:, 1]
+        elif case == "signed_zeros":
+            x[:, 5] = x[:, 2]
+            x[:, 2, 0], x[:, 5, 0] = 0.0, -0.0
+        else:
+            x[:, 3, 1] = np.nan
+        upstream = rng.normal(size=(3, 7, 3))
+        perm = np.array([6, 2, 4, 0, 5, 1, 3])
+
+        def run(views, up):
+            views = ag.Tensor(views)
+            for p in mlp.parameters():
+                p.grad = None
+            out = ag.pair_relation_sum(views, layers)
+            dot_loss(out, up).backward()
+            return out.data, views.grad, [p.grad for p in mlp.parameters()]
+
+        for views, up in ((x, upstream), (x[1], upstream[1])):
+            with np.errstate(invalid="ignore"):
+                out, grad, weights = run(views, up)
+                p_out, p_grad, p_weights = run(views[..., perm, :],
+                                               up[..., perm, :])
+            for a, b in [(out[..., perm, :], p_out),
+                         (grad[..., perm, :], p_grad),
+                         *zip(weights, p_weights)]:
+                np.testing.assert_array_equal(a.view(np.uint64),
+                                              b.view(np.uint64))
 
     def test_first_layer_mask_is_the_rebuilt_sign(self):
         """``left_i > -right_j`` is ``right_j + left_i > 0`` for floats:

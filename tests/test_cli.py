@@ -73,6 +73,16 @@ class TestSynth:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--noise", "--noi"])
+    def test_negative_infinite_noise_is_usage_error(self, tmp_path, capsys,
+                                                    flag):
+        # argparse reads "-inf" as an option unless it is joined to its flag.
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", flag, "-inf", "--out", str(out)]) == 2
+        assert "noise must be finite and >= 0, got -inf" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_fine_per_class_is_usage_error(self, tmp_path):
         assert run(["synth", "--fine-per-class", "-1",
                     "--out", str(tmp_path / "x.hrgf")]) == 2
@@ -123,6 +133,15 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert run(["train", "--data", str(synth_file), "--epochs", "1",
                     "--batch", "12", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_infinite_lr_is_usage_error(self, synth_file, tmp_path,
+                                                 capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_file), "--epochs", "1",
+                    "--lr", "-inf", "--out", str(out)]) == 2
+        assert "learning rate must be finite and >= 0, got -inf" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_report_round_trips(self, synth_file, tmp_path, capsys):
@@ -197,7 +216,10 @@ class TestTrainEval:
                     "--out", str(tmp_path / "run")]) == 3
 
     def test_config_file_defaults_with_flag_precedence(self, synth_file,
-                                                       tmp_path):
+                                                       tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs=1\nbatch=6\nlr=0.001\n")
         out = tmp_path / "run"
@@ -208,6 +230,11 @@ class TestTrainEval:
         manifest = (out / "manifest.txt").read_text()
         assert "epochs=2" in manifest  # flag wins
         assert "batch=6" in manifest   # config file beats default 72
+        lines = manifest.splitlines()
+        for line in (f"numpy={np.__version__}", "OPENBLAS_NUM_THREADS=1",
+                     "OMP_NUM_THREADS=unset", "MKL_NUM_THREADS=unset",
+                     f"pair_workers={ag._pair_workers()}"):
+            assert line in lines
 
     @pytest.mark.parametrize("line,key", [
         ("epochs=abc", "epochs"),
@@ -374,6 +401,15 @@ class TestRetrieve:
             outs.append((out / "metrics.txt").read_text())
         assert outs[0] == outs[1]
 
+    def test_negative_infinite_tau_is_usage_error(self, synth_file, tmp_path,
+                                                  capsys):
+        ckpt = write_checkpoint(tmp_path / "c.hrgm", 12, 6, 3)
+        assert run(["retrieve", "--data", str(synth_file), "--checkpoint",
+                    str(ckpt), "--tau", "-inf",
+                    "--out", str(tmp_path / "r")]) == 2
+        assert "distance threshold must be > 0, got -inf" in \
+            capsys.readouterr().err
+
     def test_nan_tau_is_usage_error(self, synth_file, tmp_path):
         train_dir = tmp_path / "train"
         run(["train", "--data", str(synth_file), "--epochs", "1",
@@ -448,6 +484,14 @@ class TestGradcheck:
                     "--classes", "3", "--seed", "1",
                     "--perturb", "0.5"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("amount", ["inf", "-inf"])
+    def test_infinite_perturbation_fails(self, capsys, amount):
+        # The corrupted block's error is NaN, which must not pass.
+        with np.errstate(invalid="ignore"):
+            assert run(["gradcheck", "--views", "4", "--dim", "3",
+                        "--seed", "1", "--perturb", amount]) == 4
+        assert "FAIL level0.pairwise.0.weight" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_fresh_six_view_model_passes(self, seed):
