@@ -1,4 +1,4 @@
-"""Versioned binary model checkpoints with a text manifest alongside.
+"""Versioned binary model checkpoints with a JSON Lines manifest alongside.
 
 Layout (little-endian):
   magic ``HRGM`` | u32 version=1 | u32 num_views | u32 stride |
@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .data import ByteReader
+from .data import ByteReader, write_records
 from .errors import DataFormatError, HrgeError
 from .graph import VARIANTS, HrgeModel
 from .training import Classifier
@@ -52,22 +52,13 @@ def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
                   arr.astype("<f8").tobytes()]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
-    _write_manifest(model, path, named, num_classes)
-
-
-def _write_manifest(model, path, named, num_classes):
-    lines = [
-        f"format=HRGM version={VERSION}",
-        f"num_views={model.num_views} stride={model.stride} "
-        f"depth={model.depth} width={model.width}",
-        f"variant={model.variant.name} num_classes={num_classes}",
-    ]
-    for name, tensor in named:
-        shape = "x".join(str(s) for s in tensor.data.shape)
-        lines.append(f"block {name} shape={shape} "
-                     f"l2={float(np.linalg.norm(tensor.data)):.12g}")
-    with open(f"{path}.manifest.txt", "w") as f:
-        f.write("\n".join(lines) + "\n")
+    header = {"format": MAGIC.decode(), "version": VERSION,
+              "num_views": model.num_views, "stride": model.stride,
+              "depth": model.depth, "width": model.width,
+              "variant": model.variant.name, "num_classes": num_classes}
+    write_records(f"{path}.manifest.txt", [header] + [
+        {"block": name, "shape": list(tensor.data.shape),
+         "l2": float(np.linalg.norm(tensor.data))} for name, tensor in named])
 
 
 def load_model(path):

@@ -160,13 +160,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a path argument")
-    path = argv[idx + 1]
+def _apply_config_file(parser, path):
+    """Make the values of the config file at `path` the defaults of the
+    subcommands that define their keys."""
     values = _read_config_file(path)
     commands = _commands(parser)
     known = {a.dest for command in commands for a in command._actions}
@@ -177,7 +173,6 @@ def _apply_config_file(parser, argv):
         command.set_defaults(**{a.dest: _config_value(path, a, values[a.dest])
                                 for a in command._actions
                                 if a.dest in values})
-    return argv
 
 
 def _commands(parser):
@@ -250,20 +245,15 @@ def _validate_geometry(views, stride, depth):
 
 def _write_manifest(run_dir, args):
     os.makedirs(run_dir, exist_ok=True)
-    skip = {"command", "config"}
-    with open(os.path.join(run_dir, "manifest.txt"), "w") as f:
-        f.write(f"command={args.command}\n")
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            f.write(f"{key}={getattr(args, key)}\n")
-        # What ran besides the flags: the numpy build, the declared BLAS
-        # threads (a checkpoint's last bits depend on the BLAS thread
-        # count) and the threads on the pair groups.
-        f.write(f"numpy={np.__version__}\n")
-        for var in ag._BLAS_THREAD_VARS:
-            f.write(f"{var}={os.environ.get(var, 'unset')}\n")
-        f.write(f"pair_workers={ag._pair_workers()}\n")
+    record = {key: value for key, value in sorted(vars(args).items())
+              if key != "config"}
+    # What ran besides the flags: the numpy build, the declared BLAS
+    # threads (a checkpoint's last bits depend on the BLAS thread count)
+    # and the threads on the pair groups.
+    record["numpy"] = np.__version__
+    record.update((var, os.environ.get(var)) for var in ag._BLAS_THREAD_VARS)
+    record["pair_workers"] = ag._pair_workers()
+    data.write_records(os.path.join(run_dir, "manifest.txt"), [record])
 
 
 def _cmd_synth(args):
@@ -303,7 +293,7 @@ def _cmd_train(args):
                       lr_decay_period=args.lr_decay_period, seed=args.seed)
     _write_manifest(args.out, args)
     log = train(model, classifier, dataset, cfg)
-    log.save(os.path.join(args.out, "train.log"))
+    data.write_records(os.path.join(args.out, "train.log"), log.records)
     ckpt = os.path.join(args.out, "checkpoint.hrgm")
     checkpoint.save_model(model, ckpt, classifier)
     final = log.epoch_records()[-1]
@@ -311,21 +301,6 @@ def _cmd_train(args):
           f"loss={final['loss']:.6f} acc={final['acc']:.4f}")
     print(f"checkpoint: {ckpt}")
     return EXIT_OK
-
-
-def accuracy_report_lines(per_instance, per_class):
-    return [f"per_instance_acc={per_instance:.10g}",
-            f"per_class_acc={per_class:.10g}"]
-
-
-def parse_accuracy_report(text):
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            key, _, value = line.partition("=")
-            values[key] = float(value)
-    return values["per_instance_acc"], values["per_class_acc"]
 
 
 def _load_fitting(path, dataset, head_size=None):
@@ -352,12 +327,11 @@ def _cmd_eval(args):
     model, classifier = _load_fitting(args.checkpoint, dataset,
                                       dataset.num_classes)
     per_instance, per_class = evaluate_accuracy(model, classifier, dataset)
-    lines = accuracy_report_lines(per_instance, per_class)
-    for line in lines:
-        print(line)
+    report = {"per_instance_acc": per_instance, "per_class_acc": per_class}
+    for key, value in report.items():
+        print(f"{key}={value:.10g}")
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        data.write_records(args.out, [report])
     return EXIT_OK
 
 
@@ -376,8 +350,8 @@ def _cmd_retrieve(args):
         predict_fine = fine_by_id.__getitem__
     report, ranked_lists = evaluate_retrieval(index, threshold=args.tau,
                                               predict_fine=predict_fine)
-    with open(os.path.join(args.out, "metrics.txt"), "w") as f:
-        f.write("\n".join(report.to_lines()) + "\n")
+    data.write_records(os.path.join(args.out, "metrics.txt"),
+                       [report.record()])
     with open(os.path.join(args.out, "ranked.txt"), "w") as f:
         for ranked in ranked_lists:
             row = " ".join(f"{i}:{d:.8g}"
@@ -451,8 +425,11 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     parser = build_parser()
     try:
-        argv = _attach_float_values(parser, _apply_config_file(parser, argv))
+        argv = _attach_float_values(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config_file(parser, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

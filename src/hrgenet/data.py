@@ -1,5 +1,5 @@
 """Feature datasets: the HRGF container format, synthetic generators,
-and stratified splitting.
+stratified splitting, and the JSON Lines writer of run files.
 
 HRGF v1 layout (little-endian throughout):
   magic ``HRGF`` | u32 version=1 | u32 record count | u32 N | u32 D |
@@ -11,6 +11,7 @@ followed by one block per record:
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import warnings
@@ -125,6 +126,15 @@ def load_dataset(path) -> FeatureDataset:
     with open(path, "rb") as f:
         blob = f.read()
     return _decode(blob, str(path))
+
+
+def write_records(path, records) -> None:
+    """Write a run file as JSON Lines: one ``json.dumps(record)`` per
+    line.  Floats keep their shortest round-trip form, and a non-finite
+    one is written as ``NaN`` or ``Infinity``, which ``json.loads``
+    reads back."""
+    with open(path, "w") as f:
+        f.writelines(json.dumps(record) + "\n" for record in records)
 
 
 class ByteReader:

@@ -248,10 +248,6 @@ class GlobalDescriptor:
     concat: Tensor
     degenerate: list = field(default_factory=list)
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.concat.data
-
 
 def max_depth_for(num_views: int, stride: int) -> int:
     """Deepest hierarchy whose non-final levels keep a ring of >= 3 nodes."""

@@ -139,30 +139,15 @@ class MetricsReport:
     macro: dict
     skipped_queries: list = field(default_factory=list)
 
-    def to_lines(self):
-        lines = []
-        for block_name, block in (("micro", self.micro), ("macro", self.macro)):
-            for key in METRIC_KEYS:
-                lines.append(f"{block_name}.{key}={block[key]:.10g}")
-        if self.skipped_queries:
-            lines.append("skipped=" + ",".join(self.skipped_queries))
-        return lines
-
-    @staticmethod
-    def parse(text: str) -> "MetricsReport":
-        micro, macro, skipped = {}, {}, []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key == "skipped":
-                skipped = value.split(",") if value else []
-            elif key.startswith("micro."):
-                micro[key[6:]] = float(value)
-            elif key.startswith("macro."):
-                macro[key[6:]] = float(value)
-        return MetricsReport(micro=micro, macro=macro, skipped_queries=skipped)
+    def record(self) -> dict:
+        """One flat run-file record: ``micro.<key>`` and ``macro.<key>``
+        for every metric key, then the skipped query ids."""
+        record = {f"{name}.{key}": block[key]
+                  for name, block in (("micro", self.micro),
+                                      ("macro", self.macro))
+                  for key in METRIC_KEYS}
+        record["skipped"] = self.skipped_queries
+        return record
 
     def render_table(self) -> str:
         header = f"{'':8}" + "".join(f"{k:>10}" for k in METRIC_KEYS)

@@ -76,32 +76,6 @@ class TrainLog:
     def epoch_records(self):
         return [r for r in self.records if "acc" in r]
 
-    def to_lines(self):
-        lines = []
-        for r in self.records:
-            lines.append(" ".join(f"{k}={r[k]:.10g}" if isinstance(r[k], float)
-                                  else f"{k}={r[k]}" for k in r))
-        return lines
-
-    def save(self, path):
-        with open(path, "w") as f:
-            for line in self.to_lines():
-                f.write(line + "\n")
-
-    @staticmethod
-    def parse(text: str) -> "TrainLog":
-        log = TrainLog()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rec = {}
-            for token in line.split():
-                key, _, value = token.partition("=")
-                rec[key] = int(value) if key in ("epoch", "step") else float(value)
-            log.records.append(rec)
-        return log
-
 
 def predict_batch(model, classifier, views_list):
     """Logits and argmax labels (first-wins tie-break), one row per shape.

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -41,11 +42,18 @@ def test_resave_is_byte_identical(rng, tmp_path):
 
 def test_manifest_written_alongside(tmp_path):
     model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+    classifier = Classifier(model.descriptor_length, 4, seed=1)
     path = tmp_path / "model.hrgm"
-    save_model(model, path)
-    manifest = (tmp_path / "model.hrgm.manifest.txt").read_text()
-    assert "variant=full" in manifest
-    assert "level0.pairwise.0.weight" in manifest
+    save_model(model, path, classifier)
+    lines = (tmp_path / "model.hrgm.manifest.txt").read_text().splitlines()
+    header, *blocks = map(json.loads, lines)
+    assert header == {"format": "HRGM", "version": 1, "num_views": 6,
+                      "stride": 2, "depth": model.depth, "width": 3,
+                      "variant": "full", "num_classes": 4}
+    named = model.named_parameters() + classifier.named_parameters()
+    assert blocks == [{"block": name, "shape": list(p.data.shape),
+                       "l2": float(np.linalg.norm(p.data))}
+                      for name, p in named]
 
 
 def test_model_without_classifier(tmp_path):

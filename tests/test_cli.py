@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import struct
 import subprocess
@@ -10,10 +12,10 @@ import hrgenet
 from hrgenet import autograd as ag
 from hrgenet import cli
 from hrgenet.checkpoint import save_model
-from hrgenet.cli import main, parse_accuracy_report
+from hrgenet.cli import main
 from hrgenet.data import load_dataset
 from hrgenet.graph import HrgeModel
-from hrgenet.retrieval import MetricsReport
+from hrgenet.retrieval import METRIC_KEYS
 from hrgenet.training import Classifier, TrainLog
 
 
@@ -21,14 +23,23 @@ def run(args):
     return main(args)
 
 
-def run_in_child(args, timeout=60):
+def child(args, timeout=60):
     """Run the CLI in a child process, so that a hang fails the test
     instead of stalling the suite."""
     src = os.path.dirname(os.path.dirname(hrgenet.__file__))
     return subprocess.run(
         [sys.executable, "-m", "hrgenet", *map(str, args)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=timeout).returncode
+        text=True, timeout=timeout)
+
+
+def run_in_child(args, timeout=60):
+    return child(args, timeout).returncode
+
+
+def read_records(path):
+    """The records of a JSON Lines run file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def write_checkpoint(path, views, width, num_classes):
@@ -104,7 +115,7 @@ class TestTrainEval:
         assert (out / "checkpoint.hrgm").exists()
         assert (out / "checkpoint.hrgm.manifest.txt").exists()
         assert (out / "manifest.txt").exists()
-        log = TrainLog.parse((out / "train.log").read_text())
+        log = TrainLog(read_records(out / "train.log"))
         assert log.epoch_records()[-1]["epoch"] == 1
 
     def test_zero_lr_flat_loss_log(self, synth_file, tmp_path):
@@ -112,9 +123,8 @@ class TestTrainEval:
         run(["train", "--data", str(synth_file), "--epochs", "3",
              "--batch", "12", "--lr", "0", "--weight-decay", "0",
              "--out", str(out)])
-        losses = [r["loss"]
-                  for r in TrainLog.parse(
-                      (out / "train.log").read_text()).epoch_records()]
+        losses = [r["loss"] for r in
+                  TrainLog(read_records(out / "train.log")).epoch_records()]
         assert max(losses) - min(losses) < 1e-12
 
     @pytest.mark.parametrize("flags", [
@@ -153,9 +163,12 @@ class TestTrainEval:
                     "--checkpoint", str(out / "checkpoint.hrgm"),
                     "--out", str(report)])
         assert code == 0
-        per_instance, per_class = parse_accuracy_report(report.read_text())
-        assert 0.0 <= per_instance <= 1.0
-        assert 0.0 <= per_class <= 1.0
+        [record] = read_records(report)
+        assert list(record) == ["per_instance_acc", "per_class_acc"]
+        assert all(0.0 <= value <= 1.0 for value in record.values())
+        # stdout prints the same values as the report
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"{key}={value:.10g}" for key, value in record.items()]
 
     def test_non_finite_dataset_is_data_error(self, synth_file, tmp_path,
                                               capsys):
@@ -227,14 +240,32 @@ class TestTrainEval:
                     "--data", str(synth_file), "--epochs", "2",
                     "--out", str(out)])
         assert code == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert "epochs=2" in manifest  # flag wins
-        assert "batch=6" in manifest   # config file beats default 72
-        lines = manifest.splitlines()
-        for line in (f"numpy={np.__version__}", "OPENBLAS_NUM_THREADS=1",
-                     "OMP_NUM_THREADS=unset", "MKL_NUM_THREADS=unset",
-                     f"pair_workers={ag._pair_workers()}"):
-            assert line in lines
+        [record] = read_records(out / "manifest.txt")
+        assert record["epochs"] == 2  # flag wins
+        assert record["batch"] == 6   # config file beats default 72
+        assert record["lr"] == 0.001
+        assert record["command"] == "train" and "config" not in record
+        assert record["numpy"] == np.__version__
+        assert record["OPENBLAS_NUM_THREADS"] == "1"
+        assert record["OMP_NUM_THREADS"] is None
+        assert record["MKL_NUM_THREADS"] is None
+        assert record["pair_workers"] == ag._pair_workers()
+
+    @pytest.mark.parametrize("spelling", [
+        ["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+    def test_config_path_in_any_spelling(self, synth_file, tmp_path, capsys,
+                                         spelling):
+        cfg = tmp_path / "run.cfg"
+        argv = [arg.format(cfg) for arg in spelling] + [
+            "train", "--data", str(synth_file), "--batch", "6",
+            "--out", str(tmp_path / "run")]
+        cfg.write_text("epochs=abc\n")
+        assert run(argv) == 2
+        assert f"{cfg}: epochs " in capsys.readouterr().err
+        cfg.write_text("epochs=1\n")
+        assert run(argv) == 0
+        [record] = read_records(tmp_path / "run" / "manifest.txt")
+        assert record["epochs"] == 1
 
     @pytest.mark.parametrize("line,key", [
         ("epochs=abc", "epochs"),
@@ -264,8 +295,8 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert run(["--config", str(cfg), "train", "--data", str(data),
                     "--epochs", "1", "--batch", "4", "--out", str(out)]) == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert f"use_fine_labels={value.title()}" in manifest
+        [record] = read_records(out / "manifest.txt")
+        assert record["use_fine_labels"] is (value == "true")
 
     def test_checkpoint_bits_do_not_depend_on_pair_workers(
             self, synth_file, tmp_path, monkeypatch):
@@ -384,9 +415,13 @@ class TestRetrieve:
                     "--checkpoint", str(train_dir / "checkpoint.hrgm"),
                     "--out", str(out)])
         assert code == 0
-        report = MetricsReport.parse((out / "metrics.txt").read_text())
-        assert set(report.micro) == set(report.macro)
+        [record] = read_records(out / "metrics.txt")
+        assert set(record) == {f"{block}.{key}" for block in ("micro", "macro")
+                               for key in METRIC_KEYS} | {"skipped"}
+        assert record["skipped"] == []
         assert (out / "ranked.txt").exists()
+        [manifest] = read_records(out / "manifest.txt")
+        assert manifest["tau"] == math.inf
 
     def test_infinite_tau_equals_default(self, synth_file, tmp_path):
         train_dir = tmp_path / "train"
@@ -492,6 +527,12 @@ class TestGradcheck:
             assert run(["gradcheck", "--views", "4", "--dim", "3",
                         "--seed", "1", "--perturb", amount]) == 4
         assert "FAIL level0.pairwise.0.weight" in capsys.readouterr().out
+
+    def test_infinite_perturbation_leaves_stderr_clean(self):
+        done = child(["gradcheck", "--views", "4", "--dim", "3", "--seed",
+                      "1", "--perturb", "inf"])
+        assert done.returncode == 4
+        assert done.stderr == ""
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_fresh_six_view_model_passes(self, seed):

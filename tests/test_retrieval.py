@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hrgenet.data import FeatureDataset, ShapeRecord
+from hrgenet.data import FeatureDataset, ShapeRecord, write_records
 from hrgenet.errors import ConfigError, EmptyInputError
 from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import (
@@ -365,15 +366,19 @@ class TestEvaluateRetrieval:
 
 
 class TestMetricsReport:
-    def test_round_trips_through_parser(self):
+    def test_round_trips_through_parser(self, tmp_path):
         keys = ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")
         report = MetricsReport(
             micro=dict(zip(keys, (0.5, 0.25, 1 / 3, 0.125, 0.99))),
-            macro=dict(zip(keys, (0.4, 0.3, 0.2, 0.1, 0.05))))
-        parsed = MetricsReport.parse("\n".join(report.to_lines()))
-        for key in keys:
-            assert parsed.micro[key] == pytest.approx(report.micro[key])
-            assert parsed.macro[key] == pytest.approx(report.macro[key])
+            macro=dict(zip(keys, (0.4, 0.3, 0.2, 0.1, 0.05))),
+            skipped_queries=["a", "b:1"])
+        path = tmp_path / "metrics.txt"
+        write_records(path, [report.record()])
+        [line] = path.read_text().splitlines()
+        assert json.loads(line) == {
+            **{f"micro.{key}": report.micro[key] for key in keys},
+            **{f"macro.{key}": report.macro[key] for key in keys},
+            "skipped": ["a", "b:1"]}
 
     def test_table_has_both_blocks(self):
         keys = ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")

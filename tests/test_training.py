@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from hrgenet.data import FeatureDataset, ShapeRecord
+from hrgenet.data import FeatureDataset, ShapeRecord, write_records
 from hrgenet.errors import ConfigError, EmptyInputError
 from hrgenet.graph import HrgeModel
 from hrgenet.training import (
     Classifier,
     TrainConfig,
-    TrainLog,
     evaluate_accuracy,
     predict_batch,
     train,
@@ -122,7 +123,7 @@ class TestTrain:
             cfg = TrainConfig(batch_size=3, epochs=4, learning_rate=1e-3,
                               seed=9)
             log = train(model, classifier, dataset, cfg)
-            runs.append((log.to_lines(),
+            runs.append((log.records,
                          [p.data.copy() for p in model.parameters()]))
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
@@ -197,15 +198,16 @@ class TestEvaluateAccuracy:
 
 
 class TestTrainLog:
-    def test_round_trips_through_parser(self, rng, tiny_model):
+    def test_round_trips_through_parser(self, rng, tiny_model, tmp_path):
         model, classifier = tiny_model
         dataset = make_dataset(rng)
         cfg = TrainConfig(batch_size=4, epochs=2, learning_rate=1e-3, seed=0)
         log = train(model, classifier, dataset, cfg)
-        text = "\n".join(log.to_lines())
-        parsed = TrainLog.parse(text)
-        assert len(parsed.records) == len(log.records)
-        for a, b in zip(parsed.records, log.records):
-            assert a.keys() == b.keys()
-            for key in a:
-                assert a[key] == pytest.approx(b[key], rel=1e-9)
+        path = tmp_path / "train.log"
+        write_records(path, log.records)
+        parsed = [json.loads(line) for line in path.read_text().splitlines()]
+
+        def typed(records):
+            return [[(k, type(v), v) for k, v in r.items()] for r in records]
+
+        assert typed(parsed) == typed(log.records)
