@@ -66,7 +66,8 @@ def load_model(path):
 
     The whole block table is read and checked against the header before
     the model is built, so no array is sized by a header field that the
-    bytes do not back.
+    bytes do not back.  A header depth of 0 asks for none, and the built
+    model's depth must equal the header's.
     """
     with open(path, "rb") as f:
         r = ByteReader(f.read(), str(path), MAGIC)
@@ -93,7 +94,7 @@ def load_model(path):
         try:
             model = HrgeModel(num_views=num_views, width=width,
                               variant=VARIANTS[tag], stride=stride,
-                              depth=depth if depth > 0 else None)
+                              depth=depth or None)
             classifier = None
             if num_classes:
                 classifier = Classifier(model.descriptor_length, num_classes)
@@ -105,6 +106,9 @@ def load_model(path):
     # Every parameter dim is a multiple of the width, so a width-1 model
     # gives the block shapes the header implies without allocating them.
     unit, _ = build(1, 0)
+    if unit.depth != depth:
+        raise r.error(f"header depth {depth} does not fit a {tag} model of "
+                      f"this geometry, which has {unit.depth} levels", at=16)
     implied = [tuple(width * s for s in p.data.shape)
                for _, p in unit.named_parameters()]
     if num_classes:

@@ -29,9 +29,9 @@ from .errors import (
     NumericError,
 )
 from .gradcheck import check_gradients
-from .graph import VARIANT_NAMES, HrgeModel, hrge_forward
+from .graph import VARIANT_NAMES, HrgeModel, hierarchy_depth, hrge_forward
 from .layers import linear_forward
-from .retrieval import build_index, evaluate_retrieval
+from .retrieval import build_index, check_threshold, evaluate_retrieval
 from .training import Classifier, TrainConfig, evaluate_accuracy, predict_batch, train
 
 EXIT_OK = 0
@@ -230,19 +230,6 @@ def _config_value(path, action, value):
     return parsed
 
 
-def _validate_geometry(views, stride, depth):
-    if stride < 2:
-        raise ConfigError(f"stride must be >= 2, got {stride}")
-    if depth is None:
-        return
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
-    if views % (stride ** depth) != 0:
-        raise ConfigError(
-            f"{views} views are not divisible by stride^depth = "
-            f"{stride ** depth}")
-
-
 def _write_manifest(run_dir, args):
     os.makedirs(run_dir, exist_ok=True)
     record = {key: value for key, value in sorted(vars(args).items())
@@ -257,7 +244,10 @@ def _write_manifest(run_dir, args):
 
 
 def _cmd_synth(args):
-    _validate_geometry(args.views, args.stride, args.depth)
+    if args.depth is not None:
+        hierarchy_depth(args.views, args.stride, args.depth)
+    elif args.stride < 2:
+        raise ConfigError(f"stride must be >= 2, got {args.stride}")
     spec = data.SyntheticSpec(
         num_classes=args.classes, shapes_per_class=args.per_class,
         num_views=args.views, dim=args.dim, noise=args.noise,
@@ -336,6 +326,7 @@ def _cmd_eval(args):
 
 
 def _cmd_retrieve(args):
+    check_threshold(args.tau)
     dataset = data.load_dataset(args.data)
     _write_manifest(args.out, args)
     model, _ = _load_fitting(args.checkpoint, dataset)
@@ -373,8 +364,6 @@ def _wrong_gradient(param, amount):
 def _cmd_gradcheck(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
-    _validate_geometry(args.views, args.stride,
-                       args.depth if args.depth is not None else 0)
     rng = np.random.default_rng(args.seed)
     model = HrgeModel(num_views=args.views, width=args.dim,
                       variant=args.variant, stride=args.stride,

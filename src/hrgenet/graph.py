@@ -249,13 +249,26 @@ class GlobalDescriptor:
     degenerate: list = field(default_factory=list)
 
 
-def max_depth_for(num_views: int, stride: int) -> int:
-    """Deepest hierarchy whose non-final levels keep a ring of >= 3 nodes."""
-    depth, n = 0, num_views
-    while n >= 3 and n % stride == 0:
-        depth += 1
-        n //= stride
-    return depth
+def hierarchy_depth(num_views: int, stride: int,
+                    depth: int | None = None) -> int:
+    """Level count of a ring of `num_views` views cut by `stride`: `depth`,
+    or the deepest valid one when it is None.  The one ring-size rule:
+    stride >= 2, depth >= 1, and every level's ring divides by the stride
+    and has >= 3 nodes.  Anything else raises `ConfigError`."""
+    if stride < 2:
+        raise ConfigError(f"stride must be >= 2, got {stride}")
+    if depth is not None and depth < 1:
+        raise ConfigError(f"hierarchy depth must be >= 1, got {depth} "
+                          f"({num_views} views, stride {stride})")
+    level, n = 0, num_views
+    while level != depth and n >= 3 and n % stride == 0:
+        level, n = level + 1, n // stride
+    if level < (depth or 1):
+        raise ConfigError(
+            f"{num_views} views with stride {stride} cannot support depth "
+            f"{depth or '>= 1'}: level {level} has {n} nodes, and each level "
+            f"needs a ring of >= 3 nodes that divides by the stride")
+    return level
 
 
 class HrgeModel:
@@ -265,35 +278,18 @@ class HrgeModel:
                  stride: int = 2, depth: int | None = None, seed: int = 0):
         if isinstance(variant, str):
             variant = VariantSpec.from_name(variant)
-        if stride < 2:
+        self.depth = 0
+        if variant.hierarchical:
+            if variant.depth_override is not None:
+                depth = variant.depth_override
+            self.depth = hierarchy_depth(num_views, stride, depth)
+        elif stride < 2:
             raise ConfigError(f"stride must be >= 2, got {stride}")
         self.variant = variant
         self.num_views = num_views
         self.width = width
         self.stride = stride
         self.seed = seed
-        self.depth = 0
-        if variant.hierarchical:
-            if variant.depth_override is not None:
-                depth = variant.depth_override
-            elif depth is None:
-                depth = max_depth_for(num_views, stride)
-            if depth < 1:
-                raise ConfigError(f"hierarchy depth must be >= 1, got {depth}")
-            n = num_views
-            for level in range(depth):
-                if n % stride != 0:
-                    raise ConfigError(
-                        f"{num_views} views cannot support depth {depth} "
-                        f"with stride {stride} (level {level} has {n} nodes)"
-                    )
-                if n < 3:
-                    raise ConfigError(
-                        f"level {level} would have only {n} nodes; "
-                        "rings below 3 nodes cannot run the neighboring module"
-                    )
-                n //= stride
-            self.depth = depth
         rng = np.random.default_rng(seed)
         self.levels = [
             LevelParams(width, rng, neighbor_kind=variant.neighbor_kind,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
 from .errors import ConfigError, EmptyInputError
 from .graph import hrge_forward
 
@@ -29,7 +30,7 @@ def extract_descriptor(model, views) -> np.ndarray:
     """Unit-normalized global descriptor of one shape (no gradients kept)."""
     desc = hrge_forward(model, views).concat.data
     norm = np.linalg.norm(desc)
-    if norm < 1e-12:
+    if norm < ag.DEGENERATE_NORM:
         return desc.copy()
     return desc / norm
 
@@ -173,6 +174,12 @@ def aggregate(per_query: dict, labels) -> MetricsReport:
     return MetricsReport(micro=micro, macro=macro)
 
 
+def check_threshold(threshold: float):
+    """Raise `ConfigError` unless the distance threshold is > 0 (NaN is not)."""
+    if not threshold > 0:
+        raise ConfigError(f"distance threshold must be > 0, got {threshold}")
+
+
 def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
                        predict_fine=None):
     """Run every index item as a query and aggregate the metric suite.
@@ -183,8 +190,7 @@ def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
     memory is O(QUERY_BLOCK * len(index)).  Returns (report,
     ranked_lists): one `RankedList` per evaluated query, in index order.
     """
-    if not threshold > 0:
-        raise ConfigError(f"distance threshold must be > 0, got {threshold}")
+    check_threshold(threshold)
     _, label_pos, counts = np.unique(index.labels, return_inverse=True,
                                      return_counts=True)
     total = counts[label_pos] - 1

@@ -120,6 +120,20 @@ def test_bad_header_geometry_is_data_error(tmp_path, stride, depth):
         load_model(path)
 
 
+@pytest.mark.parametrize("variant,depth", [
+    ("full", 0), ("pr", 2), ("1l", 2), ("baseline", 1)])
+def test_header_depth_that_does_not_fit_is_rejected(tmp_path, variant, depth):
+    # 12 views at stride 2: full has depth 2, 1l depth 1, pr and baseline 0.
+    model = HrgeModel(num_views=12, width=3, variant=variant, seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path, Classifier(model.descriptor_length, 2))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 16, depth)
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match="at byte 16"):
+        load_model(path)
+
+
 def test_stride_one_fails_before_any_level_is_built(tmp_path, monkeypatch):
     built = []
 

@@ -11,9 +11,10 @@ import pytest
 import hrgenet
 from hrgenet import autograd as ag
 from hrgenet import cli
-from hrgenet.checkpoint import save_model
+from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
 from hrgenet.data import load_dataset
+from hrgenet.errors import ConfigError
 from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import METRIC_KEYS
 from hrgenet.training import Classifier, TrainLog
@@ -103,6 +104,39 @@ class TestSynth:
         assert run_in_child(["synth", "--mode", "relational-order",
                              "--views", "3", "--classes", "10", "--stride",
                              "3", "--out", tmp_path / "x.hrgf"]) == 2
+
+
+@pytest.mark.parametrize("views,stride,depth", [
+    (8, 2, 3), (8, 2, 0), (12, 2, 2), (10, 2, 2), (9, 3, 2), (4, 2, 1),
+    (24, 2, None), (12, 2, 1), (12, 2, 3), (12, 2, -1), (12, 3, 2),
+    (12, 4, 1), (12, 1, 1), (12, 0, None), (16, 2, 3), (16, 2, 4),
+    (3, 3, 1), (2, 2, 1), (6, 3, None), (9, 2, None), (5, 5, 1),
+])
+def test_synth_accepts_what_the_model_accepts(tmp_path, views, stride, depth):
+    """With --depth, synth accepts a geometry exactly when a hierarchical
+    model does; without it, exactly when a non-hierarchical one does.
+    Every model that builds round-trips its checkpoint byte for byte."""
+    out = tmp_path / "x.hrgf"
+    argv = ["synth", "--classes", "2", "--per-class", "1", "--dim", "3",
+            "--views", str(views), "--stride", str(stride), "--out", str(out)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    code = run(argv)
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+    built = {}
+    for variant in ("full", "1l", "pr"):
+        try:
+            built[variant] = HrgeModel(views, 3, variant, stride, depth)
+        except ConfigError:
+            pass
+    assert (code == 0) == (("full" if depth is not None else "pr") in built)
+    for variant, model in built.items():
+        first, second = tmp_path / f"{variant}.hrgm", tmp_path / "again.hrgm"
+        save_model(model, first, Classifier(model.descriptor_length, 2))
+        loaded, classifier = load_model(first)
+        save_model(loaded, second, classifier)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestTrainEval:
@@ -198,6 +232,16 @@ class TestTrainEval:
         ckpt.write_bytes(blob)
         assert run_in_child(["eval", "--data", synth_file,
                              "--checkpoint", ckpt]) == 3
+
+    def test_header_depth_that_does_not_fit_is_data_error(
+            self, synth_file, tmp_path, capsys):
+        ckpt = write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3)
+        blob = bytearray(ckpt.read_bytes())
+        struct.pack_into("<I", blob, 16, 0)  # depth
+        ckpt.write_bytes(blob)
+        assert run(["eval", "--data", str(synth_file),
+                    "--checkpoint", str(ckpt)]) == 3
+        assert "at byte 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("views,width,classes", [
         (12, 6, 2), (6, 6, 3), (12, 4, 3)])
@@ -452,6 +496,19 @@ class TestRetrieve:
         assert run(["retrieve", "--data", str(synth_file),
                     "--checkpoint", str(train_dir / "checkpoint.hrgm"),
                     "--tau", "nan", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+    def test_bad_tau_fails_before_any_work(self, synth_file, tmp_path,
+                                           monkeypatch, tau):
+        def too_early(*args, **kwargs):
+            raise AssertionError("retrieve worked before checking --tau")
+
+        monkeypatch.setattr(cli, "_load_fitting", too_early)
+        out = tmp_path / "r"
+        assert run(["retrieve", "--data", str(synth_file), "--checkpoint",
+                    str(tmp_path / "none.hrgm"), "--tau", tau,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("tag", [b"fuzz", b"\xff\xfe\xfd\xfc"])
     def test_corrupt_variant_tag_is_data_error(self, synth_file, tmp_path,

@@ -18,9 +18,9 @@ from hrgenet.graph import (
     VariantSpec,
     ViewGraph,
     coarsen,
+    hierarchy_depth,
     hrge_forward,
     level_descriptor,
-    max_depth_for,
     neighboring_relation,
     pairwise_relation,
 )
@@ -532,11 +532,11 @@ class TestPairGroups:
         assert peak <= 15_616_656
 
 
-def test_max_depth_for():
-    assert max_depth_for(12, 2) == 2
-    assert max_depth_for(6, 2) == 1
-    assert max_depth_for(4, 2) == 1
-    assert max_depth_for(10, 2) == 1
+def test_hierarchy_depth():
+    assert hierarchy_depth(12, 2) == 2
+    assert hierarchy_depth(6, 2) == 1
+    assert hierarchy_depth(4, 2) == 1
+    assert hierarchy_depth(10, 2) == 1
 
 
 def test_geometry_validated_at_construction():
