@@ -217,18 +217,25 @@ def pair_relation_sum(x, layers) -> Tensor:
     rows and every later step is the same computation.  The first layer
     is factored: ``x W[:, :w]^T`` and ``x W[:, w:]^T + b`` are computed
     once per row and broadcast-added, so the concatenated pairs are never
-    built.  Each row's ``n - 1`` rectified activations of the last hidden
-    layer are summed in that order into ``S``, and the last layer runs
-    once per row, as ``S W_last^T + (n - 1) b_last``.
+    built.  The pair rows of a shape are ``(n - 1, n)``, partner-major
+    (`_pair_rows`): row ``(k, i)`` pairs row i with row
+    ``j = k + (k >= i)``, so every per-row sum of pair rows adds whole
+    contiguous ``(n, h)`` slabs.  Each row's ``n - 1`` rectified
+    activations of the last hidden layer are summed in partner order
+    into ``S``, and the last layer runs once per row, as
+    ``S W_last^T + (n - 1) b_last``.
 
-    Only `x` and the layers are kept for backward, which recomputes the
-    pair activations.  It orders the rows by their bytes and then by
-    their gradients' bytes, so that under any permutation the gradients
-    are one computation too, equal rows with unequal gradients included.
     Both passes run over groups of shapes whose pair rows fit
     ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does not
-    grow with the batch; every matrix product is one GEMM per shape
-    whatever the group, so the result does not depend on the grouping.
+    grow with the batch.  A pass of one group keeps its pair activations
+    for backward; a pass of several keeps only `x` and the layers, and
+    the backward recomputes each group's activations.  The backward
+    orders the rows by their bytes and then by their gradients' bytes, so
+    that under any permutation the gradients are one computation too,
+    equal rows with unequal gradients included; equal rows have equal
+    bytes, so the sorted rows and their activations are the forward's.
+    Every matrix product is one GEMM per shape whatever the group, so the
+    result does not depend on the grouping.
     The groups may run on several threads (`_in_group_order`): each
     writes its own rows, and the weight gradients of the groups are added
     in group order, so no bit depends on the thread count.
@@ -249,12 +256,15 @@ def pair_relation_sum(x, layers) -> Tensor:
     w_last, b_last = layers[-1][0].data, layers[-1][1].data
     out = np.empty((len(xs) * n, w_last.shape[0]))
     arrays = [(w.data, b.data) for w, b in layers[:-1]]
+    kept = []
 
     def forward(s):
-        h = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)[-1]
-        relations = np.matmul(_by_node(h, n).sum(axis=2), w_last.T)
+        acts = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)
+        relations = np.matmul(_left_node_sum(acts[-1], n), w_last.T)
         relations += (n - 1) * b_last
         out[places[s]] = relations
+        if len(groups) == 1:
+            kept.append(acts)
 
     for _ in _in_group_order(forward, groups, _group_workers(groups)):
         pass
@@ -275,12 +285,13 @@ def pair_relation_sum(x, layers) -> Tensor:
             def sorted_rows():
                 return _rows(xs).take(places[s], axis=0)
 
-            acts = _pair_activations(sorted_rows(), arrays[:-1])
+            acts = kept.pop() if kept else _pair_activations(sorted_rows(),
+                                                             arrays[:-1])
             # The last layer runs on each row's ``S``, whose gradient every
             # pair of the row gets.
             g_sorted = g.take(places[s], axis=0)
             g_rows = _rows(g_sorted)
-            grads = [(g_rows.T @ _rows(_by_node(acts[-1], n).sum(axis=2)),
+            grads = [(g_rows.T @ _rows(_left_node_sum(acts[-1], n)),
                       (n - 1) * g_rows.sum(axis=0))]
             # Each gradient takes the buffer of an activation that is no
             # longer needed: the last rectifier's mask and gradient go into
@@ -290,13 +301,14 @@ def pair_relation_sum(x, layers) -> Tensor:
             # the spent gradient is freed, so that a group never holds more
             # than two pair-level arrays.
             gy = acts.pop()
-            pairs = _by_node(gy, n)
+            pairs = _by_partner(gy, n)
             np.greater(pairs, 0.0, out=pairs)
-            pairs *= np.matmul(g_sorted, arrays[-1][0])[:, :, None, :]
+            pairs *= np.matmul(g_sorted, arrays[-1][0])[:, None]
             del pairs, g_sorted, g_rows
             for k in range(len(layers) - 2, 0, -1):
                 h = acts.pop()
-                grads.append((_rows(gy).T @ _rows(h), _rows(gy).sum(axis=0)))
+                grads.append((_rows(gy).T @ _rows(h),
+                              _rows(_left_node_sum(gy, n)).sum(axis=0)))
                 mask = h > 0.0 if acts or workers < 2 else None
                 gy = np.matmul(gy, arrays[k][0], out=h)
                 del h  # the buffer is gy's alone, freed with it below
@@ -304,7 +316,7 @@ def pair_relation_sum(x, layers) -> Tensor:
                     mask = _first_layer_mask(sorted_rows(), *arrays[0])
                 gy *= mask
                 del mask
-            g_left = _by_node(gy, n).sum(axis=2)
+            g_left = _left_node_sum(gy, n)
             g_right = _right_node_sum(gy, n)
             del gy
             w0, rows = arrays[0][0], _rows(sorted_rows())
@@ -433,8 +445,9 @@ def _executor():
 
 def _pair_activations(xs, layers):
     """Rectified outputs of `layers` over every ordered row pair of each
-    ``(n, w)`` shape in `xs`: one ``(g, n (n - 1), h)`` array per layer,
-    whose row ``i (n - 1) + k`` pairs row i with the k-th other row."""
+    ``(n, w)`` shape in `xs`: one ``(g, (n - 1) n, h)`` array per layer,
+    partner-major, whose row ``k n + i`` pairs row i with row
+    ``j = k + (k >= i)``."""
     h = _first_layer(xs, *layers[0])
     np.maximum(h, 0.0, out=h)
     acts = [h]
@@ -451,8 +464,8 @@ def _first_layer(xs, w0, b0):
     n = xs.shape[1]
     left, right = _first_layer_halves(xs, w0, b0)
     h = np.take(right, _pair_rows(n)[0], axis=-2)
-    pairs = _by_node(h, n)
-    pairs += left[:, :, None, :]
+    pairs = _by_partner(h, n)
+    pairs += left[:, None]
     return h
 
 
@@ -490,38 +503,56 @@ def _first_layer_mask(xs, w0, b0):
 
 @functools.lru_cache(maxsize=None)
 def _pair_rows(n):
-    """Row indices of the pair rows, row ``i (n - 1) + k`` pairing row i
-    with row ``j = k + (k >= i)``: each pair's j, and its row
+    """Row indices of the partner-major pair rows, row ``k n + i`` pairing
+    row i with row ``j = k + (k >= i)``: each pair's j, and its row
     ``(d - 1) n + i`` when the pairs are laid out by offset
     ``d = j - i`` (mod n)."""
-    left = np.repeat(np.arange(n), n - 1)
-    right = np.flatnonzero(~np.eye(n, dtype=bool)) % n
+    partner, left = np.divmod(np.arange((n - 1) * n), n)
+    right = partner + (partner >= left)
     by_offset = ((right - left) % n - 1) * n + left
     right.flags.writeable = by_offset.flags.writeable = False
     return right, by_offset
 
 
-def _by_node(pairs, n):
-    """View of ``(g, n (n - 1), h)`` pair rows as ``(g, n, n - 1, h)``."""
-    return pairs.reshape(pairs.shape[0], n, n - 1, pairs.shape[-1])
+def _by_partner(pairs, n):
+    """View of ``(g, (n - 1) n, h)`` pair rows as ``(g, n - 1, n, h)``."""
+    return pairs.reshape(pairs.shape[0], n - 1, n, pairs.shape[-1])
+
+
+def _left_node_sum(g, n):
+    """Sum of the ``(g, (n - 1) n, h)`` pair rows per left-hand node: a
+    sum over the outer partner axis, in partner order."""
+    return _by_partner(g, n).sum(axis=1)
 
 
 def _right_node_sum(g, n):
-    """Sum of the ``(G, n (n - 1), h)`` pair rows per right-hand node.
+    """Sum of the ``(g, (n - 1) n, h)`` pair rows per right-hand node.
 
-    Row ``i (n - 1) + k`` pairs row i with row ``k + (k >= i)``.  Cut into
-    ``n - 1`` chunks of n rows, each chunk given a zero row at its end and
-    the whole given one zero row in front, the rows become the dense
-    ``(n, n)`` pair grid with a zero diagonal, which sums over its left
-    node with no scatter.
+    Partner row k sends its entries ``i <= k`` to node k + 1 and the rest
+    to node k, so one stacked matmul with the 0/1 masks of
+    `_partner_halves` sums both parts of every partner row, and node j
+    adds the first part of row j - 1 to the second part of row j.  A
+    non-finite entry also makes the other node of its row NaN, since 0
+    times it is NaN.
     """
     count, _, h = g.shape
-    grid = np.empty((count, n * n, h))
-    grid[:, 0] = 0.0
-    body = grid[:, 1:].reshape(count, n - 1, n + 1, h)
-    body[:, :, :n] = g.reshape(count, n - 1, n, h)
-    body[:, :, n] = 0.0
-    return grid.reshape(count, n, n, h).sum(axis=1)
+    halves = np.matmul(_partner_halves(n), _by_partner(g, n))
+    out = np.zeros((count, n, h))
+    out[:, 1:] += halves[:, :, 0]
+    out[:, :-1] += halves[:, :, 1]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _partner_halves(n):
+    """``(n - 1, 2, n)`` 0/1 rows: per partner row k, its entries
+    ``i <= k``, then its entries ``i > k``."""
+    partner = np.arange(n - 1)[:, None, None]
+    left = np.arange(n)
+    masks = np.concatenate([left <= partner, left > partner], axis=1)
+    masks = masks.astype(np.float64)
+    masks.flags.writeable = False
+    return masks
 
 
 def _sorted_sum(grouped):

@@ -90,11 +90,15 @@ def load_model(path):
         blocks.append((at, r.floats(shape, f"block {k}")))
     r.end()
 
+    # A variant of fixed depth is built at it, and its depth is checked
+    # against the header below like any other's.
+    wanted = None if VARIANTS[tag].fixed_depth is not None else depth or None
+
     def build(width, num_classes):
         try:
             model = HrgeModel(num_views=num_views, width=width,
                               variant=VARIANTS[tag], stride=stride,
-                              depth=depth or None)
+                              depth=wanted)
             classifier = None
             if num_classes:
                 classifier = Classifier(model.descriptor_length, num_classes)

@@ -17,12 +17,15 @@ descriptor different last bits in different batches; one GEMM per shape
 keeps each descriptor bit-identical to the shape's own unbatched forward.
 Only weight gradients, which nothing compares bit for bit, fold the batch.
 
-The pair level holds n (n - 1) rows per shape, so it is one recomputing
-op, `ag.pair_relation_sum`: it puts each shape's rows in a canonical
+The pair level holds n (n - 1) rows per shape, so it is one op,
+`ag.pair_relation_sum`: it puts each shape's rows in a canonical
 order first, so that the relation sums do not depend on the order of the
-views, runs the last pair layer once per node after the sum, keeps no
-pair-level array for backward and runs both passes over groups of shapes
-whose pair rows fit ``ag.PAIR_GROUP_BYTES`` per array.  Grouping cannot
+views, lays the pair rows out partner-major, ``(n - 1, n)``, so that
+each per-node sum adds contiguous slabs over the outer axis, runs the
+last pair layer once per node after the sum, and runs both passes over
+groups of shapes whose pair rows fit ``ag.PAIR_GROUP_BYTES`` per array,
+keeping the pair activations for backward only when the pass is one
+group and recomputing them per group otherwise.  Grouping cannot
 change a descriptor, since every GEMM is already per shape.  A pass of
 two groups or more runs them on up to ``ag.MAX_PAIR_WORKERS`` threads:
 the usable CPUs over the BLAS threads that ``OPENBLAS_NUM_THREADS``,
@@ -58,7 +61,8 @@ class VariantSpec:
     None for no neighboring module.  A hierarchical variant emits one
     block per level and coarsens between levels; otherwise a single level
     runs and only its output is pooled.  ``depth_override`` fixes the
-    level count; None leaves it to the model's ``depth`` argument.
+    level count; None leaves it to the model's ``depth`` argument.  A
+    model refuses a ``depth`` that its variant does not run.
     """
 
     name: str
@@ -67,6 +71,12 @@ class VariantSpec:
     hierarchical: bool
     normalize_blocks: bool
     depth_override: int | None = None
+
+    @property
+    def fixed_depth(self) -> int | None:
+        """The level count the variant always runs, 0 for a
+        non-hierarchical one; None when the model's ``depth`` sets it."""
+        return self.depth_override if self.hierarchical else 0
 
     @classmethod
     def from_name(cls, name: str) -> "VariantSpec":
@@ -278,11 +288,16 @@ class HrgeModel:
                  stride: int = 2, depth: int | None = None, seed: int = 0):
         if isinstance(variant, str):
             variant = VariantSpec.from_name(variant)
+        # A non-hierarchical variant takes no depth, `1l` only its own.
+        fixed = variant.fixed_depth
+        if depth is not None and fixed is not None and depth != (fixed or None):
+            levels = f"{fixed} level" if fixed else "no hierarchy"
+            raise ConfigError(f"variant {variant.name} has {levels}; it "
+                              f"cannot run depth {depth}")
         self.depth = 0
         if variant.hierarchical:
-            if variant.depth_override is not None:
-                depth = variant.depth_override
-            self.depth = hierarchy_depth(num_views, stride, depth)
+            self.depth = hierarchy_depth(num_views, stride,
+                                         variant.depth_override or depth)
         elif stride < 2:
             raise ConfigError(f"stride must be >= 2, got {stride}")
         self.variant = variant

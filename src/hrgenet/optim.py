@@ -40,6 +40,11 @@ class Adam:
     the moment-based update, keeping the decay independent of the adaptive
     scaling.  ``params`` holds tensors or ``(name, tensor)`` pairs; the
     names label the errors of `step`.
+
+    The optimizer keeps one flat buffer each for the parameter values,
+    their gradients and the two moments, and points every ``p.data`` at
+    its slice of the first, so that `step` is one update over each
+    buffer.  ``m[k]`` and ``v[k]`` are the moments of block k, as views.
     """
 
     def __init__(self, params, lr=1e-5, betas=(0.9, 0.999), eps=1e-8,
@@ -62,16 +67,57 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._values = np.concatenate([p.data.ravel() for p in self.params])
+        self._grads = np.zeros_like(self._values)
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
+        for p, values in zip(self.params, self._blocks(self._values)):
+            p.data = values
+        self._grad_blocks = self._blocks(self._grads)
+        self.m = self._blocks(self._m)
+        self.v = self._blocks(self._v)
+
+    def _blocks(self, flat):
+        """Views of `flat` shaped as the parameters, in order."""
+        ends = np.cumsum([p.data.size for p in self.params])
+        return [block.reshape(p.data.shape) for p, block
+                in zip(self.params, np.split(flat, ends[:-1]))]
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        """Zero the flat gradient buffer and hand each parameter its view."""
+        self._grads.fill(0.0)
+        for p, g in zip(self.params, self._grad_blocks):
+            p.grad = g
 
     def step(self):
         """One update of every parameter, or of none: a missing, misshapen
-        or non-finite gradient, or a non-finite parameter, raises first."""
+        or non-finite gradient, or a non-finite parameter, raises first.
+        A gradient set on a parameter in place of its view is copied into
+        the buffer."""
+        for p, mine in zip(self.params, self._grad_blocks):
+            if p.grad is not mine:
+                if p.grad is None or p.grad.shape != mine.shape:
+                    self._raise_first_fault()
+                mine[...] = p.grad
+        if not (np.isfinite(self._grads).all()
+                and np.isfinite(self._values).all()):
+            self._raise_first_fault()
+        self.step_count += 1
+        t = self.step_count
+        p, g, m, v = self._values, self._grads, self._m, self._v
+        if self.weight_decay:
+            p -= self.lr * self.weight_decay * p
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1 ** t)
+        v_hat = v / (1.0 - self.beta2 ** t)
+        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def _raise_first_fault(self):
+        """Raise for the first block with a missing, misshapen or
+        non-finite gradient or a non-finite value."""
         for name, p in zip(self.names, self.params):
             g = p.grad
             if g is None:
@@ -84,16 +130,3 @@ class Adam:
             for what, values in (("gradient", g), ("value", p.data)):
                 if not np.isfinite(values).all():
                     raise NumericError(f"non-finite {what} in {name}")
-        self.step_count += 1
-        t = self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

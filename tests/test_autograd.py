@@ -237,6 +237,9 @@ class TestPairRelationSum:
                                       unfused_pair_relation_sum(x, layers))
         np.testing.assert_array_equal(ag.pair_relation_sum(x[2], layers).data,
                                       unfused_pair_relation_sum(x[2], layers))
+        x = rng.normal(size=(1, 80, 32))
+        np.testing.assert_array_equal(ag.pair_relation_sum(x, layers).data,
+                                      unfused_pair_relation_sum(x, layers))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("group_bytes", [1, ag.PAIR_GROUP_BYTES])
@@ -284,6 +287,26 @@ class TestPairRelationSum:
                 np.testing.assert_array_equal(a.view(np.uint64),
                                               b.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_node_sums_match_a_loop_over_pairs(self, n):
+        """The per-node sums of the partner-major pair rows, row
+        ``k n + i`` pairing row i with row ``j = k + (k >= i)``, equal a
+        loop over the (i, j) pairs.  Integer entries make every order of
+        summation exact."""
+        g = np.random.default_rng(n).integers(
+            -99, 99, size=(3, (n - 1) * n, 4)).astype(np.float64)
+        right_of = ag._pair_rows(n)[0]
+        left, right = np.zeros((3, n, 4)), np.zeros((3, n, 4))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    row = (j - (j > i)) * n + i
+                    assert right_of[row] == j
+                    left[:, i] += g[:, row]
+                    right[:, j] += g[:, row]
+        np.testing.assert_array_equal(ag._left_node_sum(g, n), left)
+        np.testing.assert_array_equal(ag._right_node_sum(g, n), right)
+
     def test_first_layer_mask_is_the_rebuilt_sign(self):
         """``left_i > -right_j`` is ``right_j + left_i > 0`` for floats:
         with exact cancellations, subnormals, overflow, infinities and NaN
@@ -324,6 +347,41 @@ class TestPairRelationSum:
         for name, p in named:
             numeric = finite_difference(loss_fn, p)
             assert max_rel_err(p.grad, numeric) < 1e-6, name
+
+    def test_one_group_keeps_its_activations_for_backward(self, rng,
+                                                          monkeypatch):
+        """A pass of one group runs the pair activations once, and its
+        backward reuses them.  Its gradients equal those of one group per
+        shape, whose backward recomputes them: x's bit for bit, the
+        layers' to rounding, since those sum over the groups."""
+        calls = []
+        activations = ag._pair_activations
+
+        def counted(xs, layers):
+            calls.append(len(xs))
+            return activations(xs, layers)
+
+        monkeypatch.setattr(ag, "_pair_activations", counted)
+        mlp = Mlp([8, 6, 5, 3], rng)
+        for layer in mlp.layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
+        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
+        x, upstream = rng.normal(size=(3, 7, 4)), rng.normal(size=(3, 7, 3))
+        runs = []
+        for group_bytes in (ag.PAIR_GROUP_BYTES, 1):
+            monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
+            calls.clear()
+            views = ag.Tensor(x)
+            for p in mlp.parameters():
+                p.grad = None
+            dot_loss(ag.pair_relation_sum(views, layers), upstream).backward()
+            runs.append((list(calls), views.grad,
+                         [p.grad for p in mlp.parameters()]))
+        (one_calls, one_gx, one_gw), (per_calls, per_gx, per_gw) = runs
+        assert one_calls == [3] and per_calls == [1] * 6
+        np.testing.assert_array_equal(one_gx, per_gx)
+        for one, per in zip(one_gw, per_gw):
+            np.testing.assert_allclose(one, per, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bits_do_not_depend_on_worker_count(self, monkeypatch, workers):

@@ -179,6 +179,24 @@ class TestTrainEval:
                     "--batch", "12", *flags, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant,depth", [("1l", "2"), ("pr", "5")])
+    def test_depth_the_variant_does_not_run_is_usage_error(
+            self, synth_file, tmp_path, capsys, variant, depth):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_file), "--variant", variant,
+                    "--depth", depth, "--epochs", "1",
+                    "--out", str(out)]) == 2
+        assert f"cannot run depth {depth}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_1l_trains_at_its_own_depth(self, synth_file, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_file), "--variant", "1l",
+                    "--depth", "1", "--epochs", "1", "--batch", "6",
+                    "--out", str(out)]) == 0
+        header = read_records(out / "checkpoint.hrgm.manifest.txt")[0]
+        assert (header["variant"], header["depth"]) == ("1l", 1)
+
     def test_negative_infinite_lr_is_usage_error(self, synth_file, tmp_path,
                                                  capsys):
         out = tmp_path / "run"
@@ -596,6 +614,15 @@ class TestGradcheck:
         # Zero biases would put dead pair rows exactly on a rectifier's kink.
         assert run(["gradcheck", "--views", "6", "--dim", "3",
                     "--seed", str(seed)]) == 0
+
+    @pytest.mark.parametrize("variant,depth", [("1l", "2"), ("pr", "5")])
+    def test_depth_the_variant_does_not_run_is_usage_error(self, capsys,
+                                                           variant, depth):
+        assert run(["gradcheck", "--views", "6", "--dim", "3", "--variant",
+                    variant, "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot run depth {depth}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_is_usage_error(self, tol):

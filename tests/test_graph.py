@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -389,6 +390,14 @@ class TestVariants:
         model = HrgeModel(num_views=12, width=4, variant="1l")
         assert model.depth == 1
         assert model.descriptor_length == 8
+        assert HrgeModel(num_views=12, width=4, variant="1l",
+                         depth=1).depth == 1
+
+    @pytest.mark.parametrize("variant,depth", [
+        ("1l", 2), ("pr", 5), ("pr", 0), ("baseline", 1), ("nr", 2)])
+    def test_depth_the_variant_does_not_run_rejected(self, variant, depth):
+        with pytest.raises(ConfigError, match=f"cannot run depth {depth}"):
+            HrgeModel(num_views=12, width=4, variant=variant, depth=depth)
 
     def test_pr_nr_single_block(self, rng):
         views = rng.normal(size=(12, 4))
@@ -511,8 +520,36 @@ class TestPairGroups:
         peaks no higher than it did on one thread before the backward
         reused its spent pair arrays: 15,616,656 bytes under tracemalloc
         (numpy 2.4, Python 3.11).  About 8.5 MB of that was one level-1
-        group of 5 shapes, 4.3 times its 2 MB pair array."""
+        group of 5 shapes, 4.3 times its 2 MB pair array.
+
+        Each thread waits, holding its pair activations, until the other
+        holds its own, so the two groups' pair arrays are alive together
+        on every run, the worst case, and not only when the threads'
+        timing happens to overlap them.  Every two-thread pass here has
+        an even number of groups (16 at level 0, 4 at level 1), so every
+        call finds a partner."""
         monkeypatch.setattr(ag, "_pair_workers", lambda: 2)
+        in_pairs, both_hold = threading.Event(), threading.Barrier(2, timeout=30)
+        in_group_order, activations = ag._in_group_order, ag._pair_activations
+        paired = []
+
+        def paired_group_order(task, groups, workers):
+            if workers > 1:
+                in_pairs.set()
+            try:
+                yield from in_group_order(task, groups, workers)
+            finally:
+                in_pairs.clear()
+
+        def paired_activations(*args):
+            acts = activations(*args)
+            if in_pairs.is_set():
+                both_hold.wait()
+                paired.append(len(acts))
+            return acts
+
+        monkeypatch.setattr(ag, "_in_group_order", paired_group_order)
+        monkeypatch.setattr(ag, "_pair_activations", paired_activations)
         model = HrgeModel(num_views=80, width=32, variant="full", seed=41)
         classifier = Classifier(model.descriptor_length, 4, seed=42)
         views = np.random.default_rng(43).normal(size=(16, 80, 32))
@@ -523,12 +560,15 @@ class TestPairGroups:
             ag.softmax_cross_entropy(logits, np.arange(16) % 4).backward()
 
         step()  # the pool and the gradient buffers exist before tracing
+        paired.clear()
         tracemalloc.start()
         try:
             step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # Forward and backward, 16 + 4 groups each, two pair arrays each.
+        assert paired == [2] * 40
         assert peak <= 15_616_656
 
 

@@ -77,6 +77,63 @@ class TestAdam:
         assert opt.step_count == 0
         assert all(not m.any() for m in opt.m)
 
+    def test_flat_buffer_matches_a_per_block_loop(self):
+        """Three steps with weight decay, backward-style gradients in the
+        buffer's views and one gradient set directly, bit for bit against
+        the Adam recurrence run block by block."""
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (5,), (2, 2, 2), (3,)]
+        params = [(f"b{k}", Tensor(rng.normal(size=shape)))
+                  for k, shape in enumerate(shapes)]
+        lr, (beta1, beta2), eps, decay = 0.01, (0.8, 0.99), 1e-6, 0.1
+        opt = Adam(params, lr=lr, betas=(beta1, beta2), eps=eps,
+                   weight_decay=decay)
+        values = [p.data.copy() for _, p in params]
+        ms = [np.zeros(shape) for shape in shapes]
+        vs = [np.zeros(shape) for shape in shapes]
+        for t in range(1, 4):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            opt.zero_grad()
+            for (_, p), g in zip(params[:-1], grads):
+                p._accumulate(g)
+            params[-1][1].grad = grads[-1].copy()
+            opt.step()
+            for p, m, v, g in zip(values, ms, vs, grads):
+                p -= lr * decay * p
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g * g
+                m_hat = m / (1.0 - beta1 ** t)
+                v_hat = v / (1.0 - beta2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for (_, p), m, v, value, m_ref, v_ref in zip(
+                    params, opt.m, opt.v, values, ms, vs):
+                for got, want in ((p.data, value), (m, m_ref), (v, v_ref)):
+                    np.testing.assert_array_equal(got.view(np.uint64),
+                                                  want.view(np.uint64))
+
+    def test_non_finite_middle_block_changes_nothing(self):
+        params = [(name, Tensor(np.full(3, 1.0 + k)))
+                  for k, name in enumerate("abc")]
+        opt = Adam(params, lr=0.1)
+        opt.zero_grad()
+        for _, p in params:
+            p.grad += 0.5
+        opt.step()
+        opt.zero_grad()
+        for _, p in params:
+            p.grad += 0.25
+        params[1][1].grad[2] = np.inf
+        before = [(p.data.copy(), m.copy(), v.copy())
+                  for (_, p), m, v in zip(params, opt.m, opt.v)]
+        with pytest.raises(NumericError, match="non-finite gradient in b"):
+            opt.step()
+        assert opt.step_count == 1
+        for ((_, p), m, v), saved in zip(zip(params, opt.m, opt.v), before):
+            for now, then in zip((p.data, m, v), saved):
+                np.testing.assert_array_equal(now, then)
+
     def test_step_counter_increments(self):
         p = Tensor([1.0])
         opt = Adam([p], weight_decay=0.0)
