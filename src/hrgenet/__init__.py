@@ -1,12 +1,7 @@
 """Hierarchical relational graph embedding for multi-view shape
 recognition and retrieval, on a small numpy autodiff core."""
 
-from .autograd import (
-    Tensor,
-    l2_normalize,
-    maxpool_rows,
-    softmax_cross_entropy,
-)
+from .autograd import Tensor, softmax_cross_entropy
 from .data import (
     FeatureDataset,
     ShapeRecord,

@@ -199,6 +199,71 @@ def affine(x, weight, bias) -> Tensor:
     return out
 
 
+def ring_affine(parts, weight, bias) -> Tensor:
+    """``relu(concat(parts) @ weight.T + bias)`` over the last axis, as one
+    node, with weight of shape (out, in).
+
+    Each part is a ``(tensor, shift)`` pair whose row i is row
+    ``(i + shift) % n`` of the tensor's n rows (axis -2), as
+    ``ring_rows(tensor, shift)`` gives it.  The turned parts are joined
+    into one array and run as `affine` runs it, and NaN passes the
+    rectifier as in `relu`, so the output has the bits of the
+    `ring_rows`, `concat_cols`, `affine` and `relu` chain.  The backward
+    hands out the parts' gradients in that chain's order too: unturned
+    parts first, then turned parts last first.
+    """
+    parts = [(as_tensor(t), shift) for t, shift in parts]
+    weight, bias = as_tensor(weight), as_tensor(bias)
+    shapes = [t.data.shape for t, _ in parts]
+    rows = shapes[0][:-1]
+    if (len(rows) not in (1, 2) or rows[-1] < 1
+            or any(s[:-1] != rows for s in shapes)
+            or sum(s[-1] for s in shapes) != weight.data.shape[1]):
+        raise ShapeMismatchError(
+            f"parts of shapes {shapes} do not join into the input of a "
+            f"weight of shape {weight.shape}")
+    n = rows[-1]
+    x = np.concatenate([_ring_take(t.data, shift) for t, shift in parts],
+                       axis=-1)
+    y = np.matmul(x, weight.data.T)
+    y += bias.data
+    np.maximum(y, 0.0, out=y)
+    out = Tensor(y, _parents=(*(t for t, _ in parts), weight, bias))
+
+    def _backward(g):
+        g = g * (y > 0.0)
+        gx = np.matmul(g, weight.data)
+        turned, end = [], 0
+        for (t, shift), shape in zip(parts, shapes):
+            start, end = end, end + shape[-1]
+            if shift % n:
+                turned.append((t, gx[..., start:end], -shift))
+            else:
+                t._accumulate(gx[..., start:end])
+        for t, gt, back in reversed(turned):
+            t._accumulate(_ring_take(gt, back), fresh=True)
+        weight._accumulate(_rows(g).T @ _rows(x), fresh=True)
+        bias._accumulate(_rows(g).sum(axis=0), fresh=True)
+
+    out._grad_fn = _backward
+    return out
+
+
+def _ring_take(a, shift):
+    """The n rows (axis -2) of `a` turned by `shift`: row i is row
+    ``(i + shift) % n``.  No turn gives `a` itself."""
+    n = a.shape[-2]
+    return a.take(_ring_index(n, shift), axis=-2) if shift % n else a
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_index(n, shift, stride=1):
+    """Row indices ``(shift + stride k) % n`` for k in ``range(n // stride)``."""
+    index = (shift + stride * np.arange(n // stride)) % n
+    index.flags.writeable = False
+    return index
+
+
 # Bytes of one pair-level array that `pair_relation_sum` works on at a
 # time: about one shape at n=80 and width 32, a whole batch of 16 at n=12.
 PAIR_GROUP_BYTES = 2 * 2**20
@@ -258,6 +323,12 @@ def pair_relation_sum(x, layers) -> Tensor:
     arrays = [(w.data, b.data) for w, b in layers[:-1]]
     kept = []
 
+    def each_group(task, workers):
+        """``task(group)`` for each group in order; one group is one call."""
+        if len(groups) == 1:
+            return [task(groups[0])]
+        return _in_group_order(task, groups, workers)
+
     def forward(s):
         acts = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)
         relations = np.matmul(_left_node_sum(acts[-1], n), w_last.T)
@@ -266,7 +337,7 @@ def pair_relation_sum(x, layers) -> Tensor:
         if len(groups) == 1:
             kept.append(acts)
 
-    for _ in _in_group_order(forward, groups, _group_workers(groups)):
+    for _ in each_group(forward, _group_workers(groups)):
         pass
     parents = (x, *(t for layer in layers for t in layer))
     result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
@@ -328,7 +399,7 @@ def pair_relation_sum(x, layers) -> Tensor:
             return grads[::-1]
 
         sums = [[0.0, 0.0] for _ in layers]
-        for grads in _in_group_order(backward, groups, workers):
+        for grads in each_group(backward, workers):
             for total, (gw, gb) in zip(sums, grads):
                 total[0] += gw
                 total[1] += gb
@@ -347,7 +418,8 @@ def _canonical_rows(*parts):
     order of the bytes of the rows of `parts` joined.  That is a total
     order, NaN and -0.0 included, in which only equal rows tie, so any
     permutation of a shape's rows sorts to the same rows."""
-    rows = np.concatenate(parts, axis=-1)
+    rows = (np.concatenate(parts, axis=-1) if len(parts) > 1
+            else np.ascontiguousarray(parts[0]))
     count, n, width = rows.shape
     keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[..., 0]
     order = keys.argsort(axis=-1, kind="stable")
@@ -463,7 +535,7 @@ def _first_layer(xs, w0, b0):
     """The first layer's pre-activations over the row pairs of `xs`."""
     n = xs.shape[1]
     left, right = _first_layer_halves(xs, w0, b0)
-    h = np.take(right, _pair_rows(n)[0], axis=-2)
+    h = right.take(_pair_rows(n)[0], axis=-2)
     pairs = _by_partner(h, n)
     pairs += left[:, None]
     return h
@@ -564,23 +636,18 @@ def _sorted_sum(grouped):
 
 def ring_rows(a, shift: int, stride: int = 1) -> Tensor:
     """Rows ``(shift + stride k) % n`` of the n rows (axis -2) of `a`, for
-    k in ``range(n // stride)`` and `stride` dividing n: a strided slice,
-    turned by joining two slices of it.  The backward writes through the
-    same slices."""
+    k in ``range(n // stride)`` and `stride` dividing n, gathered through
+    a cached index (`_ring_index`) that the backward scatters through."""
     a = as_tensor(a)
     n = a.data.shape[-2]
     if stride < 1 or n % stride:
         raise ShapeMismatchError(f"stride {stride} does not divide {n} rows")
-    turn, start = divmod(shift % n, stride)
-    kept = a.data[..., start::stride, :]
-    out = Tensor(np.concatenate([kept[..., turn:, :], kept[..., :turn, :]],
-                                axis=-2), _parents=(a,))
+    index = _ring_index(n, shift, stride)
+    out = Tensor(a.data.take(index, axis=-2), _parents=(a,))
 
     def _backward(g):
-        ga = (np.zeros_like if stride > 1 else np.empty_like)(a.data)
-        rows, back = ga[..., start::stride, :], n // stride - turn
-        rows[..., turn:, :] = g[..., :back, :]
-        rows[..., :turn, :] = g[..., back:, :]
+        ga = np.zeros_like(a.data)
+        ga[..., index, :] = g
         a._accumulate(ga, fresh=True)
 
     out._grad_fn = _backward
@@ -632,53 +699,48 @@ def concat_cols(tensors) -> Tensor:
     return out
 
 
-def maxpool_rows(a):
-    """Column-wise max over the rows (axis -2).
-
-    Returns ``(tensor, argmax)`` where argmax holds the first maximal row
-    index per column (the first NaN, if any); the gradient is routed there
-    exclusively.
-    """
-    a = as_tensor(a)
-    if a.data.ndim < 2 or a.data.shape[-2] < 1:
-        raise EmptyInputError(f"maxpool_rows needs a non-empty matrix, got {a.shape}")
-    arg = a.data.argmax(axis=-2)[..., None, :]
-    out = Tensor(np.take_along_axis(a.data, arg, axis=-2)[..., 0, :],
-                 _parents=(a,))
-
-    def _backward(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, arg, g[..., None, :], axis=-2)
-        a._accumulate(ga)
-
-    out._grad_fn = _backward
-    return out, arg[..., 0, :]
-
-
 DEGENERATE_NORM = 1e-12
 
 
-def l2_normalize(v):
-    """Scale each vector along the last axis to unit norm.
+def pool_rows(a, normalize: bool):
+    """Column-wise max over the rows (axis -2), scaled to unit norm along
+    the last axis when `normalize` is set.
 
-    Returns ``(tensor, degenerate)``; a vector whose norm is below
-    ``DEGENERATE_NORM`` passes through unchanged and its entry of the
-    boolean ``degenerate`` array (0-d for a single vector) is set instead
-    of raising.
+    Returns ``(tensor, degenerate)``.  Each column takes its first maximal
+    row (the first NaN, if any), and the gradient is routed there
+    exclusively.  A pooled vector whose norm is below ``DEGENERATE_NORM``
+    passes through unchanged, and its entry of the boolean ``degenerate``
+    array (0-d for one matrix) is set instead of raising; without
+    `normalize` no entry is set.
     """
-    v = as_tensor(v)
-    norm = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
-    degenerate = norm < DEGENERATE_NORM
-    norm = np.where(degenerate, 1.0, norm)
-    unit = v.data / norm
-    out = Tensor(unit, _parents=(v,))
+    a = as_tensor(a)
+    if a.data.ndim < 2 or a.data.shape[-2] < 1:
+        raise EmptyInputError(
+            f"pool_rows needs a non-empty matrix, got {a.shape}")
+    n, width = a.data.shape[-2:]
+    mats = a.data.reshape(-1, n, width)
+    cols = np.arange(width)
+    index = (np.arange(len(mats))[:, None], mats.argmax(axis=1), cols)
+    pooled = mats[index].reshape(a.data.shape[:-2] + (width,))
+    if normalize:
+        norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1, keepdims=True))
+        small = norm < DEGENERATE_NORM
+        norm[small] = 1.0
+        pooled = pooled / norm
+    else:
+        small = np.zeros(pooled.shape[:-1] + (1,), dtype=bool)
+    out = Tensor(pooled, _parents=(a,))
 
     def _backward(g):
-        proj = np.sum(unit * g, axis=-1, keepdims=True)
-        v._accumulate(np.where(degenerate, g, (g - unit * proj) / norm))
+        if normalize:
+            proj = np.add.reduce(pooled * g, axis=-1, keepdims=True)
+            g = np.where(small, g, (g - pooled * proj) / norm)
+        ga = np.zeros(mats.shape)
+        ga[index] = g.reshape(len(mats), width)
+        a._accumulate(ga.reshape(a.data.shape), fresh=True)
 
     out._grad_fn = _backward
-    return out, degenerate[..., 0]
+    return out, small[..., 0]
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

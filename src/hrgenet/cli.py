@@ -345,8 +345,11 @@ def _cmd_retrieve(args):
                        [report.record()])
     with open(os.path.join(args.out, "ranked.txt"), "w") as f:
         for ranked in ranked_lists:
-            row = " ".join(f"{i}:{d:.8g}"
-                           for i, d in zip(ranked.ids, ranked.distances))
+            # One %-format per row, the bytes of f"{id}:{distance:.8g}"
+            # per entry joined by spaces.
+            entries = [None] * (2 * len(ranked.ids))
+            entries[::2], entries[1::2] = ranked.ids, ranked.distances
+            row = " ".join(["%s:%.8g"] * len(ranked.ids)) % tuple(entries)
             f.write(f"{ranked.query_id}\t{row}\n")
     print(report.render_table())
     return EXIT_OK

@@ -17,6 +17,14 @@ descriptor different last bits in different batches; one GEMM per shape
 keeps each descriptor bit-identical to the shape's own unbatched forward.
 Only weight gradients, which nothing compares bit for bit, fold the batch.
 
+Each module is one graph node, or two for the pairwise module, because
+at one shape every node is a few microseconds of numpy plus its Python
+bookkeeping, so the node count sets the cost of a forward.  The fusion
+and the learned neighboring module are each one `ag.ring_affine`
+(``relu`` of an affine map of row-turned parts joined by columns), a
+level block is one `ag.pool_rows` (the column max, unit-normalized by
+variant), and coarsening is one `ag.ring_rows`.
+
 The pair level holds n (n - 1) rows per shape, so it is one op,
 `ag.pair_relation_sum`: it puts each shape's rows in a canonical
 order first, so that the relation sums do not depend on the order of the
@@ -50,7 +58,7 @@ from .errors import (
     RingTooSmallError,
     ShapeMismatchError,
 )
-from .layers import LinearLayer, Mlp, linear_forward
+from .layers import LinearLayer, Mlp
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,12 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     For each node i the relations r_ij over all other nodes j are computed
     by the pairwise MLP on concatenated features, summed, and fused with
     the node's own feature through the fusion layer plus a rectifier.  The
-    pairs, the MLP and the sum are one op, `ag.pair_relation_sum`, which
-    runs on the nodes in a canonical order of their features, so the sum
-    does not depend on the order of the nodes; it factors the MLP's first
-    layer over the pair, applies the last layer once per node to the sum
-    of the hidden activations, and recomputes the pair activations in
-    backward instead of keeping them.
+    module is two graph nodes.  The pairs, the MLP and the sum are one op,
+    `ag.pair_relation_sum`, which runs on the nodes in a canonical order
+    of their features, so the sum does not depend on the order of the
+    nodes; it factors the MLP's first layer over the pair and applies the
+    last layer once per node to the sum of the hidden activations.  The
+    fusion is one `ag.ring_affine` over ``[node, summed relations]``.
     """
     x, width = graph.features, graph.width
     if params.pairwise_mlp is None:
@@ -190,12 +198,17 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
         )
     summed = ag.pair_relation_sum(
         x, [(layer.weight, layer.bias) for layer in params.pairwise_mlp.layers])
-    fused = linear_forward(params.fusion, ag.concat_cols([x, summed]))
-    return ViewGraph(graph.level, ag.relu(fused))
+    fusion = params.fusion
+    return ViewGraph(graph.level, ag.ring_affine([(x, 0), (summed, 0)],
+                                                 fusion.weight, fusion.bias))
 
 
 def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
-    """Fuse each node with its ring neighbors (cyclic wrap at both ends)."""
+    """Fuse each node with its ring neighbors (cyclic wrap at both ends).
+
+    The learned kind is one `ag.ring_affine` node over the triplets
+    ``[prev, node, next]``; the fixed kinds combine `ag.ring_rows` views.
+    """
     n = graph.num_nodes
     if n < 3:
         raise RingTooSmallError(
@@ -205,13 +218,14 @@ def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     kind = params.neighbor_kind
     if kind == "identity":
         return ViewGraph(graph.level, x)
-    prev, nxt = ag.ring_rows(x, -1), ag.ring_rows(x, 1)
     if kind == "learned":
-        if params.neighboring is None:
+        layer = params.neighboring
+        if layer is None:
             raise ConfigError("level has no learned neighboring layer")
-        out = ag.relu(linear_forward(params.neighboring,
-                                     ag.concat_cols([prev, x, nxt])))
-    elif kind == "max":
+        return ViewGraph(graph.level, ag.ring_affine(
+            [(x, -1), (x, 0), (x, 1)], layer.weight, layer.bias))
+    prev, nxt = ag.ring_rows(x, -1), ag.ring_rows(x, 1)
+    if kind == "max":
         out = ag.maximum(ag.maximum(prev, x), nxt)
     elif kind == "avg":
         out = ag.scale(ag.add(ag.add(prev, x), nxt), 1.0 / 3.0)
@@ -238,14 +252,14 @@ def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
                      ag.ring_rows(graph.features, stride - 1, stride))
 
 
-def level_descriptor(features):
-    """Unit-normalized column-wise max over node features.
+def level_descriptor(features, normalize: bool = True):
+    """Column-wise max over node features, unit-normalized unless
+    `normalize` is False.
 
     Returns ``(tensor, degenerate)``; the degenerate flag mirrors the
     normalization guard on all-zero pooled features.
     """
-    pooled, _ = ag.maxpool_rows(features)
-    return ag.l2_normalize(pooled)
+    return ag.pool_rows(features, normalize)
 
 
 @dataclass
@@ -356,11 +370,8 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
     blocks, flags = [], []
 
     def emit(features):
-        if variant.normalize_blocks:
-            block, degenerate = level_descriptor(features)
-        else:
-            block, _ = ag.maxpool_rows(features)
-            degenerate = False
+        block, degenerate = level_descriptor(features,
+                                             variant.normalize_blocks)
         blocks.append(block)
         flags.append(degenerate)
 

@@ -69,16 +69,18 @@ class RankedList:
 
 
 def pairwise_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
-    """Exact L2 distances, (len(queries), len(corpus)): the per-row norm
-    of each corpus row minus a query, bit for bit (2 - 2<a, b> would
-    change last bits and reorder ties), over corpus tiles that keep each
-    (queries, tile, D) difference near `TILE_BYTES`."""
+    """Exact L2 distances, (len(queries), len(corpus)), over corpus tiles
+    that keep each (queries, tile, D) difference near `TILE_BYTES`.  Each
+    difference is squared in place, summed with one `np.add.reduce` and
+    its root taken into the result: the arithmetic of `np.linalg.norm`
+    along the last axis, so the bits are its bits (2 - 2<a, b> would
+    change last bits and reorder ties)."""
     out = np.empty((len(queries), len(corpus)))
     step = max(1, TILE_BYTES // (8 * max(1, queries.size)))
     for start in range(0, len(corpus), step):
-        tile = corpus[start:start + step]
-        out[:, start:start + step] = np.linalg.norm(
-            tile - queries[:, None], axis=-1)
+        diff = corpus[start:start + step] - queries[:, None]
+        diff *= diff
+        np.sqrt(np.add.reduce(diff, axis=-1), out=out[:, start:start + step])
     return out
 
 

@@ -518,52 +518,65 @@ class TestRingRows:
             ag.ring_rows(np.zeros((6, 2)), 1, 4)
 
 
+def pool_with_rows(a, normalize=False):
+    """`ag.pool_rows` of `a`, its degenerate flag, and the row each column
+    took, read off where the gradient of the pooled sum lands."""
+    a = ag.Tensor(a)
+    out, degenerate = ag.pool_rows(a, normalize)
+    dot_loss(out, np.ones(out.shape)).backward()
+    return out, degenerate, (a.grad != 0.0).argmax(axis=-2)
+
+
 class TestMaxpoolRows:
+    """`ag.pool_rows` without normalization: the column-wise max."""
+
     def test_hand_case(self):
-        out, arg = ag.maxpool_rows([[1.0, 5.0], [3.0, 2.0]])
+        out, _, arg = pool_with_rows([[1.0, 5.0], [3.0, 2.0]])
         np.testing.assert_array_equal(out.data, [3.0, 5.0])
         np.testing.assert_array_equal(arg, [1, 0])
 
     def test_single_row_is_identity(self):
-        out, arg = ag.maxpool_rows([[7.0, -1.0, 0.5]])
+        out, _, arg = pool_with_rows([[7.0, -1.0, 0.5]])
         np.testing.assert_array_equal(out.data, [7.0, -1.0, 0.5])
         np.testing.assert_array_equal(arg, [0, 0, 0])
 
     def test_tie_goes_to_first_row(self):
-        out, arg = ag.maxpool_rows([[2.0], [2.0]])
+        out, _, arg = pool_with_rows([[2.0], [2.0]])
         assert out.data[0] == 2.0
         assert arg[0] == 0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyInputError):
-            ag.maxpool_rows(np.zeros((0, 3)))
+            ag.pool_rows(np.zeros((0, 3)), False)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_invariant_to_row_permutation(self, seed):
         r = np.random.default_rng(seed)
         x = r.normal(size=(6, 4))
-        out, arg = ag.maxpool_rows(x)
+        out, _, arg = pool_with_rows(x)
         perm = r.permutation(6)
-        out_p, arg_p = ag.maxpool_rows(x[perm])
+        out_p, _, arg_p = pool_with_rows(x[perm])
         np.testing.assert_array_equal(out.data, out_p.data)
         np.testing.assert_array_equal(x[arg, np.arange(4)],
                                       x[perm][arg_p, np.arange(4)])
 
 
 class TestL2Normalize:
+    """`ag.pool_rows` with normalization, on one pooled row."""
+
     def test_hand_case(self):
-        out, degenerate = ag.l2_normalize([3.0, 4.0])
+        out, degenerate = ag.pool_rows([[3.0, 4.0]], True)
         np.testing.assert_allclose(out.data, [0.6, 0.8])
         assert not degenerate
 
     def test_idempotent_on_unit_vectors(self):
         v = np.array([1.0, 0.0, 0.0])
-        out, _ = ag.l2_normalize(v)
+        out, _ = ag.pool_rows([v], True)
         np.testing.assert_allclose(out.data, v)
 
     def test_zero_vector_flagged_not_thrown(self):
-        out, degenerate = ag.l2_normalize(np.zeros(4))
+        out, degenerate = ag.pool_rows(np.zeros((1, 4)), True)
         assert degenerate
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
@@ -571,11 +584,126 @@ class TestL2Normalize:
     @settings(max_examples=25, deadline=None)
     def test_output_norm_is_one_or_input_unchanged(self, seed):
         v = np.random.default_rng(seed).normal(size=5)
-        out, degenerate = ag.l2_normalize(v)
+        out, degenerate = ag.pool_rows([v], True)
         if degenerate:
             np.testing.assert_array_equal(out.data, v)
         else:
             assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
+
+
+class TestPoolRows:
+    def test_first_nan_is_the_max_and_takes_the_gradient(self):
+        nan = np.nan
+        out, _, arg = pool_with_rows([[1.0, nan, 0.0], [nan, 2.0, 5.0],
+                                      [nan, nan, 4.0]])
+        assert np.isnan(out.data[:2]).all() and out.data[2] == 5.0
+        np.testing.assert_array_equal(arg, [1, 0, 1])
+
+    def test_degenerate_flag_per_matrix_of_a_batch(self):
+        x = np.stack([np.zeros((3, 2)), [[0.0, 3.0], [4.0, 0.0], [1.0, 1.0]]])
+        out, degenerate = ag.pool_rows(x, True)
+        np.testing.assert_array_equal(degenerate, [True, False])
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0], [0.8, 0.6]])
+        _, degenerate = ag.pool_rows(x, False)
+        np.testing.assert_array_equal(degenerate, [False, False])
+        _, degenerate = ag.pool_rows(x[0], True)
+        assert degenerate.shape == () and degenerate
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_batch_rows_match_single_matrices(self, rng, normalize):
+        x = ag.Tensor(rng.normal(size=(3, 6, 4)))
+        upstream = rng.normal(size=(3, 4))
+        out, _ = ag.pool_rows(x, normalize)
+        dot_loss(out, upstream).backward()
+        for b in range(3):
+            one = ag.Tensor(x.data[b])
+            out_b, _ = ag.pool_rows(one, normalize)
+            dot_loss(out_b, upstream[b]).backward()
+            np.testing.assert_array_equal(out.data[b], out_b.data)
+            np.testing.assert_array_equal(x.grad[b], one.grad)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+    def test_gradient_matches_finite_differences(self, rng, shape):
+        x = ag.Tensor(rng.normal(size=shape))
+        upstream = rng.normal(size=(*shape[:-2], 4))
+
+        def loss_fn():
+            return dot_loss(ag.pool_rows(x, True)[0], upstream)
+
+        loss_fn().backward()
+        assert max_rel_err(x.grad, finite_difference(loss_fn, x)) < 1e-6
+
+
+def chained_ring_affine(parts, layer):
+    """`ag.ring_affine` as the chain of ops it replaces: `ring_rows` per
+    turned part, `concat_cols`, `affine` and `relu`."""
+    turned = [t if shift == 0 else ag.ring_rows(t, shift)
+              for t, shift in parts]
+    return ag.relu(linear_forward(layer, ag.concat_cols(turned)))
+
+
+class TestRingAffine:
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    @pytest.mark.parametrize("spec", [
+        "x-1 x0 x1",        # the learned neighboring module
+        "x0 y0",            # the pairwise fusion
+        "y1 x-1 x0 x1 y0",  # turned and unturned reads of two tensors
+    ])
+    def test_bits_of_the_chain_it_replaces(self, rng, n, batch, spec):
+        data = {name: rng.normal(size=(*batch, n, 5)) for name in "xy"}
+        spec = [(part[0], int(part[1:])) for part in spec.split()]
+        layer = make_layer(rng.normal(size=(7, 5 * len(spec))),
+                           rng.normal(size=7))
+        upstream = rng.normal(size=(*batch, n, 7))
+        runs = []
+        for op in (lambda parts: ag.ring_affine(parts, layer.weight,
+                                                layer.bias),
+                   lambda parts: chained_ring_affine(parts, layer)):
+            tensors = {name: ag.Tensor(v) for name, v in data.items()}
+            for p in layer.parameters():
+                p.zero_grad()
+            out = op([(tensors[name], shift) for name, shift in spec])
+            dot_loss(out, upstream).backward()
+            runs.append([out.data, layer.weight.grad, layer.bias.grad]
+                        + [t.grad for t in tensors.values()])
+        for new, chained in zip(*runs):
+            np.testing.assert_array_equal(new, chained)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 6, 2)])
+    def test_gradient_matches_finite_differences(self, rng, shape):
+        x, y = ag.Tensor(rng.normal(size=shape)), ag.Tensor(
+            rng.normal(size=shape))
+        layer = make_layer(rng.normal(size=(3, 8)), rng.normal(size=3))
+        upstream = rng.normal(size=(*shape[:-1], 3))
+
+        def loss_fn():
+            out = ag.ring_affine([(x, -1), (x, 0), (y, 0), (x, 1)],
+                                 layer.weight, layer.bias)
+            return dot_loss(out, upstream)
+
+        tensors = [x, y] + layer.parameters()
+        for t in tensors:
+            t.zero_grad()
+        loss_fn().backward()
+        for t in tensors:
+            assert max_rel_err(t.grad, finite_difference(loss_fn, t)) < 1e-6
+
+    def test_nan_passes_the_rectifier(self):
+        # A NaN input would reach every output through the weights; the
+        # bias puts it before one rectifier only.
+        out = ag.ring_affine([([[0.0, -1.0, 2.0]], 0)], np.eye(3),
+                             [np.nan, 0.0, 0.0])
+        assert np.isnan(out.data[0, 0])
+        np.testing.assert_array_equal(out.data[0, 1:], [0.0, 2.0])
+
+    def test_parts_must_join_into_the_weight_input(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.ring_affine([(np.zeros((4, 2)), 0), (np.zeros((3, 2)), 0)],
+                           np.zeros((1, 4)), np.zeros(1))
+        with pytest.raises(ShapeMismatchError):
+            ag.ring_affine([(np.zeros((4, 2)), 1)], np.zeros((1, 3)),
+                           np.zeros(1))
 
 
 class TestSoftmaxCrossEntropy:

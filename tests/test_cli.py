@@ -13,7 +13,7 @@ from hrgenet import autograd as ag
 from hrgenet import cli
 from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
-from hrgenet.data import load_dataset
+from hrgenet.data import ShapeRecord, load_dataset, save_dataset
 from hrgenet.errors import ConfigError
 from hrgenet.graph import HrgeModel
 from hrgenet.retrieval import METRIC_KEYS
@@ -579,6 +579,50 @@ class TestRetrieve:
                     str(coarse), "--fine-checkpoint", str(fine),
                     "--out", str(tmp_path / "r")]) == 3
         assert "dataset declares 0" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("tau", ["1e-300", "inf"])
+    def test_ranked_rows_are_the_per_entry_format(self, tmp_path,
+                                                  monkeypatch, tau):
+        """ranked.txt holds, per query, its id, a tab and the
+        ``f"{id}:{distance:.8g}"`` entries joined by spaces.  Exact copies
+        of shapes give rows of 0, 1 and 2 entries under a tiny tau, all
+        at distance 0, and exact ties under an infinite one."""
+        base = tmp_path / "base.hrgf"
+        run(["synth", "--classes", "3", "--per-class", "4", "--views", "6",
+             "--dim", "4", "--seed", "5", "--out", str(base)])
+        dataset = load_dataset(base)
+        copies = [(0, "copy0a"), (0, "copy0b"), (5, "copy5")]
+        dataset.records += [ShapeRecord(new_id, dataset.records[k].views,
+                                        dataset.records[k].coarse_label)
+                            for k, new_id in copies]
+        data = tmp_path / "data.hrgf"
+        save_dataset(dataset, data)
+        ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 3)
+        lists, evaluate = [], cli.evaluate_retrieval
+
+        def kept(*args, **kwargs):
+            report, ranked = evaluate(*args, **kwargs)
+            lists.extend(ranked)
+            return report, ranked
+
+        monkeypatch.setattr(cli, "evaluate_retrieval", kept)
+        out = tmp_path / "r"
+        assert run(["retrieve", "--data", str(data), "--checkpoint",
+                    str(ckpt), "--tau", tau, "--out", str(out)]) == 0
+        expected = "".join(
+            f"{r.query_id}\t"
+            + " ".join(f"{i}:{d:.8g}" for i, d in zip(r.ids, r.distances))
+            + "\n" for r in lists)
+        assert (out / "ranked.txt").read_bytes() == expected.encode()
+        lengths = {len(r.ids) for r in lists}
+        if tau == "inf":
+            assert lengths == {len(dataset) - 1}
+            distances = [d for r in lists for d in r.distances]
+            assert len(set(distances)) < len(distances)
+        else:
+            assert lengths == {0, 1, 2}
+            assert {d for r in lists for d in r.distances} == {0.0}
 
 
 class TestGradcheck:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hrgenet import autograd as ag
+from hrgenet import retrieval
 from hrgenet.autograd import Tensor
+from hrgenet.data import SyntheticSpec, generate_synthetic
 from hrgenet.errors import (
     CoarseningError,
     ConfigError,
@@ -457,6 +459,41 @@ class TestBatch:
         for name, p in named:
             numeric = finite_difference(loss_fn, p)
             assert max_rel_err(p.grad, numeric) < 1e-4, name
+
+
+class TestGraphSize:
+    """What one forward costs is mostly its node count: each non-leaf node
+    is a few microseconds of numpy at one shape, plus its bookkeeping."""
+
+    def test_one_shape_forward_has_one_node_per_module(self, rng):
+        """Per level of a `full` model: the pair sum, the fusion, the level
+        block, the learned neighbor and the coarsening; then the last block
+        and the concatenation.  At n=12 (two levels) that is 12 nodes; the
+        same forward built from row, concatenation, affine, rectifier, pool
+        and normalization ops was 23."""
+        model = HrgeModel(num_views=12, width=8, variant="full", seed=44)
+        desc = hrge_forward(model, rng.normal(size=(12, 8)))
+        inner = [node for node in ag._toposort(desc.concat)
+                 if node._grad_fn is not None]
+        assert len(inner) <= 12
+
+    def test_index_runs_one_forward_per_shape(self, monkeypatch):
+        """`build_index` calls `hrge_forward` once per shape, on its
+        ``(n, w)`` views, as the retrieval benchmark counts it."""
+        dataset = generate_synthetic(SyntheticSpec(3, 2, 12, 8, seed=45))
+        model = HrgeModel(num_views=12, width=8, variant="full", seed=46)
+        shapes, forward = [], retrieval.hrge_forward
+
+        def counted(model, views):
+            shapes.append(np.shape(views))
+            return forward(model, views)
+
+        monkeypatch.setattr(retrieval, "hrge_forward", counted)
+        index = retrieval.build_index(model, dataset)
+        assert shapes == [(12, 8)] * 6
+        for record, vector in zip(dataset.records, index.vectors):
+            np.testing.assert_array_equal(
+                vector, retrieval.extract_descriptor(model, record.views))
 
 
 class TestPairGroups:
