@@ -323,12 +323,6 @@ def pair_relation_sum(x, layers) -> Tensor:
     arrays = [(w.data, b.data) for w, b in layers[:-1]]
     kept = []
 
-    def each_group(task, workers):
-        """``task(group)`` for each group in order; one group is one call."""
-        if len(groups) == 1:
-            return [task(groups[0])]
-        return _in_group_order(task, groups, workers)
-
     def forward(s):
         acts = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)
         relations = np.matmul(_left_node_sum(acts[-1], n), w_last.T)
@@ -337,7 +331,7 @@ def pair_relation_sum(x, layers) -> Tensor:
         if len(groups) == 1:
             kept.append(acts)
 
-    for _ in each_group(forward, _group_workers(groups)):
+    for _ in _in_group_order(forward, groups, _group_workers(groups)):
         pass
     parents = (x, *(t for layer in layers for t in layer))
     result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
@@ -399,7 +393,7 @@ def pair_relation_sum(x, layers) -> Tensor:
             return grads[::-1]
 
         sums = [[0.0, 0.0] for _ in layers]
-        for grads in each_group(backward, workers):
+        for grads in _in_group_order(backward, groups, workers):
             for total, (gw, gb) in zip(sums, grads):
                 total[0] += gw
                 total[1] += gb
@@ -418,8 +412,7 @@ def _canonical_rows(*parts):
     order of the bytes of the rows of `parts` joined.  That is a total
     order, NaN and -0.0 included, in which only equal rows tie, so any
     permutation of a shape's rows sorts to the same rows."""
-    rows = (np.concatenate(parts, axis=-1) if len(parts) > 1
-            else np.ascontiguousarray(parts[0]))
+    rows = np.concatenate(parts, axis=-1)
     count, n, width = rows.shape
     keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[..., 0]
     order = keys.argsort(axis=-1, kind="stable")

@@ -252,9 +252,9 @@ def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
                      ag.ring_rows(graph.features, stride - 1, stride))
 
 
-def level_descriptor(features, normalize: bool = True):
-    """Column-wise max over node features, unit-normalized unless
-    `normalize` is False.
+def level_descriptor(features, normalize: bool):
+    """Column-wise max over node features, unit-normalized if
+    `normalize` is set.
 
     Returns ``(tensor, degenerate)``; the degenerate flag mirrors the
     normalization guard on all-zero pooled features.

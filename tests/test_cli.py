@@ -580,7 +580,6 @@ class TestRetrieve:
                     "--out", str(tmp_path / "r")]) == 3
         assert "dataset declares 0" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("tau", ["1e-300", "inf"])
     def test_ranked_rows_are_the_per_entry_format(self, tmp_path,
                                                   monkeypatch, tau):

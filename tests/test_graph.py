@@ -208,18 +208,19 @@ class TestCoarsen:
 class TestLevelDescriptor:
     def test_single_row(self, rng):
         v = rng.normal(size=(1, 4))
-        out, degenerate = level_descriptor(v)
+        out, degenerate = level_descriptor(v, True)
         np.testing.assert_allclose(out.data, v[0] / np.linalg.norm(v[0]))
         assert not degenerate
 
     def test_hand_case(self):
-        out, _ = level_descriptor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        out, _ = level_descriptor(np.array([[1.0, 0.0], [0.0, 1.0]]),
+                                  True)
         np.testing.assert_allclose(out.data, [np.sqrt(2) / 2, np.sqrt(2) / 2])
 
     def test_permutation_invariance(self, rng):
         x = rng.normal(size=(6, 4))
-        out, _ = level_descriptor(x)
-        out_p, _ = level_descriptor(x[rng.permutation(6)])
+        out, _ = level_descriptor(x, True)
+        out_p, _ = level_descriptor(x[rng.permutation(6)], True)
         np.testing.assert_array_equal(out.data, out_p.data)
 
 
