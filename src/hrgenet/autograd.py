@@ -136,20 +136,14 @@ def scale(a, c: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """Rectifier that lets NaN through instead of mapping it to 0.
-
-    The gradient mask comes from the output (``max(a, 0) > 0`` is
-    ``a > 0``, NaN included).  When `a` is an op's output, the rectifier
-    takes that op's place in the graph and hands it the masked gradient,
-    so the graph does not keep the input array alive.
-    """
+    """Rectifier that lets NaN through instead of mapping it to 0.  The
+    gradient mask comes from the output: ``max(a, 0) > 0`` is ``a > 0``,
+    NaN included."""
     a = as_tensor(a)
     y = np.maximum(a.data, 0.0)
-    if a._grad_fn is None:
-        parents, sink = (a,), lambda g: a._accumulate(g, fresh=True)
-    else:
-        parents, sink = a._parents, a._grad_fn
-    return Tensor(y, _parents=parents, _grad_fn=lambda g: sink(g * (y > 0.0)))
+    out = Tensor(y, _parents=(a,))
+    out._grad_fn = lambda g: a._accumulate(g * (y > 0.0), fresh=True)
+    return out
 
 
 def maximum(a, b) -> Tensor:
@@ -342,16 +336,12 @@ def pair_relation_sum(x, layers) -> Tensor:
         g = _rows(g)
         arrays = [(w.data, b.data) for w, b in layers]
         gx = np.empty_like(_rows(xs))
-        workers = _group_workers(groups)
 
         def backward(s):
             """The rows of gx at `places[s]`; returns the group's weight
             and bias gradients, first layer first."""
-            def sorted_rows():
-                return _rows(xs).take(places[s], axis=0)
-
-            acts = kept.pop() if kept else _pair_activations(sorted_rows(),
-                                                             arrays[:-1])
+            rows = _rows(xs).take(places[s], axis=0)
+            acts = kept.pop() if kept else _pair_activations(rows, arrays[:-1])
             # The last layer runs on each row's ``S``, whose gradient every
             # pair of the row gets.
             g_sorted = g.take(places[s], axis=0)
@@ -361,10 +351,7 @@ def pair_relation_sum(x, layers) -> Tensor:
             # Each gradient takes the buffer of an activation that is no
             # longer needed: the last rectifier's mask and gradient go into
             # its own output, and each layer's input gradient into its
-            # input, once the input's mask is taken.  With other groups in
-            # flight, the first layer's mask is rebuilt from its terms once
-            # the spent gradient is freed, so that a group never holds more
-            # than two pair-level arrays.
+            # input, once the input's mask is taken as a boolean array.
             gy = acts.pop()
             pairs = _by_partner(gy, n)
             np.greater(pairs, 0.0, out=pairs)
@@ -374,17 +361,15 @@ def pair_relation_sum(x, layers) -> Tensor:
                 h = acts.pop()
                 grads.append((_rows(gy).T @ _rows(h),
                               _rows(_left_node_sum(gy, n)).sum(axis=0)))
-                mask = h > 0.0 if acts or workers < 2 else None
+                mask = h > 0.0
                 gy = np.matmul(gy, arrays[k][0], out=h)
                 del h  # the buffer is gy's alone, freed with it below
-                if mask is None:
-                    mask = _first_layer_mask(sorted_rows(), *arrays[0])
                 gy *= mask
                 del mask
             g_left = _left_node_sum(gy, n)
             g_right = _right_node_sum(gy, n)
             del gy
-            w0, rows = arrays[0][0], _rows(sorted_rows())
+            w0, rows = arrays[0][0], _rows(rows)
             gx[places[s]] = (np.matmul(g_left, w0[:, :width])
                              + np.matmul(g_right, w0[:, width:]))
             grads.append((np.concatenate([_rows(g_left).T @ rows,
@@ -393,7 +378,8 @@ def pair_relation_sum(x, layers) -> Tensor:
             return grads[::-1]
 
         sums = [[0.0, 0.0] for _ in layers]
-        for grads in _in_group_order(backward, groups, workers):
+        for grads in _in_group_order(backward, groups,
+                                     _group_workers(groups)):
             for total, (gw, gb) in zip(sums, grads):
                 total[0] += gw
                 total[1] += gb
@@ -525,58 +511,27 @@ def _pair_activations(xs, layers):
 
 
 def _first_layer(xs, w0, b0):
-    """The first layer's pre-activations over the row pairs of `xs`."""
-    n = xs.shape[1]
-    left, right = _first_layer_halves(xs, w0, b0)
-    h = right.take(_pair_rows(n)[0], axis=-2)
+    """The first layer's pre-activations over the row pairs of `xs`: each
+    row's terms as the left and as the right row of a pair are computed
+    once, and a pair's pre-activation is ``right_j + left_i``."""
+    n, width = xs.shape[1:]
+    left = np.matmul(xs, w0[:, :width].T)
+    right = np.matmul(xs, w0[:, width:].T)
+    right += b0
+    h = right.take(_pair_rows(n), axis=-2)
     pairs = _by_partner(h, n)
     pairs += left[:, None]
     return h
 
 
-def _first_layer_halves(xs, w0, b0):
-    """Per row, the first layer's terms as the left and as the right row
-    of a pair; a pair's pre-activation is ``right_j + left_i``."""
-    width = xs.shape[-1]
-    left = np.matmul(xs, w0[:, :width].T)
-    right = np.matmul(xs, w0[:, width:].T)
-    right += b0
-    return left, right
-
-
-def _first_layer_mask(xs, w0, b0):
-    """``_first_layer(xs, w0, b0) > 0``, with no float array of the pairs.
-
-    A rounded sum of two floats is zero only when the exact sum is, and
-    has its sign, so ``right_j + left_i > 0`` is ``left_i > -right_j``.
-    Laid out by offset ``d = j - i`` (mod n), the pairs of one offset
-    compare the rows of `left` with a window of the rows of ``-right``
-    taken twice, so one comparison over whole rows covers every pair; a
-    row gather puts the mask in pair order.
-    """
-    left, right = _first_layer_halves(xs, w0, b0)
-    count, n, h = left.shape
-    twice = -np.concatenate([right, right], axis=1)
-    step = twice.strides
-    windows = np.lib.stride_tricks.as_strided(
-        twice[:, 1:], shape=(count, n - 1, n, h),
-        strides=(step[0], step[1], step[1], step[2]), writeable=False)
-    by_offset = np.greater(left[:, None], windows)
-    return np.take(by_offset.reshape(count, (n - 1) * n, h),
-                   _pair_rows(n)[1], axis=1)
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_rows(n):
-    """Row indices of the partner-major pair rows, row ``k n + i`` pairing
-    row i with row ``j = k + (k >= i)``: each pair's j, and its row
-    ``(d - 1) n + i`` when the pairs are laid out by offset
-    ``d = j - i`` (mod n)."""
+    """Each partner-major pair row's partner index: row ``k n + i`` pairs
+    row i with row ``j = k + (k >= i)``."""
     partner, left = np.divmod(np.arange((n - 1) * n), n)
     right = partner + (partner >= left)
-    by_offset = ((right - left) % n - 1) * n + left
-    right.flags.writeable = by_offset.flags.writeable = False
-    return right, by_offset
+    right.flags.writeable = False
+    return right
 
 
 def _by_partner(pairs, n):

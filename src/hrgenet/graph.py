@@ -314,6 +314,9 @@ class HrgeModel:
                                          variant.depth_override or depth)
         elif stride < 2:
             raise ConfigError(f"stride must be >= 2, got {stride}")
+        elif variant.neighbor_kind is not None and num_views < 3:
+            raise ConfigError(f"variant {variant.name}'s neighboring relation "
+                              f"needs a ring of >= 3 views, got {num_views}")
         self.variant = variant
         self.num_views = num_views
         self.width = width

@@ -1,8 +1,6 @@
-import gc
 import os
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -175,22 +173,6 @@ class TestRelu:
         out.backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
 
-    def test_graph_does_not_keep_the_input_array(self, rng):
-        x = ag.Tensor(rng.normal(size=(5, 3)))
-        layer = make_layer(rng.normal(size=(4, 3)), rng.normal(size=4))
-        pre = linear_forward(layer, x)
-        pre_data = weakref.ref(pre.data)
-        mask = pre.data > 0.0
-        out = ag.relu(pre)
-        del pre
-        gc.collect()
-        assert pre_data() is None
-        ag.softmax_cross_entropy(out, [0, 1, 2, 3, 0]).backward()
-        probs = np.exp(out.data) / np.exp(out.data).sum(axis=1, keepdims=True)
-        probs[np.arange(5), [0, 1, 2, 3, 0]] -= 1.0
-        np.testing.assert_allclose(
-            x.grad, (probs / 5 * mask) @ layer.weight.data, atol=1e-15)
-
 
 def unfused_pair_relation_sum(x, layers):
     """The pair path as separate numpy steps over the whole batch: each
@@ -295,7 +277,7 @@ class TestPairRelationSum:
         summation exact."""
         g = np.random.default_rng(n).integers(
             -99, 99, size=(3, (n - 1) * n, 4)).astype(np.float64)
-        right_of = ag._pair_rows(n)[0]
+        right_of = ag._pair_rows(n)
         left, right = np.zeros((3, n, 4)), np.zeros((3, n, 4))
         for i in range(n):
             for j in range(n):
@@ -307,26 +289,13 @@ class TestPairRelationSum:
         np.testing.assert_array_equal(ag._left_node_sum(g, n), left)
         np.testing.assert_array_equal(ag._right_node_sum(g, n), right)
 
-    def test_first_layer_mask_is_the_rebuilt_sign(self):
-        """``left_i > -right_j`` is ``right_j + left_i > 0`` for floats:
-        with exact cancellations, subnormals, overflow, infinities and NaN
-        among the pairs."""
-        values = [0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0, 1e308, -1e308,
-                  np.inf, -np.inf, np.nan]
-        xs = np.array(values)[None, :, None]
-        w0 = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.testing.assert_array_equal(
-                ag._first_layer_mask(xs, w0, np.zeros(3)),
-                ag._first_layer(xs, w0, np.zeros(3)) > 0.0)
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dims", [[6, 4, 2], [6, 4, 5, 2],
                                       [6, 4, 5, 3, 2]])
     def test_gradients_match_finite_differences(self, rng, monkeypatch,
                                                 dims, workers):
-        # One shape per group through MLPs of 2 to 4 layers; on two
-        # threads the first layer's mask is rebuilt, deeper ones are kept.
+        # One shape per group through MLPs of 2 to 4 layers, on one
+        # thread and on two: every layer's mask is taken the same way.
         monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)
         monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
         mlp = Mlp(dims, rng)

@@ -120,6 +120,20 @@ def test_bad_header_geometry_is_data_error(tmp_path, stride, depth):
         load_model(path)
 
 
+def test_header_ring_too_small_for_the_neighbor_module_is_rejected(tmp_path):
+    """An `nr` model, whose neighboring relation needs a ring of >= 3
+    views, is not built from a header that declares 2."""
+    model = HrgeModel(num_views=6, width=3, variant="nr", seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path, Classifier(model.descriptor_length, 2))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, 2)
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError,
+                       match="header describes no valid model.*at byte 8"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("variant,depth", [
     ("full", 0), ("pr", 2), ("1l", 2), ("baseline", 1)])
 def test_header_depth_that_does_not_fit_is_rejected(tmp_path, variant, depth):

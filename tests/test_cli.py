@@ -189,6 +189,19 @@ class TestTrainEval:
         assert f"cannot run depth {depth}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_neighbor_module_on_two_views_is_usage_error(self, tmp_path,
+                                                         capsys):
+        """A ring of two views has no neighbor triplets: `nr` is refused
+        before the run directory is made, not at the first forward."""
+        data_path, out = tmp_path / "two.hrgf", tmp_path / "run"
+        assert run(["synth", "--classes", "2", "--per-class", "2",
+                    "--views", "2", "--dim", "3", "--out",
+                    str(data_path)]) == 0
+        assert run(["train", "--data", str(data_path), "--variant", "nr",
+                    "--epochs", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "ring of >= 3 views" in capsys.readouterr().err
+
     def test_1l_trains_at_its_own_depth(self, synth_file, tmp_path):
         out = tmp_path / "run"
         assert run(["train", "--data", str(synth_file), "--variant", "1l",
