@@ -295,9 +295,10 @@ def pair_relation_sum(x, layers) -> Tensor:
     bytes, so the sorted rows and their activations are the forward's.
     Every matrix product is one GEMM per shape whatever the group, so the
     result does not depend on the grouping.
-    The groups may run on several threads (`_in_group_order`): each
-    writes its own rows, and the weight gradients of the groups are added
-    in group order, so no bit depends on the thread count.
+    The groups may run on several threads (`_run_groups`): each writes
+    its own rows, and the weight gradients of the groups are kept until
+    the pass ends and added in group order, so no bit depends on the
+    thread count.
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -325,8 +326,7 @@ def pair_relation_sum(x, layers) -> Tensor:
         if len(groups) == 1:
             kept.append(acts)
 
-    for _ in _in_group_order(forward, groups, _group_workers(groups)):
-        pass
+    _run_groups(forward, groups)
     parents = (x, *(t for layer in layers for t in layer))
     result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
 
@@ -378,8 +378,7 @@ def pair_relation_sum(x, layers) -> Tensor:
             return grads[::-1]
 
         sums = [[0.0, 0.0] for _ in layers]
-        for grads in _in_group_order(backward, groups,
-                                     _group_workers(groups)):
+        for grads in _run_groups(backward, groups):
             for total, (gw, gb) in zip(sums, grads):
                 total[0] += gw
                 total[1] += gb
@@ -428,63 +427,44 @@ def _pair_workers():
     return max(1, min(MAX_PAIR_WORKERS, cpus // max(declared, default=cpus)))
 
 
-def _group_workers(groups):
-    """Threads to run `groups` on: one unless there are two groups or
-    more and `_pair_workers` gives two or more."""
-    return min(len(groups), _pair_workers()) if len(groups) > 1 else 1
+def _run_groups(task, groups):
+    """``[task(group) for group in groups]``.
 
-
-def _in_group_order(task, groups, workers):
-    """Yield ``task(group)`` for each of `groups`, in order.
-
-    With two or more workers, ``workers - 1`` pool threads and the calling
-    thread each take the next group nobody has taken as they come free.
-    A result is yielded, and let go, once every one before it has been,
-    and the calling thread takes more groups while it waits, so only
-    about one result per thread is held.  Tasks run numpy and private
-    helpers only.
+    The calling thread and, when there are two groups or more, up to
+    ``_pair_workers() - 1`` pool threads each take the next group nobody
+    has taken as they come free.  Every result is kept until the pass
+    ends.  The first error stops the taking of groups and is raised once
+    every thread has stopped.  Tasks run numpy and private helpers only.
     """
-    if workers < 2:
-        for group in groups:
-            yield task(group)
-        return
-    from concurrent.futures import Future
-    slots = [Future() for _ in groups]
+    results = [None] * len(groups)
     untaken = iter(range(len(groups)))
+    errors = []
     lock = threading.Lock()
 
-    def run_next():
+    def take():
         with lock:
-            k = next(untaken, None)
-        if k is None:
-            return False
-        try:
-            slots[k].set_result(task(groups[k]))
-        except Exception as exc:
-            slots[k].set_exception(exc)
-        return True
+            return None if errors else next(untaken, None)
 
     def drain():
-        while run_next():
-            pass
+        for k in iter(take, None):
+            try:
+                results[k] = task(groups[k])
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
 
+    workers = min(len(groups), _pair_workers()) if len(groups) > 1 else 1
     helpers = [_executor().submit(drain) for _ in range(workers - 1)]
-    try:
-        for k in range(len(groups)):
-            while not slots[k].done() and run_next():
-                pass
-            yield slots[k].result()
-            slots[k] = None
-    finally:
-        with lock:
-            for _ in untaken:
-                pass
-        for helper in helpers:
-            helper.result()
+    drain()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _executor():
-    """The process's pool for `_in_group_order`, created on first use (and
+    """The process's pool for `_run_groups`, created on first use (and
     again in a forked child, whose copy has no threads)."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():

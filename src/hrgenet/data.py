@@ -244,6 +244,11 @@ class SyntheticSpec:
         if self.fine_per_class < 0:
             raise ConfigError(
                 f"fine_per_class must be >= 0, got {self.fine_per_class}")
+        if self.fine_per_class > self.shapes_per_class:
+            # Each sub-category needs a shape.
+            raise ConfigError(
+                f"fine_per_class {self.fine_per_class} exceeds "
+                f"shapes_per_class {self.shapes_per_class}")
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; "

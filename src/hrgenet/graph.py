@@ -40,8 +40,8 @@ the usable CPUs over the BLAS threads that ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` declares, and one thread when
 none is set, since BLAS then uses every CPU.  Set
 ``OPENBLAS_NUM_THREADS=1`` for throughput.  No bit depends on the thread
-count: each group writes its own rows and the weight gradients are added
-in group order.
+count: each group writes its own rows, and the groups' weight gradients
+are kept until the pass ends and added in group order.
 """
 
 from __future__ import annotations

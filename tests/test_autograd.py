@@ -414,9 +414,12 @@ class TestPairWorkers:
             monkeypatch.setenv(var, value)
         assert ag._pair_workers() == workers
 
-    def test_each_group_runs_once_in_order_under_contention(self):
+    def test_each_group_runs_once_in_order_under_contention(self,
+                                                             monkeypatch):
         """More workers than cores, switching threads every microsecond:
-        every group runs exactly once and the results come in order."""
+        every group runs exactly once and the results come in order.  Any
+        error in the stressing thread fails the test."""
+        monkeypatch.setattr(ag, "_pair_workers", lambda: 4)
         failures = []
 
         def stress():
@@ -428,10 +431,10 @@ class TestPairWorkers:
                         ran.append(k)
                         return k * k
 
-                    results = list(ag._in_group_order(task, range(40), 4))
+                    results = ag._run_groups(task, range(40))
                     assert results == [k * k for k in range(40)]
                     assert sorted(ran) == list(range(40))
-            except AssertionError as exc:
+            except BaseException as exc:
                 failures.append(exc)
 
         interval = sys.getswitchinterval()
@@ -444,16 +447,29 @@ class TestPairWorkers:
             sys.setswitchinterval(interval)
         assert not runner.is_alive() and not failures
 
-    def test_error_in_a_group_reaches_the_caller(self):
+    def test_error_in_a_group_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ag, "_pair_workers", lambda: 2)
+
         def task(k):
             if k == 3:
                 raise ValueError("group 3")
             return k
 
-        results = ag._in_group_order(task, list(range(6)), 2)
-        assert [next(results) for _ in range(3)] == [0, 1, 2]
         with pytest.raises(ValueError, match="group 3"):
-            next(results)
+            ag._run_groups(task, list(range(6)))
+
+    def test_no_group_starts_after_an_error(self, monkeypatch):
+        monkeypatch.setattr(ag, "_pair_workers", lambda: 1)
+        ran = []
+
+        def task(k):
+            ran.append(k)
+            if k == 3:
+                raise ValueError("group 3")
+
+        with pytest.raises(ValueError, match="group 3"):
+            ag._run_groups(task, list(range(6)))
+        assert ran == [0, 1, 2, 3]
 
 
 class TestRingRows:

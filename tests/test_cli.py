@@ -99,6 +99,17 @@ class TestSynth:
         assert run(["synth", "--fine-per-class", "-1",
                     "--out", str(tmp_path / "x.hrgf")]) == 2
 
+    @pytest.mark.parametrize("per_class, fine", [
+        ("2", "5"), ("1", "2000000000")])
+    def test_more_sub_categories_than_shapes_is_usage_error(
+            self, tmp_path, capsys, per_class, fine):
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", "--mode", "relational-order", "--classes", "3",
+                    "--per-class", per_class, "--views", "6", "--dim", "2",
+                    "--fine-per-class", fine, "--out", str(out)]) == 2
+        assert f"fine_per_class {fine} exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_classes_than_ring_orders_is_usage_error(self, tmp_path):
         # 3 views have 2 ring orders distinct up to rotation.
         assert run_in_child(["synth", "--mode", "relational-order",

@@ -174,6 +174,11 @@ class TestSyntheticGenerators:
             SyntheticSpec(num_classes=1, shapes_per_class=1, num_views=4,
                           dim=3, kind="fractal")
 
+    def test_more_sub_categories_than_shapes_rejected(self):
+        with pytest.raises(ConfigError, match="fine_per_class 3 exceeds"):
+            SyntheticSpec(num_classes=2, shapes_per_class=2, num_views=4,
+                          dim=3, fine_per_class=3)
+
     def test_fine_labels_generated_on_request(self):
         spec = SyntheticSpec(num_classes=2, shapes_per_class=4, num_views=4,
                              dim=3, kind="prototype", fine_per_class=2, seed=0)

@@ -568,14 +568,14 @@ class TestPairGroups:
         call finds a partner."""
         monkeypatch.setattr(ag, "_pair_workers", lambda: 2)
         in_pairs, both_hold = threading.Event(), threading.Barrier(2, timeout=30)
-        in_group_order, activations = ag._in_group_order, ag._pair_activations
+        run_groups, activations = ag._run_groups, ag._pair_activations
         paired = []
 
-        def paired_group_order(task, groups, workers):
-            if workers > 1:
+        def paired_run_groups(task, groups):
+            if len(groups) > 1:
                 in_pairs.set()
             try:
-                yield from in_group_order(task, groups, workers)
+                return run_groups(task, groups)
             finally:
                 in_pairs.clear()
 
@@ -586,7 +586,7 @@ class TestPairGroups:
                 paired.append(len(acts))
             return acts
 
-        monkeypatch.setattr(ag, "_in_group_order", paired_group_order)
+        monkeypatch.setattr(ag, "_run_groups", paired_run_groups)
         monkeypatch.setattr(ag, "_pair_activations", paired_activations)
         model = HrgeModel(num_views=80, width=32, variant="full", seed=41)
         classifier = Classifier(model.descriptor_length, 4, seed=42)
