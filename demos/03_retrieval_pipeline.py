@@ -27,13 +27,12 @@ def main():
     train(model, classifier, dataset, cfg)
 
     index = build_index(model, dataset)
-    report, ranked_lists = evaluate_retrieval(index)
-    query = dataset.records[0]
-    ranked = ranked_lists[0]
-    print(f"query {ranked.query_id} (class {query.coarse_label}), "
-          "top 5 neighbors:")
-    for rid, dist in list(zip(ranked.ids, ranked.distances))[:5]:
-        print(f"  {rid:>12}  distance {dist:.4f}")
+    report, blocks = evaluate_retrieval(index)
+    queries, order, dists, kept = blocks[0]
+    query = dataset.records[queries[0]]
+    print(f"query {query.id} (class {query.coarse_label}), top 5 neighbors:")
+    for j, dist in zip(order[0, :min(5, kept[0])], dists[0]):
+        print(f"  {index.ids[j]:>12}  distance {dist:.4f}")
 
     print()
     print(report.render_table())

@@ -28,7 +28,6 @@ from .optim import Adam, LrSchedule
 from .retrieval import (
     DescriptorIndex,
     MetricsReport,
-    RankedList,
     aggregate,
     build_index,
     evaluate_retrieval,

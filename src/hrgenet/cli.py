@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
 )
 from .gradcheck import check_gradients
-from .graph import VARIANT_NAMES, HrgeModel, hierarchy_depth, hrge_forward
+from .graph import VARIANT_NAMES, HrgeModel, hrge_forward
 from .layers import linear_forward
 from .retrieval import build_index, check_threshold, evaluate_retrieval
 from .training import Classifier, TrainConfig, evaluate_accuracy, predict_batch, train
@@ -162,12 +162,13 @@ def build_parser() -> _Parser:
 
 def _apply_config_file(parser, path):
     """Make the values of the config file at `path` the defaults of the
-    subcommands that define their keys."""
+    subcommands that define their keys; required flags are not keys."""
     values = _read_config_file(path)
     commands = _commands(parser)
     known = {a.dest for command in commands for a in command._actions}
+    required = {a.dest for c in commands for a in c._actions if a.required}
     for key in values:
-        if key not in known or key == "help":
+        if key not in known or key in required or key == "help":
             raise ConfigError(f"{path}: {key} is not a config key")
     for command in commands:
         command.set_defaults(**{a.dest: _config_value(path, a, values[a.dest])
@@ -244,10 +245,8 @@ def _write_manifest(run_dir, args):
 
 
 def _cmd_synth(args):
-    if args.depth is not None:
-        hierarchy_depth(args.views, args.stride, args.depth)
-    elif args.stride < 2:
-        raise ConfigError(f"stride must be >= 2, got {args.stride}")
+    HrgeModel(args.views, 1, "full" if args.depth is not None else "pr",
+              args.stride, args.depth)  # refuses a geometry no model runs
     spec = data.SyntheticSpec(
         num_classes=args.classes, shapes_per_class=args.per_class,
         num_views=args.views, dim=args.dim, noise=args.noise,
@@ -337,20 +336,21 @@ def _cmd_retrieve(args):
             args.fine_checkpoint, dataset, dataset.num_fine_classes)
         _, fine_preds = predict_batch(fine_model, fine_clf,
                                       [r.views for r in dataset.records])
-        fine_by_id = dict(zip([r.id for r in dataset.records], fine_preds))
-        predict_fine = fine_by_id.__getitem__
-    report, ranked_lists = evaluate_retrieval(index, threshold=args.tau,
-                                              predict_fine=predict_fine)
+        predict_fine = dict(zip(index.ids, fine_preds)).__getitem__
+    report, blocks = evaluate_retrieval(index, threshold=args.tau,
+                                        predict_fine=predict_fine)
     data.write_records(os.path.join(args.out, "metrics.txt"),
                        [report.record()])
+    ids = np.array(index.ids, dtype=object)
     with open(os.path.join(args.out, "ranked.txt"), "w") as f:
-        for ranked in ranked_lists:
-            # One %-format per row, the bytes of f"{id}:{distance:.8g}"
-            # per entry joined by spaces.
-            entries = [None] * (2 * len(ranked.ids))
-            entries[::2], entries[1::2] = ranked.ids, ranked.distances
-            row = " ".join(["%s:%.8g"] * len(ranked.ids)) % tuple(entries)
-            f.write(f"{ranked.query_id}\t{row}\n")
+        for queries, order, dists, kept in blocks:
+            for q, row, dist, n in zip(queries, order, dists, kept):
+                # One %-format per row, the bytes of f"{id}:{distance:.8g}"
+                # per entry joined by spaces.
+                entries = [None] * (2 * n)
+                entries[::2], entries[1::2] = ids[row[:n]], dist[:n].tolist()
+                text = " ".join(["%s:%.8g"] * n) % tuple(entries)
+                f.write(f"{ids[q]}\t{text}\n")
     print(report.render_table())
     return EXIT_OK
 
@@ -425,6 +425,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, EmptyInputError, LabelError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

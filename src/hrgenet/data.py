@@ -238,6 +238,11 @@ class SyntheticSpec:
             raise ConfigError("num_classes and shapes_per_class must be >= 1")
         if self.num_views < 1 or self.dim < 1:
             raise ConfigError("num_views and dim must be >= 1")
+        count = self.num_classes * self.shapes_per_class
+        if max(count, self.num_views, self.dim) > 0xFFFFFFFF:
+            raise ConfigError(  # HRGF stores them in u32 header fields
+                f"record count {count}, num_views {self.num_views} and dim "
+                f"{self.dim} must each be <= {0xFFFFFFFF}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(
                 f"noise must be finite and >= 0, got {self.noise}")

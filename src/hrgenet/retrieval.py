@@ -60,14 +60,6 @@ def build_index(model, dataset) -> DescriptorIndex:
         vectors=vectors)
 
 
-@dataclass
-class RankedList:
-    query_id: str
-    ids: list
-    distances: list
-    relevance: list = field(default_factory=list)
-
-
 def pairwise_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     """Exact L2 distances, (len(queries), len(corpus)), over corpus tiles
     that keep each (queries, tile, D) difference near `TILE_BYTES`.  Each
@@ -188,9 +180,11 @@ def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
 
     ``predict_fine`` (id -> predicted sub-category) is called once per
     id.  Queries whose class has no other corpus member are skipped and
-    listed in the report.  Queries run in blocks of `QUERY_BLOCK`, so
-    memory is O(QUERY_BLOCK * len(index)).  Returns (report,
-    ranked_lists): one `RankedList` per evaluated query, in index order.
+    listed in the report.  Returns (report, blocks), a tuple (queries,
+    order, dists, kept) per `QUERY_BLOCK` of queries in index order: their
+    index rows, ranked corpus rows and distances cut to the widest kept
+    row, and kept counts.  So memory is 16 bytes per candidate up to each
+    block's widest kept row, plus one block of work arrays.
     """
     check_threshold(threshold)
     _, label_pos, counts = np.unique(index.labels, return_inverse=True,
@@ -200,9 +194,8 @@ def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
     fine = None
     if predict_fine is not None:
         fine = np.array([predict_fine(i) for i in index.ids])
-    ids = np.array(index.ids, dtype=object)
     per_query = {k: np.empty(len(queries)) for k in METRIC_KEYS}
-    ranked_lists = []
+    blocks = []
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start:start + QUERY_BLOCK]
         order, dists, kept = _rank_block(index, block, threshold, fine)
@@ -210,10 +203,9 @@ def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
                      & (np.arange(len(index)) < kept[:, None]))
         for k, values in ranking_metrics(relevance, total[block]).items():
             per_query[k][start:start + len(block)] = values
-        for q, row, dist, rel, n in zip(block, order, dists, relevance, kept):
-            ranked_lists.append(RankedList(
-                query_id=index.ids[q], ids=ids[row[:n]].tolist(),
-                distances=dist[:n].tolist(), relevance=rel[:n].tolist()))
+        width = kept.max()  # copies, so the full-width arrays are freed
+        blocks.append((block, order[:, :width].copy(),
+                       dists[:, :width].copy(), kept))
     report = aggregate(per_query, index.labels[queries])
     report.skipped_queries = [index.ids[k] for k in np.flatnonzero(total < 1)]
-    return report, ranked_lists
+    return report, blocks

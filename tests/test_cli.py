@@ -110,6 +110,31 @@ class TestSynth:
         assert f"fine_per_class {fine} exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--classes", "100000000000000000"), ("--views", "4294967296"),
+        ("--dim", "4294967296")])
+    def test_size_beyond_the_u32_header_is_usage_error(self, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "x.hrgf"
+        argv = ["synth", "--classes", "2", "--per-class", "1", "--views",
+                "6", "--dim", "2", "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        assert run(argv) == 2
+        assert "must each be <= 4294967295" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        def too_big(spec):
+            raise MemoryError("Unable to allocate 2.79 TiB")
+
+        monkeypatch.setattr(cli.data, "generate_synthetic", too_big)
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 2.79 TiB\n")
+        assert not out.exists()
+
     def test_more_classes_than_ring_orders_is_usage_error(self, tmp_path):
         # 3 views have 2 ring orders distinct up to rotation.
         assert run_in_child(["synth", "--mode", "relational-order",
@@ -359,6 +384,7 @@ class TestTrainEval:
         ("use_fine_labels=yes", "use_fine_labels"),
         ("epoch=5", "epoch"),
         ("variant=bogus", "variant"),
+        ("data=x.hrgf", "data"),
     ])
     def test_bad_config_value_is_usage_error(self, synth_file, tmp_path,
                                              capsys, line, key):
@@ -622,30 +648,34 @@ class TestRetrieve:
         data = tmp_path / "data.hrgf"
         save_dataset(dataset, data)
         ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 3)
-        lists, evaluate = [], cli.evaluate_retrieval
+        blocks, evaluate = [], cli.evaluate_retrieval
 
-        def kept(*args, **kwargs):
+        def keep(*args, **kwargs):
             report, ranked = evaluate(*args, **kwargs)
-            lists.extend(ranked)
+            blocks.extend(ranked)
             return report, ranked
 
-        monkeypatch.setattr(cli, "evaluate_retrieval", kept)
+        monkeypatch.setattr(cli, "evaluate_retrieval", keep)
         out = tmp_path / "r"
         assert run(["retrieve", "--data", str(data), "--checkpoint",
                     str(ckpt), "--tau", tau, "--out", str(out)]) == 0
+        ids = [r.id for r in dataset.records]
+        rows = [(ids[q], [ids[j] for j in row[:n]], dist[:n].tolist())
+                for queries, order, dists, kept in blocks
+                for q, row, dist, n in zip(queries, order, dists, kept)]
         expected = "".join(
-            f"{r.query_id}\t"
-            + " ".join(f"{i}:{d:.8g}" for i, d in zip(r.ids, r.distances))
-            + "\n" for r in lists)
+            f"{query_id}\t"
+            + " ".join(f"{i}:{d:.8g}" for i, d in zip(row_ids, distances))
+            + "\n" for query_id, row_ids, distances in rows)
         assert (out / "ranked.txt").read_bytes() == expected.encode()
-        lengths = {len(r.ids) for r in lists}
+        lengths = {len(row_ids) for _, row_ids, _ in rows}
         if tau == "inf":
             assert lengths == {len(dataset) - 1}
-            distances = [d for r in lists for d in r.distances]
+            distances = [d for _, _, row in rows for d in row]
             assert len(set(distances)) < len(distances)
         else:
             assert lengths == {0, 1, 2}
-            assert {d for r in lists for d in r.distances} == {0.0}
+            assert {d for _, _, row in rows for d in row} == {0.0}
 
 
 class TestGradcheck:

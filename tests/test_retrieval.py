@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,21 +94,35 @@ def random_index(seed, size, dim=6, classes=4, duplicates=0):
                            labels=labels, vectors=vectors)
 
 
+def ranked_rows(blocks):
+    """(query row, ranked corpus rows, distances) of every evaluated
+    query, from the blocks of `evaluate_retrieval`."""
+    return [(q, row[:n].tolist(), dist[:n].tolist())
+            for queries, order, dists, kept in blocks
+            for q, row, dist, n in zip(queries, order, dists, kept)]
+
+
 def assert_matches_brute_force(index, tau=math.inf, fine=None):
-    """Ranked ids, distances and relevance equal the oracle's exactly;
-    the metrics to 1e-12."""
+    """Ranked rows, distances and relevance equal the oracle's exactly;
+    the metrics to 1e-12.  Each block's arrays end at its widest kept
+    row."""
     predict = None if fine is None else dict(zip(index.ids, fine)).__getitem__
-    report, ranked = evaluate_retrieval(index, threshold=tau,
+    report, blocks = evaluate_retrieval(index, threshold=tau,
                                         predict_fine=predict)
     labels = index.labels
     evaluated = [q for q in range(len(index))
                  if (labels == labels[q]).sum() > 1]
-    assert [r.query_id for r in ranked] == [index.ids[q] for q in evaluated]
-    for q, r in zip(evaluated, ranked):
+    for queries, order, dists, kept in blocks:
+        assert 1 <= len(queries) <= QUERY_BLOCK
+        assert order.shape == dists.shape == (len(queries), kept.max())
+    rows = ranked_rows(blocks)
+    assert [q for q, _, _ in rows] == evaluated
+    for q, ranked, distances in rows:
         order, dists = brute_force_ranking(index.vectors, q, tau, fine)
-        assert r.ids == [index.ids[j] for j in order]
-        assert r.distances == dists
-        assert r.relevance == [labels[j] == labels[q] for j in order]
+        assert ranked == order
+        assert distances == dists
+        assert ((labels[ranked] == labels[q]).tolist()
+                == [labels[j] == labels[q] for j in order])
     micro, macro = brute_force_metrics(index.vectors, labels, tau, fine)
     for key in micro:
         assert report.micro[key] == pytest.approx(micro[key], abs=1e-12)
@@ -207,27 +222,30 @@ class TestRetrieve:
         with_query = DescriptorIndex(
             ids=index.ids + ["q"], labels=np.append(index.labels, 0),
             vectors=np.vstack([index.vectors, query]))
-        _, ranked = evaluate_retrieval(with_query, **kwargs)
-        return next(r for r in ranked if r.query_id == "q")
+        _, blocks = evaluate_retrieval(with_query, **kwargs)
+        return next(([with_query.ids[j] for j in ranked], distances)
+                    for q, ranked, distances in ranked_rows(blocks)
+                    if with_query.ids[q] == "q")
 
     def test_pure_distance_ranking(self):
         index = self.make_index()
         query = np.array([1.0, 0.1, 0.0, 0.0])
-        ranked = self.rank(index, query)
-        assert ranked.ids[0] == "a"
-        assert ranked.distances == sorted(ranked.distances)
+        ids, distances = self.rank(index, query)
+        assert ids[0] == "a"
+        assert distances == sorted(distances)
 
     def test_query_excluded_from_results(self):
-        _, ranked = evaluate_retrieval(self.make_index())
-        assert [r.query_id for r in ranked] == ["a", "b", "c", "d"]
-        for r in ranked:
-            assert r.query_id not in r.ids
+        _, blocks = evaluate_retrieval(self.make_index())
+        rows = ranked_rows(blocks)
+        assert [q for q, _, _ in rows] == [0, 1, 2, 3]
+        for q, ranked, _ in rows:
+            assert q not in ranked
 
     def test_threshold_drops_far_items(self):
         index = self.make_index()
         query = np.array([1.0, 0.0, 0.0, 0.0])
-        ranked = self.rank(index, query, threshold=1.0)
-        assert ranked.ids == ["a"]
+        ids, _ = self.rank(index, query, threshold=1.0)
+        assert ids == ["a"]
 
     def test_invalid_threshold_rejected(self):
         for threshold in (0.0, -1.0, math.nan):
@@ -243,9 +261,9 @@ class TestRetrieve:
     def test_rerank_identity_when_all_share_fine_label(self):
         index = self.make_index()
         query = np.array([0.2, 0.3, 0.1, 0.4])
-        plain = self.rank(index, query)
-        reranked = self.rank(index, query, predict_fine=lambda _id: 7)
-        assert reranked.ids == plain.ids
+        plain, _ = self.rank(index, query)
+        reranked, _ = self.rank(index, query, predict_fine=lambda _id: 7)
+        assert reranked == plain
 
     def test_rerank_stable_partition_hand_case(self):
         # five items at hand-placed distances with mixed fine labels
@@ -255,10 +273,10 @@ class TestRetrieve:
                                 labels=np.zeros(5, dtype=int),
                                 vectors=vectors)
         fine = {"q": 1, "a": 0, "b": 1, "c": 0, "d": 1, "e": 0}
-        ranked = self.rank(index, np.array([0.0]),
+        ids, _ = self.rank(index, np.array([0.0]),
                            predict_fine=fine.__getitem__)
         # same-fine items (b, d) promoted, order inside partitions kept
-        assert ranked.ids == ["b", "d", "a", "c", "e"]
+        assert ids == ["b", "d", "a", "c", "e"]
 
 
 class TestExtractDescriptor:
@@ -311,8 +329,8 @@ class TestEvaluateRetrieval:
         fine = np.random.default_rng(3).integers(0, 2, size=20)
         for tau in (1.0, math.inf):
             assert_matches_brute_force(index, tau, fine)
-        _, ranked = evaluate_retrieval(index)
-        assert all("s5" not in r.ids for r in ranked)
+        _, blocks = evaluate_retrieval(index)
+        assert all(5 not in ranked for _, ranked, _ in ranked_rows(blocks))
 
     @pytest.mark.parametrize("size", [QUERY_BLOCK - 1, QUERY_BLOCK,
                                       QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 1])
@@ -326,6 +344,18 @@ class TestEvaluateRetrieval:
         index.labels = np.random.default_rng(size).integers(0, size // 2,
                                                             size=size)
         assert_matches_brute_force(index, 1.1, fine)
+
+    def test_ranking_memory_is_bounded(self):
+        # At tau inf the 1000 rankings hold 16 bytes per candidate, 16 MB,
+        # beside one block of (QUERY_BLOCK, 1000) work arrays.
+        index = random_index(0, 1000, dim=96, classes=20)
+        tracemalloc.start()
+        try:
+            evaluate_retrieval(index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_all_queries_skipped_is_empty_input(self, size):
