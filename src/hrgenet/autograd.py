@@ -273,16 +273,16 @@ def pair_relation_sum(x, layers) -> Tensor:
 
     Each shape's rows are first put in a canonical order
     (`_canonical_rows`), so that any permutation of them gives the same
-    rows and every later step is the same computation.  The first layer
-    is factored: ``x W[:, :w]^T`` and ``x W[:, w:]^T + b`` are computed
-    once per row and broadcast-added, so the concatenated pairs are never
-    built.  The pair rows of a shape are ``(n - 1, n)``, partner-major
-    (`_pair_rows`): row ``(k, i)`` pairs row i with row
-    ``j = k + (k >= i)``, so every per-row sum of pair rows adds whole
-    contiguous ``(n, h)`` slabs.  Each row's ``n - 1`` rectified
-    activations of the last hidden layer are summed in partner order
-    into ``S``, and the last layer runs once per row, as
-    ``S W_last^T + (n - 1) b_last``.
+    rows and every later step is the same computation.  The pair rows of
+    a shape are the ``(n, n)`` grid (`_pair_activations`): row ``j n + i``
+    pairs row i with row j.  The first layer is factored, so the
+    concatenated pairs are never built.  The last hidden activation's
+    diagonal rows, i = j, are zero, so they add nothing to any sum and
+    their rectifier mask passes no gradient.  Each row's sum over its
+    partners adds whole contiguous ``(n, h)`` slabs in partner order into
+    ``S``, and the last layer runs once per row, as
+    ``S W_last^T + (n - 1) b_last``.  The backward sums each right-hand
+    row's pairs with one stacked matmul by a row of ones.
 
     Both passes run over groups of shapes whose pair rows fit
     ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does not
@@ -310,7 +310,7 @@ def pair_relation_sum(x, layers) -> Tensor:
     n, width = x.data.shape[-2:]
     xs = x.data.reshape(-1, n, width)
     hidden = max(w.data.shape[0] for w, _ in layers)
-    size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * (n - 1) * hidden))
+    size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * n * hidden))
     groups = [slice(s, s + size) for s in range(0, len(xs), size)]
     places = _canonical_rows(xs)
     w_last, b_last = layers[-1][0].data, layers[-1][1].data
@@ -320,7 +320,8 @@ def pair_relation_sum(x, layers) -> Tensor:
 
     def forward(s):
         acts = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)
-        relations = np.matmul(_left_node_sum(acts[-1], n), w_last.T)
+        relations = np.matmul(_by_partner(acts[-1], n).sum(axis=1),
+                              w_last.T)
         relations += (n - 1) * b_last
         out[places[s]] = relations
         if len(groups) == 1:
@@ -346,7 +347,7 @@ def pair_relation_sum(x, layers) -> Tensor:
             # pair of the row gets.
             g_sorted = g.take(places[s], axis=0)
             g_rows = _rows(g_sorted)
-            grads = [(g_rows.T @ _rows(_left_node_sum(acts[-1], n)),
+            grads = [(g_rows.T @ _rows(_by_partner(acts[-1], n).sum(axis=1)),
                       (n - 1) * g_rows.sum(axis=0))]
             # Each gradient takes the buffer of an activation that is no
             # longer needed: the last rectifier's mask and gradient go into
@@ -359,16 +360,18 @@ def pair_relation_sum(x, layers) -> Tensor:
             del pairs, g_sorted, g_rows
             for k in range(len(layers) - 2, 0, -1):
                 h = acts.pop()
+                g_left = _by_partner(gy, n).sum(axis=1)
                 grads.append((_rows(gy).T @ _rows(h),
-                              _rows(_left_node_sum(gy, n)).sum(axis=0)))
+                              _rows(g_left).sum(axis=0)))
                 mask = h > 0.0
                 gy = np.matmul(gy, arrays[k][0], out=h)
                 del h  # the buffer is gy's alone, freed with it below
                 gy *= mask
                 del mask
-            g_left = _left_node_sum(gy, n)
-            g_right = _right_node_sum(gy, n)
-            del gy
+            pairs = _by_partner(gy, n)
+            g_left = pairs.sum(axis=1)
+            g_right = np.matmul(np.ones((1, n)), pairs)[:, :, 0]
+            del gy, pairs
             w0, rows = arrays[0][0], _rows(rows)
             gx[places[s]] = (np.matmul(g_left, w0[:, :width])
                              + np.matmul(g_right, w0[:, width:]))
@@ -475,11 +478,19 @@ def _executor():
 
 
 def _pair_activations(xs, layers):
-    """Rectified outputs of `layers` over every ordered row pair of each
-    ``(n, w)`` shape in `xs`: one ``(g, (n - 1) n, h)`` array per layer,
-    partner-major, whose row ``k n + i`` pairs row i with row
-    ``j = k + (k >= i)``."""
-    h = _first_layer(xs, *layers[0])
+    """Rectified outputs of `layers` over every row pair of each ``(n, w)``
+    shape in `xs`: one ``(g, n n, h)`` array per layer whose row
+    ``j n + i`` pairs row i with row j.  The first layer is factored: each
+    row's terms as the left and as the right row of a pair are computed
+    once, and a pair's pre-activation is ``right_j + left_i``.  The last
+    array's diagonal rows, i = j, are zero."""
+    (w0, b0), n, width = layers[0], *xs.shape[1:]
+    left = np.matmul(xs, w0[:, :width].T)
+    right = np.matmul(xs, w0[:, width:].T)
+    right += b0
+    h = np.repeat(right, n, axis=1)
+    pairs = _by_partner(h, n)
+    pairs += left[:, None]
     np.maximum(h, 0.0, out=h)
     acts = [h]
     for w, b in layers[1:]:
@@ -487,72 +498,14 @@ def _pair_activations(xs, layers):
         h += b
         np.maximum(h, 0.0, out=h)
         acts.append(h)
+    h[:, ::n + 1] = 0.0
     return acts
 
 
-def _first_layer(xs, w0, b0):
-    """The first layer's pre-activations over the row pairs of `xs`: each
-    row's terms as the left and as the right row of a pair are computed
-    once, and a pair's pre-activation is ``right_j + left_i``."""
-    n, width = xs.shape[1:]
-    left = np.matmul(xs, w0[:, :width].T)
-    right = np.matmul(xs, w0[:, width:].T)
-    right += b0
-    h = right.take(_pair_rows(n), axis=-2)
-    pairs = _by_partner(h, n)
-    pairs += left[:, None]
-    return h
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_rows(n):
-    """Each partner-major pair row's partner index: row ``k n + i`` pairs
-    row i with row ``j = k + (k >= i)``."""
-    partner, left = np.divmod(np.arange((n - 1) * n), n)
-    right = partner + (partner >= left)
-    right.flags.writeable = False
-    return right
-
-
 def _by_partner(pairs, n):
-    """View of ``(g, (n - 1) n, h)`` pair rows as ``(g, n - 1, n, h)``."""
-    return pairs.reshape(pairs.shape[0], n - 1, n, pairs.shape[-1])
-
-
-def _left_node_sum(g, n):
-    """Sum of the ``(g, (n - 1) n, h)`` pair rows per left-hand node: a
-    sum over the outer partner axis, in partner order."""
-    return _by_partner(g, n).sum(axis=1)
-
-
-def _right_node_sum(g, n):
-    """Sum of the ``(g, (n - 1) n, h)`` pair rows per right-hand node.
-
-    Partner row k sends its entries ``i <= k`` to node k + 1 and the rest
-    to node k, so one stacked matmul with the 0/1 masks of
-    `_partner_halves` sums both parts of every partner row, and node j
-    adds the first part of row j - 1 to the second part of row j.  A
-    non-finite entry also makes the other node of its row NaN, since 0
-    times it is NaN.
-    """
-    count, _, h = g.shape
-    halves = np.matmul(_partner_halves(n), _by_partner(g, n))
-    out = np.zeros((count, n, h))
-    out[:, 1:] += halves[:, :, 0]
-    out[:, :-1] += halves[:, :, 1]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _partner_halves(n):
-    """``(n - 1, 2, n)`` 0/1 rows: per partner row k, its entries
-    ``i <= k``, then its entries ``i > k``."""
-    partner = np.arange(n - 1)[:, None, None]
-    left = np.arange(n)
-    masks = np.concatenate([left <= partner, left > partner], axis=1)
-    masks = masks.astype(np.float64)
-    masks.flags.writeable = False
-    return masks
+    """View of ``(g, n n, h)`` pair rows as ``(g, n, n, h)``: axis 1 is
+    the right-hand row j, axis 2 the left-hand row i."""
+    return pairs.reshape(pairs.shape[0], n, n, pairs.shape[-1])
 
 
 def _sorted_sum(grouped):

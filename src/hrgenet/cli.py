@@ -236,8 +236,7 @@ def _write_manifest(run_dir, args):
     record = {key: value for key, value in sorted(vars(args).items())
               if key != "config"}
     # What ran besides the flags: the numpy build, the declared BLAS
-    # threads (a checkpoint's last bits depend on the BLAS thread count)
-    # and the threads on the pair groups.
+    # threads and the threads on the pair groups.
     record["numpy"] = np.__version__
     record.update((var, os.environ.get(var)) for var in ag._BLAS_THREAD_VARS)
     record["pair_workers"] = ag._pair_workers()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -243,6 +244,11 @@ class SyntheticSpec:
             raise ConfigError(  # HRGF stores them in u32 header fields
                 f"record count {count}, num_views {self.num_views} and dim "
                 f"{self.dim} must each be <= {0xFFFFFFFF}")
+        payload = count * self.num_views * self.dim * 8
+        if payload > sys.maxsize:
+            raise ConfigError(  # no array of the views could be allocated
+                f"{count} records of {self.num_views} views of dim "
+                f"{self.dim} need {payload} bytes, more than {sys.maxsize}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(
                 f"noise must be finite and >= 0, got {self.noise}")

@@ -25,11 +25,11 @@ and the learned neighboring module are each one `ag.ring_affine`
 level block is one `ag.pool_rows` (the column max, unit-normalized by
 variant), and coarsening is one `ag.ring_rows`.
 
-The pair level holds n (n - 1) rows per shape, so it is one op,
+The pair level holds n (n - 1) pairs per shape, so it is one op,
 `ag.pair_relation_sum`: it puts each shape's rows in a canonical
 order first, so that the relation sums do not depend on the order of the
-views, lays the pair rows out partner-major, ``(n - 1, n)``, so that
-each per-node sum adds contiguous slabs over the outer axis, runs the
+views, lays the pair rows out as the ``(n, n)`` grid whose diagonal
+rows, a node paired with itself, are zeroed before any sum, runs the
 last pair layer once per node after the sum, and runs both passes over
 groups of shapes whose pair rows fit ``ag.PAIR_GROUP_BYTES`` per array,
 keeping the pair activations for backward only when the pass is one

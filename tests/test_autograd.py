@@ -269,25 +269,65 @@ class TestPairRelationSum:
                 np.testing.assert_array_equal(a.view(np.uint64),
                                               b.view(np.uint64))
 
+    @pytest.mark.parametrize("group_bytes", [1, ag.PAIR_GROUP_BYTES])
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_node_sums_match_a_loop_over_pairs(self, n):
-        """The per-node sums of the partner-major pair rows, row
-        ``k n + i`` pairing row i with row ``j = k + (k >= i)``, equal a
-        loop over the (i, j) pairs.  Integer entries make every order of
+    def test_pair_grid_matches_a_loop_over_pairs(self, monkeypatch, n,
+                                                 group_bytes):
+        """Row ``j n + i`` of the pair grid pairs row i with row j: the
+        first activation there is ``relu(right_j + left_i)``, and the last
+        activation's diagonal rows are zero.  The sums of the pair rows
+        per left-hand and per right-hand row, which give the sums, the
+        gradient of x and the first weight's two halves, equal a loop over
+        the pairs (i, j != i).  Integer entries make every order of
         summation exact."""
-        g = np.random.default_rng(n).integers(
-            -99, 99, size=(3, (n - 1) * n, 4)).astype(np.float64)
-        right_of = ag._pair_rows(n)
-        left, right = np.zeros((3, n, 4)), np.zeros((3, n, 4))
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
+        rng = np.random.default_rng(n)
+
+        def ints(*shape):
+            return rng.integers(-3, 4, size=shape).astype(np.float64)
+
+        dims, width = [8, 6, 5, 3], 4
+        arrays = [(ints(out, inp), ints(out))
+                  for inp, out in zip(dims, dims[1:])]
+        x, upstream = ints(3, n, width), ints(3, n, dims[-1])
+        acts = ag._pair_activations(x, arrays[:-1])
+        w0, b0 = arrays[0]
         for i in range(n):
             for j in range(n):
-                if i != j:
-                    row = (j - (j > i)) * n + i
-                    assert right_of[row] == j
-                    left[:, i] += g[:, row]
-                    right[:, j] += g[:, row]
-        np.testing.assert_array_equal(ag._left_node_sum(g, n), left)
-        np.testing.assert_array_equal(ag._right_node_sum(g, n), right)
+                right = x[:, j] @ w0[:, width:].T + b0
+                np.testing.assert_array_equal(
+                    acts[0][:, j * n + i],
+                    np.maximum(right + x[:, i] @ w0[:, :width].T, 0.0))
+            np.testing.assert_array_equal(acts[-1][:, i * n + i], 0.0)
+
+        sums, gx = np.zeros_like(upstream), np.zeros_like(x)
+        grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in arrays]
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                # The input of each layer: the pair, then rectified outputs.
+                hs = [np.concatenate([x[:, i], x[:, j]], axis=-1)]
+                for w, b in arrays[:-1]:
+                    hs.append(np.maximum(hs[-1] @ w.T + b, 0.0))
+                sums[:, i] += hs[-1] @ arrays[-1][0].T + arrays[-1][1]
+                g = upstream[:, i]
+                for k in range(len(arrays) - 1, -1, -1):
+                    grads[k][0] += g.T @ hs[k]
+                    grads[k][1] += g.sum(axis=0)
+                    g = (g @ arrays[k][0]) * (hs[k] > 0.0 if k else 1.0)
+                gx[:, i] += g[:, :width]
+                gx[:, j] += g[:, width:]
+
+        views = ag.Tensor(x)
+        layers = [(ag.Tensor(w), ag.Tensor(b)) for w, b in arrays]
+        out = ag.pair_relation_sum(views, layers)
+        dot_loss(out, upstream).backward()
+        np.testing.assert_array_equal(out.data, sums)
+        np.testing.assert_array_equal(views.grad, gx)
+        for (w, b), (gw, gb) in zip(layers, grads):
+            np.testing.assert_array_equal(w.grad, gw)
+            np.testing.assert_array_equal(b.grad, gb)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dims", [[6, 4, 2], [6, 4, 5, 2],

@@ -123,6 +123,17 @@ class TestSynth:
         assert "must each be <= 4294967295" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_view_payload_beyond_an_array_is_usage_error(self, tmp_path,
+                                                         capsys):
+        # Each field fits its u32 header field; their product does not fit
+        # any array.
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", "--classes", "4294967295", "--per-class", "1",
+                    "--views", "4294967295", "--dim", "4294967295",
+                    "--out", str(out)]) == 2
+        assert f"bytes, more than {sys.maxsize}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys,
                                           monkeypatch):
         def too_big(spec):
@@ -420,6 +431,33 @@ class TestTrainEval:
             assert run(["train", "--data", str(synth_file), "--epochs", "2",
                         "--batch", "5", "--lr", "1e-3",
                         "--out", str(out)]) == 0
+            saved.append((out / "checkpoint.hrgm").read_bytes())
+        assert saved[0] == saved[1]
+
+    @pytest.mark.parametrize("views, classes, per_class, seed", [
+        (24, 2, 16, 3), (40, 4, 10, 2)])
+    def test_checkpoint_bits_do_not_depend_on_blas_threads(
+            self, tmp_path, views, classes, per_class, seed):
+        """`train` writes the same checkpoint bytes on one BLAS thread as
+        on two, in child processes where only `OPENBLAS_NUM_THREADS`
+        declares a thread count."""
+        data = tmp_path / "data.hrgf"
+        assert run(["synth", "--mode", "relational-order",
+                    "--classes", str(classes), "--per-class", str(per_class),
+                    "--views", str(views), "--dim", "32", "--seed", str(seed),
+                    "--out", str(data)]) == 0
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hrgenet.__file__))
+        saved = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "hrgenet", "train", "--data",
+                 str(data), "--epochs", "1", "--batch", "16", "--lr", "1e-3",
+                 "--seed", "1", "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, timeout=120, check=True)
             saved.append((out / "checkpoint.hrgm").read_bytes())
         assert saved[0] == saved[1]
 
