@@ -23,7 +23,7 @@ from .graph import (
     neighboring_relation,
     pairwise_relation,
 )
-from .layers import LinearLayer, Mlp, linear_forward
+from .layers import Affine, linear_forward
 from .optim import Adam, LrSchedule
 from .retrieval import (
     DescriptorIndex,

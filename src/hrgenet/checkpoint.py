@@ -90,33 +90,33 @@ def load_model(path):
         blocks.append((at, r.floats(shape, f"block {k}")))
     r.end()
 
-    # A variant of fixed depth is built at it, and its depth is checked
-    # against the header below like any other's.
-    wanted = None if VARIANTS[tag].fixed_depth is not None else depth or None
-
-    def build(width, num_classes):
+    def valid(make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or the located error of a header that
+        describes no valid model."""
         try:
-            model = HrgeModel(num_views=num_views, width=width,
-                              variant=VARIANTS[tag], stride=stride,
-                              depth=wanted)
-            classifier = None
-            if num_classes:
-                classifier = Classifier(model.descriptor_length, num_classes)
+            return make(*args, **kwargs)
         except HrgeError as exc:
             raise r.error(f"header describes no valid model ({exc})",
                           at=8) from None
-        return model, classifier
 
-    # Every parameter dim is a multiple of the width, so a width-1 model
-    # gives the block shapes the header implies without allocating them.
-    unit, _ = build(1, 0)
+    # A variant of fixed depth is built at it, and its depth is checked
+    # against the header below like any other's.
+    wanted = None if VARIANTS[tag].fixed_depth is not None else depth or None
+    geometry = dict(num_views=num_views, variant=VARIANTS[tag], stride=stride,
+                    depth=wanted)
+    # Every embedding dim is a multiple of the width, so a width-1 model
+    # gives the shapes of the embedding blocks without allocating them;
+    # the head's row gives the head's.
+    unit = valid(HrgeModel, width=1, **geometry)
     if unit.depth != depth:
         raise r.error(f"header depth {depth} does not fit a {tag} model of "
                       f"this geometry, which has {unit.depth} levels", at=16)
     implied = [tuple(width * s for s in p.data.shape)
                for _, p in unit.named_parameters()]
     if num_classes:
-        implied += [(num_classes, width * unit.num_blocks), (num_classes,)]
+        rows = valid(Classifier.rows, width * unit.num_blocks, num_classes)
+        implied += [shape for _, out_dim, in_dim in rows
+                    for shape in ((out_dim, in_dim), (out_dim,))]
     if len(blocks) != len(implied):
         raise r.error(f"header implies {len(implied)} parameter blocks, "
                       f"table declares {len(blocks)}", at=table_at)
@@ -124,7 +124,10 @@ def load_model(path):
         if block.shape != shape:
             raise r.error(f"block {k} has shape {block.shape}, header "
                           f"implies {shape}", at=at)
-    model, classifier = build(width, num_classes)
+    model = valid(HrgeModel, width=width, **geometry)
+    classifier = None
+    if num_classes:
+        classifier = valid(Classifier, model.descriptor_length, num_classes)
     for (_, tensor), (_, block) in zip(_blocks(model, classifier), blocks):
         tensor.data[...] = block
     return model, classifier

@@ -252,7 +252,16 @@ def _cmd_synth(args):
         kind=args.mode, seed=args.seed, fine_per_class=args.fine_per_class)
     dataset = data.generate_synthetic(spec)
     data.save_dataset(dataset, args.out)
-    print(f"wrote {len(dataset)} records to {args.out}")
+    trainable = []
+    for name in VARIANT_NAMES:
+        try:
+            HrgeModel(args.views, 1, name, args.stride, args.depth)
+            trainable.append(name)
+        except ConfigError:
+            pass
+    depth = "" if args.depth is None else f" and depth {args.depth}"
+    print(f"wrote {len(dataset)} records to {args.out}; variants that can "
+          f"train it at stride {args.stride}{depth}: {', '.join(trainable)}")
     return EXIT_OK
 
 

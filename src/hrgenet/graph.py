@@ -58,7 +58,7 @@ from .errors import (
     RingTooSmallError,
     ShapeMismatchError,
 )
-from .layers import LinearLayer, Mlp
+from .layers import build_affines
 
 
 @dataclass(frozen=True)
@@ -143,37 +143,32 @@ class ViewGraph:
 
 
 class LevelParams:
-    """Learnable maps of one hierarchy level.
+    """Learnable maps of one hierarchy level, declared as affine rows.
 
-    pairwise_mlp consumes concatenated node pairs (2w -> w, three layers),
-    fusion consumes [node, summed relations] (2w -> w), and neighboring
-    consumes ring triplets (3w -> w).  The neighboring layer is absent
-    when the level has no neighboring module or replaces it with a fixed
-    pooling rule.
+    ``pairwise`` is the three-layer MLP on concatenated node pairs
+    (2w -> w -> w -> w), ``fusion`` maps [node, summed relations]
+    (2w -> w), and ``neighboring`` maps ring triplets (3w -> w).  Each is
+    None when the level lacks the module; ``neighboring`` is also None
+    when a fixed pooling rule replaces the learned one.  ``named`` lists
+    the blocks in row order, the order their weights are drawn.
     """
 
     def __init__(self, width: int, rng, neighbor_kind: str | None = "learned",
                  use_pairwise: bool = True):
         self.width = width
         self.neighbor_kind = neighbor_kind
-        self.pairwise_mlp = None
-        self.fusion = None
-        self.neighboring = None
+        w, rows = width, []
         if use_pairwise:
-            self.pairwise_mlp = Mlp([2 * width, width, width, width], rng)
-            self.fusion = LinearLayer(2 * width, width, rng)
+            rows += [("pairwise.0", w, 2 * w), ("pairwise.1", w, w),
+                     ("pairwise.2", w, w), ("fusion", w, 2 * w)]
         if neighbor_kind == "learned":
-            self.neighboring = LinearLayer(3 * width, width, rng)
-
-    def named_parameters(self):
-        modules = (("pairwise", self.pairwise_mlp), ("fusion", self.fusion),
-                   ("neighboring", self.neighboring))
-        return [(f"{prefix}.{name}", p) for prefix, module in modules
-                if module is not None
-                for name, p in module.named_parameters()]
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
+            rows.append(("neighboring", w, 3 * w))
+        affines, self.named = build_affines(rows, rng)
+        self.pairwise = None
+        if use_pairwise:
+            self.pairwise = [affines[f"pairwise.{k}"] for k in range(3)]
+        self.fusion = affines.get("fusion")
+        self.neighboring = affines.get("neighboring")
 
 
 def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
@@ -190,17 +185,15 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     fusion is one `ag.ring_affine` over ``[node, summed relations]``.
     """
     x, width = graph.features, graph.width
-    if params.pairwise_mlp is None:
+    if params.pairwise is None:
         raise ConfigError("level has no pairwise module")
     if width != params.width:
         raise ShapeMismatchError(
             f"graph width {width} does not match level width {params.width}"
         )
-    summed = ag.pair_relation_sum(
-        x, [(layer.weight, layer.bias) for layer in params.pairwise_mlp.layers])
-    fusion = params.fusion
+    summed = ag.pair_relation_sum(x, params.pairwise)
     return ViewGraph(graph.level, ag.ring_affine([(x, 0), (summed, 0)],
-                                                 fusion.weight, fusion.bias))
+                                                 *params.fusion))
 
 
 def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
@@ -219,11 +212,10 @@ def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     if kind == "identity":
         return ViewGraph(graph.level, x)
     if kind == "learned":
-        layer = params.neighboring
-        if layer is None:
+        if params.neighboring is None:
             raise ConfigError("level has no learned neighboring layer")
         return ViewGraph(graph.level, ag.ring_affine(
-            [(x, -1), (x, 0), (x, 1)], layer.weight, layer.bias))
+            [(x, -1), (x, 0), (x, 1)], *params.neighboring))
     prev, nxt = ag.ring_rows(x, -1), ag.ring_rows(x, 1)
     if kind == "max":
         out = ag.maximum(ag.maximum(prev, x), nxt)
@@ -341,7 +333,7 @@ class HrgeModel:
 
     def named_parameters(self):
         return [(f"level{l}.{name}", p) for l, level in enumerate(self.levels)
-                for name, p in level.named_parameters()]
+                for name, p in level.named]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -380,7 +372,7 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
 
     graph = ViewGraph(0, views)
     for level_params in model.levels:
-        if level_params.pairwise_mlp is not None:
+        if level_params.pairwise is not None:
             graph = pairwise_relation(graph, level_params)
         if variant.hierarchical:
             emit(graph.features)

@@ -10,7 +10,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError, EmptyInputError, NumericError
 from .graph import HrgeModel, hrge_forward
-from .layers import LinearLayer, linear_forward
+from .layers import build_affines, linear_forward
 from .optim import Adam, LrSchedule
 
 
@@ -18,20 +18,26 @@ class Classifier:
     """Single fully connected head from global descriptor to class logits."""
 
     def __init__(self, descriptor_length: int, num_classes: int, seed: int = 0):
+        self.num_classes = num_classes
+        affines, self._named = build_affines(
+            self.rows(descriptor_length, num_classes),
+            np.random.default_rng(seed))
+        self.head = affines["classifier.head"]
+
+    @staticmethod
+    def rows(descriptor_length: int, num_classes: int):
+        """The head's one ``(name, out_dim, in_dim)`` affine row, named
+        ``classifier.head`` so that its blocks can follow the embedding
+        model's in one list."""
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {num_classes}")
-        self.num_classes = num_classes
-        self.head = LinearLayer(descriptor_length, num_classes,
-                                np.random.default_rng(seed))
+        return [("classifier.head", num_classes, descriptor_length)]
 
     def named_parameters(self):
-        """Qualified as ``classifier.head.*`` so they can follow the
-        embedding model's names in one list."""
-        return [(f"classifier.head.{name}", p)
-                for name, p in self.head.named_parameters()]
+        return list(self._named)
 
     def parameters(self):
-        return [p for _, p in self.named_parameters()]
+        return [p for _, p in self._named]
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,28 @@ from hrgenet.errors import (
     ShapeMismatchError,
     StaleGraphError,
 )
-from hrgenet.layers import LinearLayer, Mlp, linear_forward
+from hrgenet.layers import Affine, build_affines, linear_forward
 
 from conftest import finite_difference, max_rel_err
 
 
 def make_layer(weight, bias):
-    weight = np.asarray(weight, dtype=float)
-    layer = LinearLayer(weight.shape[1], weight.shape[0])
-    layer.weight.data[...] = weight
-    layer.bias.data[...] = bias
-    return layer
+    return Affine(ag.Tensor(np.array(weight, dtype=float)),
+                  ag.Tensor(np.array(bias, dtype=float)))
+
+
+def random_layer(in_dim, out_dim, rng):
+    """A freshly initialized affine map from `in_dim` to `out_dim`."""
+    return build_affines([("layer", out_dim, in_dim)], rng)[0]["layer"]
+
+
+def make_mlp(dims, rng):
+    """The freshly initialized affine layers of an MLP through `dims`, and
+    their named blocks."""
+    affines, named = build_affines(
+        [(str(k), out_dim, in_dim)
+         for k, (in_dim, out_dim) in enumerate(zip(dims, dims[1:]))], rng)
+    return list(affines.values()), named
 
 
 class TestLinearForward:
@@ -41,7 +52,7 @@ class TestLinearForward:
     def test_matches_triple_loop_matmul(self, rng):
         # brute-force oracle: naive triple loop product
         x = rng.normal(size=(3, 5))
-        layer = LinearLayer(5, 4, rng)
+        layer = random_layer(5, 4, rng)
         expected = np.zeros((3, 4))
         for i in range(3):
             for j in range(4):
@@ -51,8 +62,8 @@ class TestLinearForward:
         out = linear_forward(layer, x)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_dimension_mismatch_names_both_dims(self):
-        layer = LinearLayer(5, 4)
+    def test_dimension_mismatch_names_both_dims(self, rng):
+        layer = random_layer(5, 4, rng)
         with pytest.raises(ShapeMismatchError, match=r"4 x 5"):
             linear_forward(layer, np.zeros((3, 6)))
 
@@ -62,7 +73,7 @@ class TestBackward:
         # loss = sum of the affine output with identity weights
         layer = make_layer(np.eye(2), [0.0, 0.0])
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        for p in layer.parameters():
+        for p in layer:
             p.zero_grad()
         out = linear_forward(layer, x)
         col_sums = linear_forward(make_layer([[1.0, 1.0]], [0.0]), out)
@@ -73,19 +84,19 @@ class TestBackward:
         np.testing.assert_allclose(layer.bias.grad, [2.0, 2.0])
 
     def test_gradients_match_finite_differences(self, rng):
-        mlp = Mlp([3, 4, 4, 2], rng)
-        head = LinearLayer(2, 3, rng)
+        mlp, named = make_mlp([3, 4, 4, 2], rng)
+        head = random_layer(2, 3, rng)
         x = rng.normal(size=(5, 3))
         labels = np.array([0, 2, 1, 1, 0])
 
         def loss_fn():
             h = x
-            for layer in mlp.layers[:-1]:
+            for layer in mlp[:-1]:
                 h = ag.relu(linear_forward(layer, h))
-            out = linear_forward(mlp.layers[-1], h)
+            out = linear_forward(mlp[-1], h)
             return ag.softmax_cross_entropy(linear_forward(head, out), labels)
 
-        params = mlp.parameters() + head.parameters()
+        params = [p for _, p in named] + list(head)
         for p in params:
             p.zero_grad()
         loss_fn().backward()
@@ -93,9 +104,9 @@ class TestBackward:
             numeric = finite_difference(loss_fn, p)
             assert max_rel_err(p.grad, numeric) < 1e-4
 
-    def test_zero_upstream_gives_zero_parameter_grads(self):
-        layer = LinearLayer(2, 2)
-        for p in layer.parameters():
+    def test_zero_upstream_gives_zero_parameter_grads(self, rng):
+        layer = random_layer(2, 2, rng)
+        for p in layer:
             p.zero_grad()
         out = linear_forward(layer, np.ones((1, 2)))
         # multiply the whole output by zero before reducing
@@ -121,15 +132,15 @@ class TestBackward:
         np.testing.assert_allclose(
             x.grad, [[-2.0 / (np.exp(2.0) + 1.0), 0.0]])
 
-    def test_backward_twice_raises_stale_error(self):
-        layer = LinearLayer(2, 1)
+    def test_backward_twice_raises_stale_error(self, rng):
+        layer = random_layer(2, 1, rng)
         out = linear_forward(layer, np.ones((1, 2)))
         out.backward()
         with pytest.raises(StaleGraphError):
             out.backward()
 
-    def test_backward_needs_scalar(self):
-        layer = LinearLayer(2, 2)
+    def test_backward_needs_scalar(self, rng):
+        layer = random_layer(2, 2, rng)
         out = linear_forward(layer, np.ones((1, 2)))
         with pytest.raises(ShapeMismatchError):
             out.backward()
@@ -210,10 +221,9 @@ class TestPairRelationSum:
     def test_bitwise_equal_to_unfused_steps(self, rng, monkeypatch,
                                             group_bytes):
         monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
-        mlp = Mlp([64, 32, 32, 32], rng)
-        for layer in mlp.layers:
+        layers, _ = make_mlp([64, 32, 32, 32], rng)
+        for layer in layers:
             layer.bias.data += rng.normal(scale=0.1, size=32)
-        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
         x = rng.normal(size=(5, 12, 32))
         np.testing.assert_array_equal(ag.pair_relation_sum(x, layers).data,
                                       unfused_pair_relation_sum(x, layers))
@@ -235,10 +245,9 @@ class TestPairRelationSum:
         monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
         monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
         rng = np.random.default_rng(45)
-        mlp = Mlp([8, 6, 5, 3], rng)
-        for layer in mlp.layers:
-            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
-        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
+        layers, named = make_mlp([8, 6, 5, 3], rng)
+        for layer in layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.bias.shape)
         x = rng.normal(size=(3, 7, 4))
         if case == "duplicates":
             x[:, 4] = x[:, 6] = x[:, 1]
@@ -252,11 +261,11 @@ class TestPairRelationSum:
 
         def run(views, up):
             views = ag.Tensor(views)
-            for p in mlp.parameters():
+            for _, p in named:
                 p.grad = None
             out = ag.pair_relation_sum(views, layers)
             dot_loss(out, up).backward()
-            return out.data, views.grad, [p.grad for p in mlp.parameters()]
+            return out.data, views.grad, [p.grad for _, p in named]
 
         for views, up in ((x, upstream), (x[1], upstream[1])):
             with np.errstate(invalid="ignore"):
@@ -338,18 +347,16 @@ class TestPairRelationSum:
         # thread and on two: every layer's mask is taken the same way.
         monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)
         monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
-        mlp = Mlp(dims, rng)
-        for layer in mlp.layers:
-            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
+        layers, named = make_mlp(dims, rng)
+        for layer in layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.bias.shape)
         x = ag.Tensor(rng.normal(size=(3, 5, 3)))
         upstream = rng.normal(size=(3, 5, 2))
 
         def loss_fn():
-            out = ag.pair_relation_sum(
-                x, [(layer.weight, layer.bias) for layer in mlp.layers])
-            return dot_loss(out, upstream)
+            return dot_loss(ag.pair_relation_sum(x, layers), upstream)
 
-        named = [("x", x)] + mlp.named_parameters()
+        named = [("x", x)] + named
         for _, p in named:
             p.zero_grad()
         loss_fn().backward()
@@ -371,21 +378,20 @@ class TestPairRelationSum:
             return activations(xs, layers)
 
         monkeypatch.setattr(ag, "_pair_activations", counted)
-        mlp = Mlp([8, 6, 5, 3], rng)
-        for layer in mlp.layers:
-            layer.bias.data += rng.normal(scale=0.1, size=layer.out_dim)
-        layers = [(layer.weight, layer.bias) for layer in mlp.layers]
+        layers, named = make_mlp([8, 6, 5, 3], rng)
+        for layer in layers:
+            layer.bias.data += rng.normal(scale=0.1, size=layer.bias.shape)
         x, upstream = rng.normal(size=(3, 7, 4)), rng.normal(size=(3, 7, 3))
         runs = []
         for group_bytes in (ag.PAIR_GROUP_BYTES, 1):
             monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", group_bytes)
             calls.clear()
             views = ag.Tensor(x)
-            for p in mlp.parameters():
+            for _, p in named:
                 p.grad = None
             dot_loss(ag.pair_relation_sum(views, layers), upstream).backward()
             runs.append((list(calls), views.grad,
-                         [p.grad for p in mlp.parameters()]))
+                         [p.grad for _, p in named]))
         (one_calls, one_gx, one_gw), (per_calls, per_gx, per_gw) = runs
         assert one_calls == [3] and per_calls == [1] * 6
         np.testing.assert_array_equal(one_gx, per_gx)
@@ -409,15 +415,13 @@ class TestPairRelationSum:
         for count in (1, workers):
             monkeypatch.setattr(ag, "_pair_workers", lambda: count)
             rng = np.random.default_rng(44)
-            mlp = Mlp([64, 32, 32, 32], rng)
-            for layer in mlp.layers:
+            layers, named = make_mlp([64, 32, 32, 32], rng)
+            for layer in layers:
                 layer.bias.data += rng.normal(scale=0.1, size=32)
             x = ag.Tensor(rng.normal(size=(6, 80, 32)))
-            out = ag.pair_relation_sum(
-                x, [(layer.weight, layer.bias) for layer in mlp.layers])
+            out = ag.pair_relation_sum(x, layers)
             dot_loss(out, rng.normal(size=out.shape)).backward()
-            runs.append([out.data, x.grad]
-                        + [p.grad for p in mlp.parameters()])
+            runs.append([out.data, x.grad] + [p.grad for _, p in named])
         assert len(threads) > 1
         for one, many in zip(*runs):
             np.testing.assert_array_equal(one, many)
@@ -686,7 +690,7 @@ class TestRingAffine:
                                                 layer.bias),
                    lambda parts: chained_ring_affine(parts, layer)):
             tensors = {name: ag.Tensor(v) for name, v in data.items()}
-            for p in layer.parameters():
+            for p in layer:
                 p.zero_grad()
             out = op([(tensors[name], shift) for name, shift in spec])
             dot_loss(out, upstream).backward()
@@ -707,7 +711,7 @@ class TestRingAffine:
                                  layer.weight, layer.bias)
             return dot_loss(out, upstream)
 
-        tensors = [x, y] + layer.parameters()
+        tensors = [x, y, *layer]
         for t in tensors:
             t.zero_grad()
         loss_fn().backward()
@@ -762,9 +766,8 @@ class TestSoftmaxCrossEntropy:
 
 def test_determinism_bit_identical(rng):
     x = rng.normal(size=(4, 3))
-    mlp1 = Mlp([3, 4, 2], np.random.default_rng(9))
-    mlp2 = Mlp([3, 4, 2], np.random.default_rng(9))
-    out1, out2 = (linear_forward(mlp.layers[1],
-                                 ag.relu(linear_forward(mlp.layers[0], x)))
+    mlp1, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
+    mlp2, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
+    out1, out2 = (linear_forward(mlp[1], ag.relu(linear_forward(mlp[0], x)))
                   for mlp in (mlp1, mlp2))
     np.testing.assert_array_equal(out1.data, out2.data)

@@ -7,6 +7,7 @@ import pytest
 
 from hrgenet import graph
 from hrgenet.checkpoint import load_model, save_model
+from hrgenet.cli import main
 from hrgenet.errors import DataFormatError
 from hrgenet.graph import HrgeModel, LevelParams, hrge_forward
 from hrgenet.training import Classifier
@@ -14,6 +15,7 @@ from hrgenet.training import Classifier
 
 @pytest.mark.parametrize("variant,num_views", [
     ("full", 12), ("baseline", 6), ("pr", 6), ("id", 12), ("won", 12),
+    ("nr", 6), ("1l", 12), ("mp", 12), ("ap", 12),
 ])
 def test_round_trip_preserves_outputs(rng, tmp_path, variant, num_views):
     model = HrgeModel(num_views=num_views, width=4, variant=variant, seed=3)
@@ -29,6 +31,79 @@ def test_round_trip_preserves_outputs(rng, tmp_path, variant, num_views):
     np.testing.assert_array_equal(
         hrge_forward(loaded_model, views).concat.data,
         hrge_forward(model, views).concat.data)
+
+
+# Per variant at 12 views and stride 2: whether a level runs the pairwise
+# module, whether it runs the learned neighboring map, the level count,
+# and the descriptor's block count.
+LAYOUT = {
+    "baseline": (False, False, 1, 1),
+    "pr": (True, False, 1, 1),
+    "nr": (False, True, 1, 1),
+    "1l": (True, True, 1, 2),
+    "full": (True, True, 2, 3),
+    "won": (True, True, 2, 3),
+    "mp": (True, False, 2, 3),
+    "ap": (True, False, 2, 3),
+    "id": (True, False, 2, 3),
+}
+
+
+def declared_blocks(variant, width, num_classes, seed, head_seed):
+    """The named initial blocks of a fresh 12-view model and its head, as
+    the paper lays them out: per level the pairwise MLP on node pairs
+    (2w -> w -> w -> w), the fusion of a node with its summed relations
+    (2w -> w) and the neighboring map of ring triplets (3w -> w), then the
+    head on the descriptor.  Each weight is a He-uniform draw over
+    +-sqrt(6 / in) in that order, and each bias is zero."""
+    pairwise, learned, levels, blocks = LAYOUT[variant]
+
+    def affine(name, out_dim, in_dim, rng):
+        limit = np.sqrt(6.0 / in_dim)
+        return [(f"{name}.weight",
+                 rng.uniform(-limit, limit, size=(out_dim, in_dim))),
+                (f"{name}.bias", np.zeros(out_dim))]
+
+    rng, w = np.random.default_rng(seed), width
+    named = []
+    for level in range(levels):
+        rows = []
+        if pairwise:
+            rows += [("pairwise.0", w, 2 * w), ("pairwise.1", w, w),
+                     ("pairwise.2", w, w), ("fusion", w, 2 * w)]
+        if learned:
+            rows.append(("neighboring", w, 3 * w))
+        for name, out_dim, in_dim in rows:
+            named += affine(f"level{level}.{name}", out_dim, in_dim, rng)
+    return named + affine("classifier.head", num_classes, blocks * w,
+                          np.random.default_rng(head_seed))
+
+
+@pytest.mark.parametrize("variant", list(LAYOUT))
+def test_parameter_table_is_the_declared_layout(tmp_path, variant):
+    """The names, shapes and initial values of every block, which are the
+    checkpoint manifest's block names."""
+    model = HrgeModel(num_views=12, width=4, variant=variant, seed=3)
+    classifier = Classifier(model.descriptor_length, 5, seed=4)
+    expected = declared_blocks(variant, 4, 5, seed=3, head_seed=4)
+    named = model.named_parameters() + classifier.named_parameters()
+    assert [name for name, _ in named] == [name for name, _ in expected]
+    for (name, p), (_, values) in zip(named, expected):
+        assert p.data.shape == values.shape, name
+        np.testing.assert_array_equal(p.data, values, err_msg=name)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path, classifier)
+    lines = (tmp_path / "model.hrgm.manifest.txt").read_text().splitlines()
+    assert [(b["block"], tuple(b["shape"])) for b in map(json.loads,
+                                                         lines[1:])] == [
+        (name, values.shape) for name, values in expected]
+    if variant == "full":
+        assert [name for name, _ in expected] == [
+            f"level{level}.{name}.{kind}" for level in (0, 1)
+            for name in ("pairwise.0", "pairwise.1", "pairwise.2", "fusion",
+                         "neighboring")
+            for kind in ("weight", "bias")] + [
+            "classifier.head.weight", "classifier.head.bias"]
 
 
 def test_resave_is_byte_identical(rng, tmp_path):
@@ -118,6 +193,30 @@ def test_bad_header_geometry_is_data_error(tmp_path, stride, depth):
     path.write_bytes(blob)
     with pytest.raises(DataFormatError, match="at byte 8"):
         load_model(path)
+
+
+def test_one_class_head_is_data_error(tmp_path):
+    """A header and block table that agree on a 1-class head describe no
+    valid model, since a head needs two classes: a data error (exit 3)
+    located at the header."""
+    model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<II", blob, 30, 1, len(model.named_parameters()) + 2)
+    length = model.descriptor_length
+    blob += struct.pack("<III", 2, 1, length) + bytes(8 * length)
+    blob += struct.pack("<II", 1, 1) + bytes(8)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError,
+                       match="header describes no valid model .*need at "
+                             "least 2 classes.* at byte 8"):
+        load_model(path)
+    data = tmp_path / "data.hrgf"
+    assert main(["synth", "--classes", "2", "--per-class", "1", "--views",
+                 "6", "--dim", "3", "--out", str(data)]) == 0
+    assert main(["eval", "--data", str(data), "--checkpoint", str(path),
+                 "--out", str(tmp_path / "report.txt")]) == 3
 
 
 def test_header_ring_too_small_for_the_neighbor_module_is_rejected(tmp_path):

@@ -15,7 +15,7 @@ from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
 from hrgenet.data import ShapeRecord, load_dataset, save_dataset
 from hrgenet.errors import ConfigError
-from hrgenet.graph import HrgeModel
+from hrgenet.graph import VARIANT_NAMES, HrgeModel
 from hrgenet.retrieval import METRIC_KEYS
 from hrgenet.training import Classifier, TrainLog
 
@@ -67,6 +67,30 @@ class TestSynth:
              "--per-class", "4", "--views", "12", "--dim", "6",
              "--seed", "7", "--out", str(other)])
         assert synth_file.read_bytes() == other.read_bytes()
+
+    @pytest.mark.parametrize("views,listed", [
+        (9, ["baseline", "pr", "nr"]),
+        (12, ["baseline", "pr", "nr", "1l", "full", "won", "mp", "ap", "id"]),
+    ])
+    def test_names_the_variants_that_can_train_the_file(self, tmp_path,
+                                                        capsys, views,
+                                                        listed):
+        """Without --depth synth writes a file that only a
+        non-hierarchical model may run, so its line says which variants
+        train it at the stride: at 9 views and stride 2 not `full`, the
+        default of `train`."""
+        out = tmp_path / "x.hrgf"
+        assert run(["synth", "--classes", "2", "--per-class", "2",
+                    "--views", str(views), "--dim", "3",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 4 records to {out}; variants that can train it at "
+            f"stride 2: {', '.join(listed)}\n")
+        for variant in VARIANT_NAMES:
+            code = run(["train", "--data", str(out), "--variant", variant,
+                        "--epochs", "1", "--batch", "4",
+                        "--out", str(tmp_path / variant)])
+            assert code == (0 if variant in listed else 2), variant
 
     def test_geometry_error_is_usage_error(self, tmp_path):
         code = run(["synth", "--views", "10", "--stride", "2", "--depth", "2",

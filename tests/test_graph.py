@@ -35,7 +35,7 @@ from conftest import finite_difference, max_rel_err
 
 def level_arrays(params):
     """Raw weight/bias arrays of one level, for oracle recomputation."""
-    mlp = [(l.weight.data, l.bias.data) for l in params.pairwise_mlp.layers]
+    mlp = [(l.weight.data, l.bias.data) for l in params.pairwise]
     fusion = (params.fusion.weight.data, params.fusion.bias.data)
     neighbor = None
     if params.neighboring is not None:
