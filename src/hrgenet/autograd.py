@@ -15,6 +15,7 @@ treats every batch item on its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 
@@ -48,8 +49,7 @@ class Tensor:
         """Add `g` into grad.  A `fresh` g is a new array of this node's
         shape that nothing else holds; it becomes the buffer uncopied."""
         if self.grad is None:
-            self.grad = g if fresh else np.array(
-                np.broadcast_to(g, self.data.shape), dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -106,35 +106,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(g, shape):
-    """Reduce a gradient back to `shape` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
-    def _backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
-
-    out._grad_fn = _backward
-    return out
-
-
-def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data * c, _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g * c)
-    return out
-
-
 def relu(a) -> Tensor:
     """Rectifier that lets NaN through instead of mapping it to 0.  The
     gradient mask comes from the output: ``max(a, 0) > 0`` is ``a > 0``,
@@ -143,20 +114,6 @@ def relu(a) -> Tensor:
     y = np.maximum(a.data, 0.0)
     out = Tensor(y, _parents=(a,))
     out._grad_fn = lambda g: a._accumulate(g * (y > 0.0), fresh=True)
-    return out
-
-
-def maximum(a, b) -> Tensor:
-    """Element-wise max; ties route the gradient to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = a.data >= b.data
-    out = Tensor(np.where(mask, a.data, b.data), _parents=(a, b))
-
-    def _backward(g):
-        a._accumulate(g * mask)
-        b._accumulate(g * ~mask)
-
-    out._grad_fn = _backward
     return out
 
 
@@ -197,50 +154,98 @@ def ring_affine(parts, weight, bias) -> Tensor:
     """``relu(concat(parts) @ weight.T + bias)`` over the last axis, as one
     node, with weight of shape (out, in).
 
-    Each part is a ``(tensor, shift)`` pair whose row i is row
-    ``(i + shift) % n`` of the tensor's n rows (axis -2), as
-    ``ring_rows(tensor, shift)`` gives it.  The turned parts are joined
-    into one array and run as `affine` runs it, and NaN passes the
-    rectifier as in `relu`, so the output has the bits of the
-    `ring_rows`, `concat_cols`, `affine` and `relu` chain.  The backward
-    hands out the parts' gradients in that chain's order too: unturned
-    parts first, then turned parts last first.
+    The parts are turned as `_ring_parts` turns them, joined into one
+    array and run as `affine` runs it, and NaN passes the rectifier as in
+    `relu`, so the output has the bits of the `ring_rows`, `concat_cols`,
+    `affine` and `relu` chain.  The backward hands out the parts'
+    gradients in that chain's order too.
     """
-    parts = [(as_tensor(t), shift) for t, shift in parts]
+    tensors, turned, hand_back = _ring_parts(parts)
     weight, bias = as_tensor(weight), as_tensor(bias)
-    shapes = [t.data.shape for t, _ in parts]
-    rows = shapes[0][:-1]
-    if (len(rows) not in (1, 2) or rows[-1] < 1
-            or any(s[:-1] != rows for s in shapes)
-            or sum(s[-1] for s in shapes) != weight.data.shape[1]):
+    widths = [a.shape[-1] for a in turned]
+    if sum(widths) != weight.data.shape[1]:
         raise ShapeMismatchError(
-            f"parts of shapes {shapes} do not join into the input of a "
+            f"parts of widths {widths} do not join into the input of a "
             f"weight of shape {weight.shape}")
-    n = rows[-1]
-    x = np.concatenate([_ring_take(t.data, shift) for t, shift in parts],
-                       axis=-1)
+    x = np.concatenate(turned, axis=-1)
+    del turned  # the turned copies are not held while the layer runs
     y = np.matmul(x, weight.data.T)
     y += bias.data
     np.maximum(y, 0.0, out=y)
-    out = Tensor(y, _parents=(*(t for t, _ in parts), weight, bias))
+    out = Tensor(y, _parents=(*tensors, weight, bias))
 
     def _backward(g):
         g = g * (y > 0.0)
         gx = np.matmul(g, weight.data)
-        turned, end = [], 0
-        for (t, shift), shape in zip(parts, shapes):
-            start, end = end, end + shape[-1]
-            if shift % n:
-                turned.append((t, gx[..., start:end], -shift))
-            else:
-                t._accumulate(gx[..., start:end])
-        for t, gt, back in reversed(turned):
-            t._accumulate(_ring_take(gt, back), fresh=True)
+        hand_back([gx[..., end - width:end] for width, end
+                   in zip(widths, itertools.accumulate(widths))])
         weight._accumulate(_rows(g).T @ _rows(x), fresh=True)
         bias._accumulate(_rows(g).sum(axis=0), fresh=True)
 
     out._grad_fn = _backward
     return out
+
+
+def ring_max(parts) -> Tensor:
+    """Element-wise max of the parts, turned as `_ring_parts` turns them,
+    as one node, folded in order: each step keeps the running max where
+    it is ``>=`` the next part, so a tie goes to the first tied part, a
+    NaN part wins its step and a NaN running max loses the next.  The
+    backward splits each step's gradient as ``g * keep`` and
+    ``g * ~keep``, from the last step to the first."""
+    tensors, turned, hand_back = _ring_parts(parts)
+    out, keeps = turned[0], []
+    for part in turned[1:]:
+        keeps.append(out >= part)
+        out = np.where(keeps[-1], out, part)
+    result = Tensor(out, _parents=tensors)
+
+    def _backward(g):
+        grads = [g]
+        for keep in reversed(keeps):
+            grads[:1] = grads[0] * keep, grads[0] * ~keep
+        hand_back(grads)
+
+    result._grad_fn = _backward
+    return result
+
+
+def ring_mean(parts) -> Tensor:
+    """The parts, turned as `_ring_parts` turns them, summed in order and
+    times the rounded reciprocal of their count, as one node:
+    ``((p0 + p1) + p2) * (1.0 / 3.0)`` for three, which is not a division
+    by 3.  Each part's gradient is the output's times that reciprocal."""
+    tensors, turned, hand_back = _ring_parts(parts)
+    share = 1.0 / len(turned)
+    out = Tensor(functools.reduce(np.add, turned) * share, _parents=tensors)
+    out._grad_fn = lambda g: hand_back([g * share] * len(turned))
+    return out
+
+
+def _ring_parts(parts):
+    """The tensors of `parts`, ``(tensor, shift)`` pairs of matrices, or
+    batches of them, with the same n rows (axis -2); their arrays turned
+    as `ring_rows` turns them, row i being row ``(i + shift) % n``; and
+    ``hand_back(grads)``, which adds the parts' gradients, turned back,
+    in the order of the chain of `ring_rows` nodes a ring op replaces:
+    unturned parts first, then turned parts last first."""
+    parts = [(as_tensor(t), shift) for t, shift in parts]
+    shapes = [t.data.shape for t, _ in parts]
+    if (len(shapes[0]) not in (2, 3) or shapes[0][-2] < 1
+            or any(s[:-1] != shapes[0][:-1] for s in shapes)):
+        raise ShapeMismatchError(
+            f"parts of shapes {shapes} do not share their rows")
+
+    def hand_back(grads):
+        n = shapes[0][-2]
+        turned = [k for k, (_, shift) in enumerate(parts) if shift % n]
+        unturned = [k for k in range(len(parts)) if k not in turned]
+        for k in unturned + turned[::-1]:
+            t, shift = parts[k]
+            t._accumulate(_ring_take(grads[k], -shift), fresh=k in turned)
+
+    return (tuple([t for t, _ in parts]),
+            [_ring_take(t.data, shift) for t, shift in parts], hand_back)
 
 
 def _ring_take(a, shift):

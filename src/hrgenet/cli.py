@@ -363,13 +363,17 @@ def _cmd_retrieve(args):
     return EXIT_OK
 
 
-def _wrong_gradient(param, amount):
-    """A zero-valued loss term whose backward adds ``amount`` to the first
-    entry of ``param``'s gradient: the --perturb negative control."""
+def _with_wrong_gradient(loss, param, amount):
+    """`loss` as one more node whose backward also adds ``amount`` to the
+    first entry of ``param``'s gradient: the --perturb negative control."""
     bump = np.zeros_like(param.data)
     bump.ravel()[0] = amount
-    return ag.Tensor(0.0, _parents=(param,),
-                     _grad_fn=lambda g: param._accumulate(g * bump))
+
+    def _backward(g):
+        loss._accumulate(g)
+        param._accumulate(g * bump)
+
+    return ag.Tensor(loss.data, _parents=(loss, param), _grad_fn=_backward)
 
 
 def _cmd_gradcheck(args):
@@ -395,7 +399,7 @@ def _cmd_gradcheck(args):
         logits = linear_forward(classifier.head, desc)
         loss = ag.softmax_cross_entropy(logits, label)
         if args.perturb:
-            loss = ag.add(loss, _wrong_gradient(named[0][1], args.perturb))
+            loss = _with_wrong_gradient(loss, named[0][1], args.perturb)
         return loss
 
     report = check_gradients(loss_fn, named)

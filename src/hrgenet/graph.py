@@ -5,8 +5,11 @@ module (all ordered node pairs through a small MLP, summed per node and
 fused with the original feature), records a pooled level descriptor, runs
 a neighboring relation module on ring triplets, and coarsens the ring by a
 fixed stride.  The concatenated per-level descriptors form the global
-shape descriptor.  Each ablation variant is one row of ``VARIANTS``,
-switching these modules on or off.
+shape descriptor.  Each ablation variant is one row of ``VARIANTS`` and
+each neighbor kind one row of ``NEIGHBOR_KINDS``.  A model turns its
+variant into a level plan, ``HrgeModel.levels``, that the forward runs
+with no test of the variant; a variant without hierarchy is one level
+that emits only its last block.
 
 Views come as one ``(n, w)`` matrix or as a ``(B, n, w)`` batch, and the
 same code runs both.  Stacked-GEMM rule: every matrix product of the
@@ -21,9 +24,11 @@ Each module is one graph node, or two for the pairwise module, because
 at one shape every node is a few microseconds of numpy plus its Python
 bookkeeping, so the node count sets the cost of a forward.  The fusion
 and the learned neighboring module are each one `ag.ring_affine`
-(``relu`` of an affine map of row-turned parts joined by columns), a
-level block is one `ag.pool_rows` (the column max, unit-normalized by
-variant), and coarsening is one `ag.ring_rows`.
+(``relu`` of an affine map of row-turned parts joined by columns), the
+max and avg kinds one `ag.ring_max` or `ag.ring_mean` over the same
+parts, the identity kind none, a level block one `ag.pool_rows` (the
+column max, unit-normalized by variant), and coarsening one
+`ag.ring_rows`.
 
 The pair level holds n (n - 1) pairs per shape, so it is one op,
 `ag.pair_relation_sum`: it puts each shape's rows in a canonical
@@ -46,7 +51,8 @@ are kept until the pass ends and added in group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,29 +68,58 @@ from .layers import build_affines
 
 
 @dataclass(frozen=True)
-class VariantSpec:
-    """One ablation variant: which modules each level of the model runs.
+class NeighborKind:
+    """How a neighboring module fuses each node with its ring neighbors:
+    ``combine(parts, *affine)`` over the ring turned by each of `shifts`,
+    as one node, with ``affine`` the level's ``neighboring`` map for a
+    `learned` kind.  The shifts are a range, so they read distinct nodes
+    on a ring of at least ``len(shifts)`` nodes."""
 
-    ``neighbor_kind`` is ``learned``, ``max``, ``avg``, ``identity`` or
-    None for no neighboring module.  A hierarchical variant emits one
-    block per level and coarsens between levels; otherwise a single level
-    runs and only its output is pooled.  ``depth_override`` fixes the
-    level count; None leaves it to the model's ``depth`` argument.  A
-    model refuses a ``depth`` that its variant does not run.
+    shifts: range
+    combine: Callable
+    learned: bool = False
+
+
+# Each combine looks its op up on `ag` when it runs, so that an op wrapped
+# after import is the one that runs.
+NEIGHBOR_KINDS = {
+    "learned": NeighborKind(range(-1, 2), lambda *a: ag.ring_affine(*a),
+                            True),
+    "max": NeighborKind(range(-1, 2), lambda parts: ag.ring_max(parts)),
+    "avg": NeighborKind(range(-1, 2), lambda parts: ag.ring_mean(parts)),
+    # No neighboring module: the features pass through, with no node.
+    "identity": NeighborKind(range(1), lambda parts: parts[0][0]),
+}
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One ablation variant: which modules each level of its plan runs,
+    and how many levels coarsen.
+
+    ``neighbor_kind`` names a row of ``NEIGHBOR_KINDS``.  ``fixed_depth``
+    is the number of coarsening levels the variant always runs, 0 for a
+    plan of one level that emits only its last block; None leaves it to
+    the model's ``depth`` argument.
     """
 
     name: str
     use_pairwise: bool
-    neighbor_kind: str | None
-    hierarchical: bool
+    neighbor_kind: str
     normalize_blocks: bool
-    depth_override: int | None = None
+    fixed_depth: int | None = None
 
-    @property
-    def fixed_depth(self) -> int | None:
-        """The level count the variant always runs, 0 for a
-        non-hierarchical one; None when the model's ``depth`` sets it."""
-        return self.depth_override if self.hierarchical else 0
+    def depth_for(self, depth: int | None) -> int | None:
+        """The depth a model of the variant runs for its ``depth``
+        argument; `ConfigError` for a depth the variant does not run."""
+        fixed = self.fixed_depth
+        if depth is not None and (depth < 1 if fixed is None
+                                  else depth != (fixed or None)):
+            levels = {None: ">= 1 level", 0: "no hierarchy"}.get(
+                fixed, f"{fixed} level")
+            raise ConfigError(f"variant {self.name} has {levels}; it cannot "
+                              f"run depth {depth}")
+        return depth if fixed is None else fixed
 
     @classmethod
     def from_name(cls, name: str) -> "VariantSpec":
@@ -99,16 +134,16 @@ class VariantSpec:
 
 
 VARIANTS = {spec.name: spec for spec in (
-    #           name        pairwise neighbor    hier.  normalized depth
-    VariantSpec("baseline", False,   None,       False, True),
-    VariantSpec("pr",       True,    None,       False, True),
-    VariantSpec("nr",       False,   "learned",  False, True),
-    VariantSpec("1l",       True,    "learned",  True,  True, 1),
-    VariantSpec("full",     True,    "learned",  True,  True),
-    VariantSpec("won",      True,    "learned",  True,  False),
-    VariantSpec("mp",       True,    "max",      True,  True),
-    VariantSpec("ap",       True,    "avg",      True,  True),
-    VariantSpec("id",       True,    "identity", True,  True),
+    #           name        pairwise neighbor    normalized fixed depth
+    VariantSpec("baseline", False,   "identity", True,      0),
+    VariantSpec("pr",       True,    "identity", True,      0),
+    VariantSpec("nr",       False,   "learned",  True,      0),
+    VariantSpec("1l",       True,    "learned",  True,      1),
+    VariantSpec("full",     True,    "learned",  True),
+    VariantSpec("won",      True,    "learned",  False),
+    VariantSpec("mp",       True,    "max",      True),
+    VariantSpec("ap",       True,    "avg",      True),
+    VariantSpec("id",       True,    "identity", True),
 )}
 
 VARIANT_NAMES = tuple(VARIANTS)
@@ -137,36 +172,35 @@ class ViewGraph:
     def num_nodes(self) -> int:
         return self.features.data.shape[-2]
 
-    @property
-    def width(self) -> int:
-        return self.features.data.shape[-1]
-
 
 class LevelParams:
-    """Learnable maps of one hierarchy level, declared as affine rows.
+    """One level of a model's plan: the modules it runs with their maps,
+    declared as affine rows, and the stride it coarsens by.
 
     ``pairwise`` is the three-layer MLP on concatenated node pairs
-    (2w -> w -> w -> w), ``fusion`` maps [node, summed relations]
-    (2w -> w), and ``neighboring`` maps ring triplets (3w -> w).  Each is
-    None when the level lacks the module; ``neighboring`` is also None
-    when a fixed pooling rule replaces the learned one.  ``named`` lists
-    the blocks in row order, the order their weights are drawn.
+    (2w -> w -> w -> w) and ``fusion`` maps [node, summed relations]
+    (2w -> w); both are None without a pairwise module.  ``neighbor`` is
+    the level's row of ``NEIGHBOR_KINDS`` and ``neighboring`` the map of
+    a learned kind (3w -> w).  A level with a ``stride`` pools its block
+    before the neighboring module and coarsens the ring after it; the one
+    level of a plan without hierarchy has None and does neither.
+    ``named`` lists the blocks in row order, the order their weights are
+    drawn.
     """
 
-    def __init__(self, width: int, rng, neighbor_kind: str | None = "learned",
-                 use_pairwise: bool = True):
-        self.width = width
-        self.neighbor_kind = neighbor_kind
+    def __init__(self, width: int, rng, neighbor_kind: str = "learned",
+                 use_pairwise: bool = True, stride: int | None = None):
+        self.stride = stride
+        self.neighbor = NEIGHBOR_KINDS[neighbor_kind]
         w, rows = width, []
         if use_pairwise:
             rows += [("pairwise.0", w, 2 * w), ("pairwise.1", w, w),
                      ("pairwise.2", w, w), ("fusion", w, 2 * w)]
-        if neighbor_kind == "learned":
-            rows.append(("neighboring", w, 3 * w))
+        if self.neighbor.learned:
+            rows.append(("neighboring", w, len(self.neighbor.shifts) * w))
         affines, self.named = build_affines(rows, rng)
-        self.pairwise = None
-        if use_pairwise:
-            self.pairwise = [affines[f"pairwise.{k}"] for k in range(3)]
+        self.pairwise = ([affines[f"pairwise.{k}"] for k in range(3)]
+                         if use_pairwise else None)
         self.fusion = affines.get("fusion")
         self.neighboring = affines.get("neighboring")
 
@@ -184,46 +218,25 @@ def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     last layer once per node to the sum of the hidden activations.  The
     fusion is one `ag.ring_affine` over ``[node, summed relations]``.
     """
-    x, width = graph.features, graph.width
+    x = graph.features
     if params.pairwise is None:
         raise ConfigError("level has no pairwise module")
-    if width != params.width:
-        raise ShapeMismatchError(
-            f"graph width {width} does not match level width {params.width}"
-        )
     summed = ag.pair_relation_sum(x, params.pairwise)
     return ViewGraph(graph.level, ag.ring_affine([(x, 0), (summed, 0)],
                                                  *params.fusion))
 
 
 def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
-    """Fuse each node with its ring neighbors (cyclic wrap at both ends).
-
-    The learned kind is one `ag.ring_affine` node over the triplets
-    ``[prev, node, next]``; the fixed kinds combine `ag.ring_rows` views.
-    """
-    n = graph.num_nodes
-    if n < 3:
-        raise RingTooSmallError(
-            f"neighboring relation needs a ring of >= 3 nodes, got {n}"
-        )
-    x = graph.features
-    kind = params.neighbor_kind
-    if kind == "identity":
-        return ViewGraph(graph.level, x)
-    if kind == "learned":
-        if params.neighboring is None:
-            raise ConfigError("level has no learned neighboring layer")
-        return ViewGraph(graph.level, ag.ring_affine(
-            [(x, -1), (x, 0), (x, 1)], *params.neighboring))
-    prev, nxt = ag.ring_rows(x, -1), ag.ring_rows(x, 1)
-    if kind == "max":
-        out = ag.maximum(ag.maximum(prev, x), nxt)
-    elif kind == "avg":
-        out = ag.scale(ag.add(ag.add(prev, x), nxt), 1.0 / 3.0)
-    else:
-        raise ConfigError(f"unknown neighbor kind {kind!r}")
-    return ViewGraph(graph.level, out)
+    """Fuse each node with its ring neighbors (cyclic wrap at both ends)
+    by the level's neighbor kind: one node of the kind's op over the ring
+    turned by each of its shifts, or none for the identity kind."""
+    kind, n = params.neighbor, graph.num_nodes
+    if n < len(kind.shifts):
+        raise RingTooSmallError(f"neighboring relation needs a ring of >= "
+                                f"{len(kind.shifts)} nodes, got {n}")
+    parts = [(graph.features, shift) for shift in kind.shifts]
+    return ViewGraph(graph.level,
+                     kind.combine(parts, *(params.neighboring or ())))
 
 
 def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
@@ -262,24 +275,23 @@ class GlobalDescriptor:
 
     blocks: list
     concat: Tensor
-    degenerate: list = field(default_factory=list)
+    degenerate: list
 
 
 def hierarchy_depth(num_views: int, stride: int,
                     depth: int | None = None) -> int:
-    """Level count of a ring of `num_views` views cut by `stride`: `depth`,
-    or the deepest valid one when it is None.  The one ring-size rule:
-    stride >= 2, depth >= 1, and every level's ring divides by the stride
-    and has >= 3 nodes.  Anything else raises `ConfigError`."""
+    """Coarsening levels of a ring of `num_views` views cut by `stride`:
+    `depth`, or the deepest valid one (at least 1) when it is None.  A
+    depth of 0 is a plan of one level that does not coarsen.  The one
+    ring-size rule: stride >= 2, and every coarsening level's ring
+    divides by the stride and has >= 3 nodes.  Anything else raises
+    `ConfigError`."""
     if stride < 2:
         raise ConfigError(f"stride must be >= 2, got {stride}")
-    if depth is not None and depth < 1:
-        raise ConfigError(f"hierarchy depth must be >= 1, got {depth} "
-                          f"({num_views} views, stride {stride})")
     level, n = 0, num_views
     while level != depth and n >= 3 and n % stride == 0:
         level, n = level + 1, n // stride
-    if level < (depth or 1):
+    if level != (max(level, 1) if depth is None else depth):
         raise ConfigError(
             f"{num_views} views with stride {stride} cannot support depth "
             f"{depth or '>= 1'}: level {level} has {n} nodes, and each level "
@@ -288,38 +300,27 @@ def hierarchy_depth(num_views: int, stride: int,
 
 
 class HrgeModel:
-    """The hierarchical relational embedding network of one variant."""
+    """The hierarchical relational embedding network of one variant: a
+    plan of ``levels``, one per coarsening level, or one level that does
+    not coarsen for a variant without hierarchy (depth 0)."""
 
     def __init__(self, num_views: int, width: int, variant="full",
                  stride: int = 2, depth: int | None = None, seed: int = 0):
         if isinstance(variant, str):
             variant = VariantSpec.from_name(variant)
-        # A non-hierarchical variant takes no depth, `1l` only its own.
-        fixed = variant.fixed_depth
-        if depth is not None and fixed is not None and depth != (fixed or None):
-            levels = f"{fixed} level" if fixed else "no hierarchy"
-            raise ConfigError(f"variant {variant.name} has {levels}; it "
-                              f"cannot run depth {depth}")
-        self.depth = 0
-        if variant.hierarchical:
-            self.depth = hierarchy_depth(num_views, stride,
-                                         variant.depth_override or depth)
-        elif stride < 2:
-            raise ConfigError(f"stride must be >= 2, got {stride}")
-        elif variant.neighbor_kind is not None and num_views < 3:
-            raise ConfigError(f"variant {variant.name}'s neighboring relation "
-                              f"needs a ring of >= 3 views, got {num_views}")
-        self.variant = variant
-        self.num_views = num_views
-        self.width = width
-        self.stride = stride
-        self.seed = seed
+        self.depth = hierarchy_depth(num_views, stride,
+                                     variant.depth_for(depth))
+        ring = len(NEIGHBOR_KINDS[variant.neighbor_kind].shifts)
+        if num_views < ring or width < 1:
+            raise ConfigError(f"variant {variant.name} needs a ring of >= "
+                              f"{ring} views and width >= 1, got {num_views} "
+                              f"views of width {width}")
+        self.variant, self.num_views, self.width = variant, num_views, width
+        self.stride, self.seed = stride, seed
         rng = np.random.default_rng(seed)
-        self.levels = [
-            LevelParams(width, rng, neighbor_kind=variant.neighbor_kind,
-                        use_pairwise=variant.use_pairwise)
-            for _ in range(self.depth if variant.hierarchical else 1)
-        ]
+        self.levels = [LevelParams(width, rng, variant.neighbor_kind,
+                                   variant.use_pairwise, level_stride)
+                       for level_stride in [stride] * self.depth or [None]]
 
     @property
     def descriptor_length(self) -> int:
@@ -327,9 +328,7 @@ class HrgeModel:
 
     @property
     def num_blocks(self) -> int:
-        if self.variant.hierarchical:
-            return self.depth + 1
-        return 1
+        return self.depth + 1
 
     def named_parameters(self):
         return [(f"level{l}.{name}", p) for l, level in enumerate(self.levels)
@@ -340,46 +339,34 @@ class HrgeModel:
 
 
 def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
-    """Run the hierarchical forward pass and build the global descriptor.
+    """Run the forward pass over the model's level plan and build the
+    global descriptor.
 
-    Per level: pairwise relations update the features, a hierarchical
-    variant pools the level block from those updated features, then the
-    neighboring module and (hierarchical variants only) coarsening produce
-    the next level's ring.  The final ring is pooled as the last block.
-    A ``(B, n, w)`` batch of views gives ``(B, ...)`` blocks, each row
-    bit-identical to that shape's own unbatched forward.
+    Per level: pairwise relations update the features, a coarsening level
+    pools its block from those updated features, then the neighboring
+    module and the coarsening produce the next level's ring.  The final
+    ring is pooled as the last block.  A ``(B, n, w)`` batch of views
+    gives ``(B, ...)`` blocks, each row bit-identical to that shape's own
+    unbatched forward.
     """
     views = as_tensor(views)
     shape = views.data.shape
-    if len(shape) not in (2, 3) or shape[-2] != model.num_views:
+    if len(shape) not in (2, 3) or shape[-2:] != (model.num_views,
+                                                  model.width):
         raise ShapeMismatchError(
             f"expected a {model.num_views} x {model.width} view matrix "
-            f"or a batch of them, got shape {views.shape}"
-        )
-    if shape[-1] != model.width:
-        raise ShapeMismatchError(
-            f"view feature width {shape[-1]} does not match "
-            f"model width {model.width}"
-        )
-    variant = model.variant
-    blocks, flags = [], []
-
-    def emit(features):
-        block, degenerate = level_descriptor(features,
-                                             variant.normalize_blocks)
-        blocks.append(block)
-        flags.append(degenerate)
-
+            f"or a batch of them, got shape {views.shape}")
+    normalize, pooled = model.variant.normalize_blocks, []
     graph = ViewGraph(0, views)
-    for level_params in model.levels:
-        if level_params.pairwise is not None:
-            graph = pairwise_relation(graph, level_params)
-        if variant.hierarchical:
-            emit(graph.features)
-        if level_params.neighbor_kind is not None:
-            graph = neighboring_relation(graph, level_params)
-        if variant.hierarchical:
-            graph = coarsen(graph, model.stride)
-    emit(graph.features)
+    for level in model.levels:
+        if level.pairwise is not None:
+            graph = pairwise_relation(graph, level)
+        if level.stride:
+            pooled.append(level_descriptor(graph.features, normalize))
+        graph = neighboring_relation(graph, level)
+        if level.stride:
+            graph = coarsen(graph, level.stride)
+    pooled.append(level_descriptor(graph.features, normalize))
+    blocks, flags = map(list, zip(*pooled))
     concat = ag.concat_cols(blocks) if len(blocks) > 1 else blocks[0]
     return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)

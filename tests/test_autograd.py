@@ -109,10 +109,9 @@ class TestBackward:
         for p in layer:
             p.zero_grad()
         out = linear_forward(layer, np.ones((1, 2)))
-        # multiply the whole output by zero before reducing
-        zeroed = ag.scale(out, 0.0)
-        reducer = make_layer([[1.0, 1.0]], [0.0])
-        scalar = linear_forward(reducer, zeroed)
+        # a reducer that weighs the whole output by zero
+        reducer = make_layer([[0.0, 0.0]], [0.0])
+        scalar = linear_forward(reducer, out)
         scalar.backward()
         np.testing.assert_array_equal(layer.weight.grad, np.zeros((2, 2)))
         np.testing.assert_array_equal(layer.bias.grad, np.zeros(2))
@@ -127,7 +126,11 @@ class TestBackward:
 
     def test_gradient_reaching_a_leaf_twice_is_summed(self):
         x = ag.Tensor([[1.0, -2.0]])
-        loss = ag.softmax_cross_entropy(ag.add(ag.relu(x), ag.relu(x)), [0])
+        # Two rectifier paths from x, joined and summed by one layer.
+        summed = linear_forward(make_layer([[1.0, 0.0, 1.0, 0.0],
+                                            [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]),
+                                ag.concat_cols([ag.relu(x), ag.relu(x)]))
+        loss = ag.softmax_cross_entropy(summed, [0])
         loss.backward()
         np.testing.assert_allclose(
             x.grad, [[-2.0 / (np.exp(2.0) + 1.0), 0.0]])
@@ -751,8 +754,7 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([1, 0, 3])
 
         def loss_fn():
-            return ag.softmax_cross_entropy(
-                ag.add(logits, 0.0), labels)
+            return ag.softmax_cross_entropy(logits, labels)
 
         logits.zero_grad()
         loss_fn().backward()
@@ -771,3 +773,29 @@ def test_determinism_bit_identical(rng):
     out1, out2 = (linear_forward(mlp[1], ag.relu(linear_forward(mlp[0], x)))
                   for mlp in (mlp1, mlp2))
     np.testing.assert_array_equal(out1.data, out2.data)
+
+
+class TestRingPools:
+    """`ag.ring_max` and `ag.ring_mean` take the parts `ag.ring_affine`
+    takes."""
+
+    @pytest.mark.parametrize("op", [ag.ring_max, ag.ring_mean])
+    def test_parts_must_share_their_rows(self, op):
+        with pytest.raises(ShapeMismatchError):
+            op([(np.zeros((4, 2)), 0), (np.zeros((3, 2)), 1)])
+
+    @pytest.mark.parametrize("op", [ag.ring_max, ag.ring_mean])
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 6, 2)])
+    def test_gradient_matches_finite_differences(self, rng, op, shape):
+        x, y = ag.Tensor(rng.normal(size=shape)), ag.Tensor(
+            rng.normal(size=shape))
+        upstream = rng.normal(size=shape)
+
+        def loss_fn():
+            return dot_loss(op([(x, -1), (y, 0), (x, 2), (x, 0)]), upstream)
+
+        for t in (x, y):
+            t.zero_grad()
+        loss_fn().backward()
+        for t in (x, y):
+            assert max_rel_err(t.grad, finite_difference(loss_fn, t)) < 1e-6

@@ -233,6 +233,27 @@ def test_header_ring_too_small_for_the_neighbor_module_is_rejected(tmp_path):
         load_model(path)
 
 
+def test_header_width_zero_is_rejected(tmp_path):
+    """A headless `baseline` checkpoint has no block whose shape would
+    refuse a header width of 0, so the model's own geometry check does:
+    a data error (exit 3) located at the header."""
+    model = HrgeModel(num_views=6, width=3, variant="baseline", seed=0)
+    path = tmp_path / "model.hrgm"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 20, 0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError,
+                       match="header describes no valid model .*width.* at "
+                             "byte 8"):
+        load_model(path)
+    data = tmp_path / "data.hrgf"
+    assert main(["synth", "--classes", "2", "--per-class", "2", "--views",
+                 "6", "--dim", "3", "--out", str(data)]) == 0
+    assert main(["retrieve", "--data", str(data), "--checkpoint", str(path),
+                 "--out", str(tmp_path / "retr")]) == 3
+
+
 @pytest.mark.parametrize("variant,depth", [
     ("full", 0), ("pr", 2), ("1l", 2), ("baseline", 1)])
 def test_header_depth_that_does_not_fit_is_rejected(tmp_path, variant, depth):

@@ -80,6 +80,13 @@ def oracle_neighboring(x, params):
     return out
 
 
+def backward_from(out, g):
+    """Run the backward of `out` as if the loss's gradient at it were
+    `g`: a scalar node that hands `g` to `out`."""
+    Tensor(0.0, _parents=(out,),
+           _grad_fn=lambda s: out._accumulate(g * s)).backward()
+
+
 def oracle_descriptor(x):
     pooled = x.max(axis=0)
     norm = np.linalg.norm(pooled)
@@ -383,6 +390,55 @@ class TestVariants:
             trip = np.stack([x[(i - 1) % n], x[i], x[(i + 1) % n]])
             np.testing.assert_array_equal(out[i], trip.max(axis=0))
 
+    def test_ap_variant_is_sum_in_ring_order_times_rounded_third(self, rng):
+        params = LevelParams(3, rng, neighbor_kind="avg")
+        x = rng.normal(size=(2, 7, 3))
+        out = neighboring_relation(ViewGraph(0, x), params).features.data
+        prev, nxt = np.roll(x, 1, axis=-2), np.roll(x, -1, axis=-2)
+        np.testing.assert_array_equal(out, ((prev + x) + nxt) * (1.0 / 3.0))
+
+    def test_mp_gradient_goes_where_ties_and_nan_route_it(self):
+        """The max folds ``(prev, x, next)`` in that order, each step
+        keeping the running max where it is ``>=`` the next input: a tie
+        goes to the first tied input, a NaN input wins its step and then
+        loses the next one.  Each output's gradient goes to the one input
+        it was taken from."""
+        nan = np.nan
+        x = Tensor(np.array([[1.0, 2.0, nan, 0.0],
+                             [1.0, 2.0, 5.0, 0.0],
+                             [0.0, 2.0, 1.0, 0.0],
+                             [1.0, nan, 1.0, 0.0]]))
+        params = LevelParams(4, np.random.default_rng(0), neighbor_kind="max")
+        out = neighboring_relation(ViewGraph(0, x), params).features
+        g = np.arange(1.0, 17.0).reshape(4, 4)
+        backward_from(out, g)
+        n = 4
+        want_out, want_grad = np.zeros((n, 4)), np.zeros((n, 4))
+        for i in range(n):
+            for c in range(4):
+                rows = [(i - 1) % n, i, (i + 1) % n]
+                best = 0
+                for k in (1, 2):
+                    if not x.data[rows[best], c] >= x.data[rows[k], c]:
+                        best = k
+                want_out[i, c] = x.data[rows[best], c]
+                want_grad[rows[best], c] += g[i, c]
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x.grad, want_grad)
+        # Spot checks of the rule: the all-zero column ties everywhere, so
+        # each output's gradient goes to its prev row.
+        np.testing.assert_array_equal(x.grad[:, 3],
+                                      [g[1, 3], g[2, 3], g[3, 3], g[0, 3]])
+
+    def test_ap_gradient_is_a_third_to_each_ring_input(self, rng):
+        params = LevelParams(3, rng, neighbor_kind="avg")
+        x = Tensor(rng.normal(size=(5, 3)))
+        g = rng.normal(size=(5, 3))
+        backward_from(neighboring_relation(ViewGraph(0, x), params).features,
+                      g)
+        want = (np.roll(g, 1, axis=0) + g + np.roll(g, -1, axis=0)) / 3.0
+        np.testing.assert_allclose(x.grad, want, rtol=1e-15)
+
     def test_won_variant_emits_non_unit_block(self, rng):
         model = HrgeModel(num_views=12, width=4, variant="won", seed=1)
         desc = hrge_forward(model, rng.normal(size=(12, 4)))
@@ -477,6 +533,31 @@ class TestGraphSize:
         inner = [node for node in ag._toposort(desc.concat)
                  if node._grad_fn is not None]
         assert len(inner) <= 12
+
+    def test_each_neighbor_kind_is_one_node(self, rng):
+        """The fixed neighbor kinds are one node each, as the learned one
+        is, and the identity kind is none, so a one-shape n=12 `mp` or
+        `ap` forward has as many non-leaf nodes as `full`, and `id` one
+        fewer per level."""
+        views = rng.normal(size=(12, 8))
+
+        def inner_nodes(variant):
+            root = hrge_forward(HrgeModel(12, 8, variant, seed=44),
+                                views).concat
+            seen, stack, inner = {id(root)}, [root], 0
+            while stack:
+                node = stack.pop()
+                inner += node._grad_fn is not None
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return inner
+
+        full = inner_nodes("full")
+        assert full == 12
+        assert inner_nodes("mp") == inner_nodes("ap") == full
+        assert inner_nodes("id") == full - 2
 
     def test_index_runs_one_forward_per_shape(self, monkeypatch):
         """`build_index` calls `hrge_forward` once per shape, on its
@@ -620,3 +701,22 @@ def test_hierarchy_depth():
 def test_geometry_validated_at_construction():
     with pytest.raises(ConfigError):
         HrgeModel(num_views=10, width=4, variant="full", depth=2)
+
+
+@pytest.mark.parametrize("num_views,width", [(6, 0), (6, -2), (0, 3)])
+def test_model_without_views_or_width_rejected(num_views, width):
+    """A `baseline` model has no parameter block that would refuse the
+    width, so the geometry check refuses it."""
+    with pytest.raises(ConfigError, match="ring of >= 1 views and width >= 1"):
+        HrgeModel(num_views, width, "baseline")
+
+
+@pytest.mark.parametrize("num_views", [1, 2, 7])
+def test_model_without_hierarchy_runs_one_level(rng, num_views):
+    """A variant without hierarchy takes any ring its modules run on, and
+    its plan is one level that does not coarsen."""
+    model = HrgeModel(num_views, 3, "pr", seed=1)
+    assert model.depth == 0
+    assert [level.stride for level in model.levels] == [None]
+    desc = hrge_forward(model, rng.normal(size=(num_views, 3)))
+    assert len(desc.blocks) == 1
