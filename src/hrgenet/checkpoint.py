@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .data import ByteReader, write_records
-from .errors import DataFormatError, HrgeError
+from .errors import ConfigError, DataFormatError, HrgeError
 from .graph import VARIANTS, HrgeModel
 from .training import Classifier
 
@@ -33,8 +33,13 @@ def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
     """Write the checkpoint and its manifest.
 
     A non-finite parameter block, which `load_model` would refuse, is
-    refused here by name before any file is created.
+    refused here by name before any file is created, and so is a
+    geometry that does not fit the header's u32 fields.
     """
+    geometry = (model.num_views, model.stride, model.depth, model.width)
+    if max(geometry) > 0xFFFFFFFF:
+        raise ConfigError(f"{path}: views, stride, depth and width {geometry} "
+                          f"must each be <= {0xFFFFFFFF}")
     named = _blocks(model, classifier)
     for name, tensor in named:
         if not np.isfinite(tensor.data).all():

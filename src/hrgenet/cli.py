@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error (a
 corrupt or non-finite container, a checkpoint that does not fit its
-dataset, or an unusable path), 4 numeric failure.  Flags override
-config-file values, which override defaults; the config file is flat
-``key=value`` lines keyed by flag destination names (e.g. ``epochs=5``,
-``use_fine_labels=true``), checked as the flags are.
+dataset, an unusable path, or a config file that is not UTF-8), 4
+numeric failure.  A negative number, ``-inf`` or ``-nan`` may follow its
+flag as a separate argument (``--tau -inf``).  Seeds must be >= 0.
+Flags override config-file values, which override defaults; the config
+file is flat ``key=value`` lines keyed by flag destination names (e.g.
+``epochs=5``, ``use_fine_labels=true``).  Each value goes through its
+flag's own check; an error reads ``<file>: <key> <argparse message>``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import ctypes
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -71,22 +75,42 @@ def _retain_freed_memory():
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts like a negative number, -inf or -nan is
+        # a value, so that --tau -inf reaches --tau's own check.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
+
     def error(self, message):
         raise ConfigError(message)
 
 
+def _seed(text):
+    """The type of every --seed: numpy's generators take integers >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 def _read_config_file(path):
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -110,7 +134,7 @@ def build_parser() -> _Parser:
                    help="target model stride, for geometry validation")
     p.add_argument("--depth", type=int, default=None,
                    help="target hierarchy depth, for geometry validation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model on an HRGF dataset")
@@ -126,7 +150,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-decay-period", type=int, default=20)
     p.add_argument("--use-fine-labels", action="store_true",
                    help="train against fine (sub-category) labels")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="run directory")
 
     p = sub.add_parser("eval", help="evaluate classification accuracy")
@@ -156,7 +180,7 @@ def build_parser() -> _Parser:
     p.add_argument("--perturb", type=float, default=0.0,
                    help="corrupt one analytic gradient by this amount "
                    "(negative control)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -164,71 +188,31 @@ def _apply_config_file(parser, path):
     """Make the values of the config file at `path` the defaults of the
     subcommands that define their keys; required flags are not keys."""
     values = _read_config_file(path)
-    commands = _commands(parser)
+    commands = parser._subparsers._group_actions[0].choices.values()
     known = {a.dest for command in commands for a in command._actions}
     required = {a.dest for c in commands for a in c._actions if a.required}
     for key in values:
         if key not in known or key in required or key == "help":
             raise ConfigError(f"{path}: {key} is not a config key")
     for command in commands:
-        command.set_defaults(**{a.dest: _config_value(path, a, values[a.dest])
-                                for a in command._actions
-                                if a.dest in values})
+        command.set_defaults(**{
+            a.dest: _config_value(path, command, a, values[a.dest])
+            for a in command._actions if a.dest in values})
 
 
-def _commands(parser):
-    """The subcommand parsers of `parser`."""
-    return parser._subparsers._group_actions[0].choices.values()
-
-
-def _attach_float_values(parser, argv):
-    """Join a float flag, or an abbreviation of one, and a value that
-    starts with ``-`` into one ``--flag=value`` argument.  argparse reads
-    only plain negative numbers as values, so ``--tau -inf`` would fail
-    as a flag missing its value, with a message that names no value;
-    joined, the value reaches the flag's own check."""
-    flags = {option for command in _commands(parser)
-             for action in command._actions if action.type is float
-             for option in action.option_strings}
-    joined = []
-    for arg in argv:
-        prev = joined[-1] if joined else ""
-        if (len(prev) > 2 and "=" not in prev and arg.startswith("-")
-                and any(flag.startswith(prev) for flag in flags)
-                and _is_float(arg)):
-            joined[-1] = f"{prev}={arg}"
-        else:
-            joined.append(arg)
-    return joined
-
-
-def _is_float(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _config_value(path, action, value):
-    """A config-file value parsed and checked as its flag would be: a
-    switch takes ``true`` or ``false``, any other key its flag's type and
-    choices."""
-    key = action.dest
+def _config_value(path, command, action, value):
+    """A config-file value parsed and checked by its flag's own action, as
+    argparse does the flag's value on the command line; a switch takes
+    ``true`` or ``false``."""
     if action.nargs == 0:
         if value not in ("true", "false"):
-            raise ConfigError(
-                f"{path}: {key} must be true or false, got {value!r}")
+            raise ConfigError(f"{path}: {action.dest} must be true or false, "
+                              f"got {value!r}")
         return value == "true"
     try:
-        parsed = value if action.type is None else action.type(value)
-    except ValueError:
-        raise ConfigError(f"{path}: {key} must be of type "
-                          f"{action.type.__name__}, got {value!r}") from None
-    if action.choices is not None and parsed not in action.choices:
-        raise ConfigError(f"{path}: {key} must be one of "
-                          f"{list(action.choices)}, got {value!r}")
-    return parsed
+        return command._get_values(action, [value])
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"{path}: {action.dest} {exc.message}") from None
 
 
 def _write_manifest(run_dir, args):
@@ -429,7 +413,6 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     parser = build_parser()
     try:
-        argv = _attach_float_values(parser, argv)
         args = parser.parse_args(argv)
         if args.config is not None:
             _apply_config_file(parser, args.config)

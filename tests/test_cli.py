@@ -112,7 +112,7 @@ class TestSynth:
     @pytest.mark.parametrize("flag", ["--noise", "--noi"])
     def test_negative_infinite_noise_is_usage_error(self, tmp_path, capsys,
                                                     flag):
-        # argparse reads "-inf" as an option unless it is joined to its flag.
+        # The parser takes "-inf" as a value, as it does a negative number.
         out = tmp_path / "x.hrgf"
         assert run(["synth", flag, "-inf", "--out", str(out)]) == 2
         assert "noise must be finite and >= 0, got -inf" in \
@@ -272,6 +272,17 @@ class TestTrainEval:
                     "--epochs", "1", "--out", str(out)]) == 2
         assert not out.exists()
         assert "ring of >= 3 views" in capsys.readouterr().err
+
+    def test_stride_beyond_the_u32_header_is_usage_error(self, synth_file,
+                                                         tmp_path, capsys):
+        """A variant without hierarchy uses no stride, but its checkpoint
+        header stores one in a u32 field."""
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_file), "--variant",
+                    "baseline", "--stride", "4294967296", "--epochs", "1",
+                    "--out", str(out)]) == 2
+        assert "must each be <= 4294967295" in capsys.readouterr().err
+        assert not (out / "checkpoint.hrgm").exists()
 
     def test_1l_trains_at_its_own_depth(self, synth_file, tmp_path):
         out = tmp_path / "run"
@@ -536,12 +547,14 @@ class TestPathErrors:
     @pytest.mark.parametrize("case", [
         "data-is-dir", "checkpoint-is-dir", "synth-out-is-dir",
         "eval-out-is-dir", "config-is-dir", "config-missing",
-        "retrieve-out-is-file", "train-out-under-file"])
+        "config-not-utf8", "retrieve-out-is-file", "train-out-under-file"])
     def test_path_error_is_data_error(self, case, synth_file, tmp_path,
                                       capsys):
         ckpt = str(write_checkpoint(tmp_path / "m.hrgm", 12, 6, 3))
         data, folder = str(synth_file), str(tmp_path)
         under_file = str(synth_file / "x")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("epochs=5  # été\n".encode("latin-1"))
         argv, path = {
             "data-is-dir": (["train", "--data", folder, "--out",
                              str(tmp_path / "run")], folder),
@@ -556,6 +569,8 @@ class TestPathErrors:
             "config-missing": (["--config", str(tmp_path / "no.cfg"),
                                 "synth", "--out", str(tmp_path / "s.hrgf")],
                                str(tmp_path / "no.cfg")),
+            "config-not-utf8": (["--config", str(latin1), "synth", "--out",
+                                 str(tmp_path / "s.hrgf")], str(latin1)),
             "retrieve-out-is-file": (["retrieve", "--data", data,
                                       "--checkpoint", ckpt, "--out", data],
                                      data),
@@ -793,6 +808,79 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "level0.pairwise.0.weight" in out
         assert "classifier.head.weight" in out
+
+
+COMMANDS = cli.build_parser()._subparsers._group_actions[0].choices
+FLOAT_FLAGS = [(name, action.option_strings[0])
+               for name, command in COMMANDS.items()
+               for action in command._actions if action.type is float]
+
+
+def abbreviation(command, flag):
+    """The shortest prefix of `flag` that names no other option of
+    `command`, or None if every prefix is ambiguous (``--lr``)."""
+    options = [o for action in COMMANDS[command]._actions
+               for o in action.option_strings]
+    for end in range(3, len(flag)):
+        if [o for o in options if o.startswith(flag[:end])] == [flag]:
+            return flag[:end]
+    return None
+
+
+def test_float_flags_are_the_documented_ones():
+    assert FLOAT_FLAGS == [
+        ("synth", "--noise"), ("train", "--lr"), ("train", "--weight-decay"),
+        ("train", "--lr-decay-factor"), ("retrieve", "--tau"),
+        ("gradcheck", "--tol"), ("gradcheck", "--perturb")]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e5"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_value_starting_with_minus_may_be_a_separate_argument(
+        synth_file, tmp_path, capsys, command, flag, value):
+    """`--flag V` and an abbreviated flag followed by V read V as
+    `--flag=V` does: the same exit code, output and message."""
+    argv = {
+        "synth": ["synth", "--classes", "2", "--per-class", "1", "--views",
+                  "6", "--dim", "2", "--out", str(tmp_path / "x.hrgf")],
+        "train": ["train", "--data", str(synth_file), "--epochs", "1",
+                  "--batch", "12", "--out", str(tmp_path / "run")],
+        "retrieve": ["retrieve", "--data", str(synth_file), "--checkpoint",
+                     str(tmp_path / "none.hrgm"),
+                     "--out", str(tmp_path / "r")],
+        "gradcheck": ["gradcheck", "--views", "4", "--dim", "2",
+                      "--classes", "2"],
+    }[command]
+    spellings = [[f"{flag}={value}"], [flag, value]]
+    if abbreviation(command, flag):
+        spellings.append([abbreviation(command, flag), value])
+    results = []
+    for spelling in spellings:
+        results.append((run(argv + spelling), capsys.readouterr()))
+    assert results[0][0] in (2, 4)
+    assert results == results[:1] * len(spellings)
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "config"])
+def test_negative_seed_is_usage_error(synth_file, tmp_path, capsys, command):
+    """numpy's generators raise on a negative seed, so every --seed
+    refuses one first as a usage error, and so does the config key."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("seed=-1\n")
+    argv = {
+        "synth": ["synth", "--seed", "-1", "--out", str(out)],
+        "train": ["train", "--data", str(synth_file), "--epochs", "1",
+                  "--seed", "-1", "--out", str(out)],
+        "gradcheck": ["gradcheck", "--views", "4", "--dim", "3",
+                      "--seed", "-1"],
+        "config": ["--config", str(cfg), "train", "--data", str(synth_file),
+                   "--epochs", "1", "--out", str(out)],
+    }[command]
+    assert run(argv) == 2
+    where = f"{cfg}: seed" if command == "config" else "argument --seed:"
+    assert capsys.readouterr() == (
+        "", f"error: {where} must be an integer >= 0, got '-1'\n")
+    assert not out.exists()
 
 
 def test_usage_error_on_unknown_command():
