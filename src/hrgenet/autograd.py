@@ -10,10 +10,18 @@ classifier head need.
 The row ops act on the last two axes, rows (graph nodes) on axis -2 and
 features on axis -1, so each accepts an optional leading batch axis and
 treats every batch item on its own.
+
+The forward math of the model's ops is one array kernel each
+(``pair_relation_sum_kernel``, ``ring_affine_kernel``, ``ring_max_kernel``,
+``ring_mean_kernel``, ``ring_rows_kernel``, ``pool_rows_kernel``).  The op
+checks its inputs, runs its kernel, asking it to save what the backward
+needs, and adds the backward; the grad-free forward of `graph` calls the
+kernels directly on arrays the model's plan has already shaped.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import os
@@ -150,28 +158,39 @@ def affine(x, weight, bias) -> Tensor:
     return out
 
 
+def ring_affine_kernel(parts, weight, bias, saved=None):
+    """The forward of `ring_affine` on arrays: ``(array, shift)`` parts,
+    an ``(out, in)`` weight array and a bias array.  When `saved` is a
+    list, the joined input is appended to it."""
+    x = np.concatenate(_turned(parts), axis=-1)
+    y = np.matmul(x, weight.T)
+    y += bias
+    np.maximum(y, 0.0, out=y)
+    if saved is not None:
+        saved.append(x)
+    return y
+
+
 def ring_affine(parts, weight, bias) -> Tensor:
     """``relu(concat(parts) @ weight.T + bias)`` over the last axis, as one
     node, with weight of shape (out, in).
 
-    The parts are turned as `_ring_parts` turns them, joined into one
-    array and run as `affine` runs it, and NaN passes the rectifier as in
+    The parts are turned as `_turned` turns them, joined into one array
+    and run as `affine` runs it, and NaN passes the rectifier as in
     `relu`, so the output has the bits of the `ring_rows`, `concat_cols`,
     `affine` and `relu` chain.  The backward hands out the parts'
     gradients in that chain's order too.
     """
-    tensors, turned, hand_back = _ring_parts(parts)
+    tensors, arrays, hand_back = _ring_parts(parts)
     weight, bias = as_tensor(weight), as_tensor(bias)
-    widths = [a.shape[-1] for a in turned]
+    widths = [a.shape[-1] for a, _ in arrays]
     if sum(widths) != weight.data.shape[1]:
         raise ShapeMismatchError(
             f"parts of widths {widths} do not join into the input of a "
             f"weight of shape {weight.shape}")
-    x = np.concatenate(turned, axis=-1)
-    del turned  # the turned copies are not held while the layer runs
-    y = np.matmul(x, weight.data.T)
-    y += bias.data
-    np.maximum(y, 0.0, out=y)
+    saved = []
+    y = ring_affine_kernel(arrays, weight.data, bias.data, saved)
+    [x] = saved
     out = Tensor(y, _parents=(*tensors, weight, bias))
 
     def _backward(g):
@@ -186,19 +205,30 @@ def ring_affine(parts, weight, bias) -> Tensor:
     return out
 
 
+def ring_max_kernel(parts, saved=None):
+    """The forward of `ring_max` on ``(array, shift)`` parts.  When
+    `saved` is a list, the boolean array of each step's ``>=`` is
+    appended to it, first step first."""
+    turned = _turned(parts)
+    out = turned[0]
+    for part in turned[1:]:
+        keep = out >= part
+        out = np.where(keep, out, part)
+        if saved is not None:
+            saved.append(keep)
+    return out
+
+
 def ring_max(parts) -> Tensor:
-    """Element-wise max of the parts, turned as `_ring_parts` turns them,
-    as one node, folded in order: each step keeps the running max where
-    it is ``>=`` the next part, so a tie goes to the first tied part, a
-    NaN part wins its step and a NaN running max loses the next.  The
+    """Element-wise max of the parts, turned as `_turned` turns them, as
+    one node, folded in order: each step keeps the running max where it
+    is ``>=`` the next part, so a tie goes to the first tied part, a NaN
+    part wins its step and a NaN running max loses the next.  The
     backward splits each step's gradient as ``g * keep`` and
     ``g * ~keep``, from the last step to the first."""
-    tensors, turned, hand_back = _ring_parts(parts)
-    out, keeps = turned[0], []
-    for part in turned[1:]:
-        keeps.append(out >= part)
-        out = np.where(keeps[-1], out, part)
-    result = Tensor(out, _parents=tensors)
+    tensors, arrays, hand_back = _ring_parts(parts)
+    keeps = []
+    result = Tensor(ring_max_kernel(arrays, keeps), _parents=tensors)
 
     def _backward(g):
         grads = [g]
@@ -210,22 +240,35 @@ def ring_max(parts) -> Tensor:
     return result
 
 
+def ring_mean_kernel(parts):
+    """The forward of `ring_mean` on ``(array, shift)`` parts."""
+    turned = _turned(parts)
+    return functools.reduce(np.add, turned) * (1.0 / len(turned))
+
+
 def ring_mean(parts) -> Tensor:
-    """The parts, turned as `_ring_parts` turns them, summed in order and
+    """The parts, turned as `_turned` turns them, summed in order and
     times the rounded reciprocal of their count, as one node:
     ``((p0 + p1) + p2) * (1.0 / 3.0)`` for three, which is not a division
     by 3.  Each part's gradient is the output's times that reciprocal."""
-    tensors, turned, hand_back = _ring_parts(parts)
-    share = 1.0 / len(turned)
-    out = Tensor(functools.reduce(np.add, turned) * share, _parents=tensors)
-    out._grad_fn = lambda g: hand_back([g * share] * len(turned))
+    tensors, arrays, hand_back = _ring_parts(parts)
+    share = 1.0 / len(arrays)
+    out = Tensor(ring_mean_kernel(arrays), _parents=tensors)
+    out._grad_fn = lambda g: hand_back([g * share] * len(arrays))
     return out
+
+
+def _turned(parts):
+    """The arrays of `parts`, ``(array, shift)`` pairs of matrices, or
+    batches of them, with the same n rows (axis -2), turned as
+    `ring_rows` turns them: row i is row ``(i + shift) % n``."""
+    return [_ring_take(a, shift) for a, shift in parts]
 
 
 def _ring_parts(parts):
     """The tensors of `parts`, ``(tensor, shift)`` pairs of matrices, or
-    batches of them, with the same n rows (axis -2); their arrays turned
-    as `ring_rows` turns them, row i being row ``(i + shift) % n``; and
+    batches of them, with the same n rows (axis -2); the
+    ``(array, shift)`` parts of their data, for a ring kernel; and
     ``hand_back(grads)``, which adds the parts' gradients, turned back,
     in the order of the chain of `ring_rows` nodes a ring op replaces:
     unturned parts first, then turned parts last first."""
@@ -245,7 +288,7 @@ def _ring_parts(parts):
             t._accumulate(_ring_take(grads[k], -shift), fresh=k in turned)
 
     return (tuple([t for t, _ in parts]),
-            [_ring_take(t.data, shift) for t, shift in parts], hand_back)
+            [(t.data, shift) for t, shift in parts], hand_back)
 
 
 def _ring_take(a, shift):
@@ -312,35 +355,18 @@ def pair_relation_sum(x, layers) -> Tensor:
         raise ShapeMismatchError(
             f"pairs of rows of {x.shape} do not match an MLP whose first "
             f"weight has shape {layers[0][0].shape} ({len(layers)} layers)")
+    arrays, kept = [(w.data, b.data) for w, b in layers], []
+    out = pair_relation_sum_kernel(x.data, arrays, kept)
+    parents = (x, *(t for layer in layers for t in layer))
+    result = Tensor(out, _parents=parents)
     n, width = x.data.shape[-2:]
     xs = x.data.reshape(-1, n, width)
-    hidden = max(w.data.shape[0] for w, _ in layers)
-    size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * n * hidden))
-    groups = [slice(s, s + size) for s in range(0, len(xs), size)]
-    places = _canonical_rows(xs)
-    w_last, b_last = layers[-1][0].data, layers[-1][1].data
-    out = np.empty((len(xs) * n, w_last.shape[0]))
-    arrays = [(w.data, b.data) for w, b in layers[:-1]]
-    kept = []
-
-    def forward(s):
-        acts = _pair_activations(_rows(xs).take(places[s], axis=0), arrays)
-        relations = np.matmul(_by_partner(acts[-1], n).sum(axis=1),
-                              w_last.T)
-        relations += (n - 1) * b_last
-        out[places[s]] = relations
-        if len(groups) == 1:
-            kept.append(acts)
-
-    _run_groups(forward, groups)
-    parents = (x, *(t for layer in layers for t in layer))
-    result = Tensor(out.reshape(*x.data.shape[:-1], -1), _parents=parents)
+    groups = _pair_groups(len(xs), n, arrays)
 
     def _backward(g):
         g = g.reshape(len(xs), n, -1)
         places = _canonical_rows(xs, g)
         g = _rows(g)
-        arrays = [(w.data, b.data) for w, b in layers]
         gx = np.empty_like(_rows(xs))
 
         def backward(s):
@@ -399,6 +425,41 @@ def pair_relation_sum(x, layers) -> Tensor:
     return result
 
 
+def pair_relation_sum_kernel(x, layers, saved=None):
+    """The forward of `pair_relation_sum` on arrays: ``(..., n, w)`` rows
+    and the ``(weight, bias)`` arrays of each layer.  When `saved` is a
+    list and the pass is one group, the group's pair activations are
+    appended to it."""
+    n, width = x.shape[-2:]
+    xs = x.reshape(-1, n, width)
+    groups = _pair_groups(len(xs), n, layers)
+    places = _canonical_rows(xs)
+    w_last, b_last = layers[-1]
+    out = np.empty((len(xs) * n, w_last.shape[0]))
+
+    def forward(s):
+        acts = _pair_activations(_rows(xs).take(places[s], axis=0),
+                                 layers[:-1])
+        relations = np.matmul(_by_partner(acts[-1], n).sum(axis=1),
+                              w_last.T)
+        relations += (n - 1) * b_last
+        out[places[s]] = relations
+        if saved is not None and len(groups) == 1:
+            saved.append(acts)
+
+    _run_groups(forward, groups)
+    return out.reshape(*x.shape[:-1], -1)
+
+
+def _pair_groups(count, n, layers):
+    """Slices of the `count` shapes of a pair pass, as many shapes each
+    as fit ``PAIR_GROUP_BYTES`` per pair-level array of the widest of
+    `layers`, the ``(weight, bias)`` arrays."""
+    hidden = max([w.shape[0] for w, _ in layers])
+    size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * n * hidden))
+    return [slice(s, s + size) for s in range(0, count, size)]
+
+
 def _canonical_rows(*parts):
     """The canonical order of the rows of each shape: ``(B, n)`` indices
     into the ``B n`` rows of ``(B, n, .)`` arrays, shape by shape in the
@@ -442,8 +503,12 @@ def _run_groups(task, groups):
     ``_pair_workers() - 1`` pool threads each take the next group nobody
     has taken as they come free.  Every result is kept until the pass
     ends.  The first error stops the taking of groups and is raised once
-    every thread has stopped.  Tasks run numpy and private helpers only.
+    every thread has stopped.  Tasks run numpy and private helpers only,
+    each pool thread in a copy of the caller's context, so numpy's
+    `np.errstate`, a context variable since numpy 2, holds there too.
     """
+    if len(groups) == 1:
+        return [task(groups[0])]
     results = [None] * len(groups)
     untaken = iter(range(len(groups)))
     errors = []
@@ -461,8 +526,9 @@ def _run_groups(task, groups):
                 with lock:
                     errors.append(exc)
 
-    workers = min(len(groups), _pair_workers()) if len(groups) > 1 else 1
-    helpers = [_executor().submit(drain) for _ in range(workers - 1)]
+    workers = min(len(groups), _pair_workers())
+    helpers = [_executor().submit(contextvars.copy_context().run, drain)
+               for _ in range(workers - 1)]
     drain()
     for helper in helpers:
         helper.result()
@@ -520,6 +586,11 @@ def _sorted_sum(grouped):
     return grouped.sum(axis=-2)
 
 
+def ring_rows_kernel(a, shift: int, stride: int = 1):
+    """The forward of `ring_rows` on an array."""
+    return a.take(_ring_index(a.shape[-2], shift, stride), axis=-2)
+
+
 def ring_rows(a, shift: int, stride: int = 1) -> Tensor:
     """Rows ``(shift + stride k) % n`` of the n rows (axis -2) of `a`, for
     k in ``range(n // stride)`` and `stride` dividing n, gathered through
@@ -528,8 +599,8 @@ def ring_rows(a, shift: int, stride: int = 1) -> Tensor:
     n = a.data.shape[-2]
     if stride < 1 or n % stride:
         raise ShapeMismatchError(f"stride {stride} does not divide {n} rows")
+    out = Tensor(ring_rows_kernel(a.data, shift, stride), _parents=(a,))
     index = _ring_index(n, shift, stride)
-    out = Tensor(a.data.take(index, axis=-2), _parents=(a,))
 
     def _backward(g):
         ga = np.zeros_like(a.data)
@@ -588,6 +659,41 @@ def concat_cols(tensors) -> Tensor:
 DEGENERATE_NORM = 1e-12
 
 
+def l2_norm(x) -> float:
+    """The L2 norm of all of `x`, as `np.linalg.norm` gives it, or, where
+    its sum of squares overflows, ``max|x| * ||x / max|x|||``, so a
+    finite array has a finite norm."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if np.isinf(norm):
+            top = np.abs(x).max()
+            norm = top * np.linalg.norm(x / top)
+    return float(norm)
+
+
+def pool_rows_kernel(a, normalize: bool, saved=None):
+    """The forward of `pool_rows` on an array: ``(pooled, degenerate)``.
+    When `saved` is a list, the index of each column's pooled row and the
+    norm each pooled vector was divided by (None without `normalize`)
+    are appended to it."""
+    n, width = a.shape[-2:]
+    mats = a.reshape(-1, n, width)
+    index = (np.arange(len(mats))[:, None], mats.argmax(axis=1),
+             np.arange(width))
+    pooled = mats[index].reshape(*a.shape[:-2], width)
+    norm = None
+    if normalize:
+        norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1, keepdims=True))
+        small = norm < DEGENERATE_NORM
+        norm[small] = 1.0
+        pooled = pooled / norm
+    else:
+        small = np.zeros(pooled.shape[:-1] + (1,), dtype=bool)
+    if saved is not None:
+        saved += [index, norm]
+    return pooled, small[..., 0]
+
+
 def pool_rows(a, normalize: bool):
     """Column-wise max over the rows (axis -2), scaled to unit norm along
     the last axis when `normalize` is set.
@@ -603,30 +709,22 @@ def pool_rows(a, normalize: bool):
     if a.data.ndim < 2 or a.data.shape[-2] < 1:
         raise EmptyInputError(
             f"pool_rows needs a non-empty matrix, got {a.shape}")
-    n, width = a.data.shape[-2:]
-    mats = a.data.reshape(-1, n, width)
-    cols = np.arange(width)
-    index = (np.arange(len(mats))[:, None], mats.argmax(axis=1), cols)
-    pooled = mats[index].reshape(a.data.shape[:-2] + (width,))
-    if normalize:
-        norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1, keepdims=True))
-        small = norm < DEGENERATE_NORM
-        norm[small] = 1.0
-        pooled = pooled / norm
-    else:
-        small = np.zeros(pooled.shape[:-1] + (1,), dtype=bool)
+    saved = []
+    pooled, degenerate = pool_rows_kernel(a.data, normalize, saved)
+    index, norm = saved
     out = Tensor(pooled, _parents=(a,))
 
     def _backward(g):
         if normalize:
             proj = np.add.reduce(pooled * g, axis=-1, keepdims=True)
-            g = np.where(small, g, (g - pooled * proj) / norm)
-        ga = np.zeros(mats.shape)
-        ga[index] = g.reshape(len(mats), width)
-        a._accumulate(ga.reshape(a.data.shape), fresh=True)
+            g = np.where(degenerate[..., None], g, (g - pooled * proj) / norm)
+        ga = np.zeros(a.data.shape)
+        mats = ga.reshape(-1, *a.data.shape[-2:])
+        mats[index] = g.reshape(mats.shape[0], mats.shape[2])
+        a._accumulate(ga, fresh=True)
 
     out._grad_fn = _backward
-    return out, small[..., 0]
+    return out, degenerate
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

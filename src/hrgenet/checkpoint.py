@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from . import autograd as ag
 from .data import ByteReader, write_records
 from .errors import ConfigError, DataFormatError, HrgeError
 from .graph import VARIANTS, HrgeModel
@@ -29,6 +30,15 @@ def _blocks(model: HrgeModel, classifier: Classifier | None):
     return model.named_parameters() + classifier.named_parameters()
 
 
+def check_header_fits(model: HrgeModel, path):
+    """Raise `ConfigError` unless the model's views, stride, depth and
+    width each fit the checkpoint header's u32 fields."""
+    geometry = (model.num_views, model.stride, model.depth, model.width)
+    if max(geometry) > 0xFFFFFFFF:
+        raise ConfigError(f"{path}: views, stride, depth and width {geometry} "
+                          f"must each be <= {0xFFFFFFFF}")
+
+
 def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
     """Write the checkpoint and its manifest.
 
@@ -36,10 +46,7 @@ def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
     refused here by name before any file is created, and so is a
     geometry that does not fit the header's u32 fields.
     """
-    geometry = (model.num_views, model.stride, model.depth, model.width)
-    if max(geometry) > 0xFFFFFFFF:
-        raise ConfigError(f"{path}: views, stride, depth and width {geometry} "
-                          f"must each be <= {0xFFFFFFFF}")
+    check_header_fits(model, path)
     named = _blocks(model, classifier)
     for name, tensor in named:
         if not np.isfinite(tensor.data).all():
@@ -63,7 +70,7 @@ def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
               "variant": model.variant.name, "num_classes": num_classes}
     write_records(f"{path}.manifest.txt", [header] + [
         {"block": name, "shape": list(tensor.data.shape),
-         "l2": float(np.linalg.norm(tensor.data))} for name, tensor in named])
+         "l2": ag.l2_norm(tensor.data)} for name, tensor in named])
 
 
 def load_model(path):

@@ -272,10 +272,11 @@ def _cmd_train(args):
                       learning_rate=args.lr, weight_decay=args.weight_decay,
                       lr_decay_factor=args.lr_decay_factor,
                       lr_decay_period=args.lr_decay_period, seed=args.seed)
+    ckpt = os.path.join(args.out, "checkpoint.hrgm")
+    checkpoint.check_header_fits(model, ckpt)
     _write_manifest(args.out, args)
     log = train(model, classifier, dataset, cfg)
     data.write_records(os.path.join(args.out, "train.log"), log.records)
-    ckpt = os.path.join(args.out, "checkpoint.hrgm")
     checkpoint.save_model(model, ckpt, classifier)
     final = log.epoch_records()[-1]
     print(f"trained {args.variant} for {args.epochs} epochs: "
@@ -417,7 +418,10 @@ def main(argv=None) -> int:
         if args.config is not None:
             _apply_config_file(parser, args.config)
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # The program's own finite checks report non-finite values (the
+        # loss, Adam's step, the inference outputs), not numpy warnings.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,6 +47,16 @@ none is set, since BLAS then uses every CPU.  Set
 ``OPENBLAS_NUM_THREADS=1`` for throughput.  No bit depends on the thread
 count: each group writes its own rows, and the groups' weight gradients
 are kept until the pass ends and added in group order.
+
+Inference needs no graph.  Each op's forward math is one array kernel in
+`autograd` (``ag.pair_relation_sum_kernel``, ``ag.ring_affine_kernel``,
+``ag.ring_max_kernel``, ``ag.ring_mean_kernel``, ``ag.pool_rows_kernel``
+and ``ag.ring_rows_kernel``); the op checks its inputs, runs the kernel
+and adds the backward.  ``hrge_forward(model, views, grad=False)`` walks
+the same level plan over plain arrays through those kernels, so it
+builds no node, closure or `ViewGraph` and keeps no pair activation, and
+its blocks, concatenation and degenerate flags have the graph forward's
+bits.  `retrieval.build_index` and `training.predict_batch` run it.
 """
 
 from __future__ import annotations
@@ -72,23 +82,32 @@ class NeighborKind:
     """How a neighboring module fuses each node with its ring neighbors:
     ``combine(parts, *affine)`` over the ring turned by each of `shifts`,
     as one node, with ``affine`` the level's ``neighboring`` map for a
-    `learned` kind.  The shifts are a range, so they read distinct nodes
-    on a ring of at least ``len(shifts)`` nodes."""
+    `learned` kind; ``kernel`` is the same map over arrays, with the
+    map's arrays, for the grad-free forward.  The shifts are a range, so
+    they read distinct nodes on a ring of at least ``len(shifts)``
+    nodes."""
 
     shifts: range
     combine: Callable
+    kernel: Callable
     learned: bool = False
 
 
-# Each combine looks its op up on `ag` when it runs, so that an op wrapped
-# after import is the one that runs.
+def _first_part(parts):
+    """The identity kind: the features pass through, with no node."""
+    return parts[0][0]
+
+
+# Each combine and kernel looks its function up on `ag` when it runs, so
+# that a function wrapped after import is the one that runs.
 NEIGHBOR_KINDS = {
     "learned": NeighborKind(range(-1, 2), lambda *a: ag.ring_affine(*a),
-                            True),
-    "max": NeighborKind(range(-1, 2), lambda parts: ag.ring_max(parts)),
-    "avg": NeighborKind(range(-1, 2), lambda parts: ag.ring_mean(parts)),
-    # No neighboring module: the features pass through, with no node.
-    "identity": NeighborKind(range(1), lambda parts: parts[0][0]),
+                            lambda *a: ag.ring_affine_kernel(*a), True),
+    "max": NeighborKind(range(-1, 2), lambda parts: ag.ring_max(parts),
+                        lambda parts: ag.ring_max_kernel(parts)),
+    "avg": NeighborKind(range(-1, 2), lambda parts: ag.ring_mean(parts),
+                        lambda parts: ag.ring_mean_kernel(parts)),
+    "identity": NeighborKind(range(1), _first_part, _first_part),
 }
 
 
@@ -338,7 +357,8 @@ class HrgeModel:
         return [p for _, p in self.named_parameters()]
 
 
-def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
+def hrge_forward(model: HrgeModel, views, grad: bool = True
+                 ) -> GlobalDescriptor:
     """Run the forward pass over the model's level plan and build the
     global descriptor.
 
@@ -348,6 +368,11 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
     ring is pooled as the last block.  A ``(B, n, w)`` batch of views
     gives ``(B, ...)`` blocks, each row bit-identical to that shape's own
     unbatched forward.
+
+    With ``grad=False`` the same plan runs over plain arrays through each
+    op's array kernel (`_forward_arrays`): the blocks and the
+    concatenation are leaf tensors with the bits of the graph's, and no
+    graph node, backward closure or pair activation is kept.
     """
     views = as_tensor(views)
     shape = views.data.shape
@@ -356,6 +381,8 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
         raise ShapeMismatchError(
             f"expected a {model.num_views} x {model.width} view matrix "
             f"or a batch of them, got shape {views.shape}")
+    if not grad:
+        return _forward_arrays(model, views.data)
     normalize, pooled = model.variant.normalize_blocks, []
     graph = ViewGraph(0, views)
     for level in model.levels:
@@ -370,3 +397,33 @@ def hrge_forward(model: HrgeModel, views) -> GlobalDescriptor:
     blocks, flags = map(list, zip(*pooled))
     concat = ag.concat_cols(blocks) if len(blocks) > 1 else blocks[0]
     return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)
+
+
+def _forward_arrays(model: HrgeModel, x) -> GlobalDescriptor:
+    """`hrge_forward`'s plan over the ``(n, w)`` or ``(B, n, w)`` array
+    `x`, each module run by the array kernel its graph op wraps."""
+    normalize, pooled = model.variant.normalize_blocks, []
+    for level in model.levels:
+        if level.pairwise is not None:
+            summed = ag.pair_relation_sum_kernel(
+                x, [_arrays(layer) for layer in level.pairwise])
+            x = ag.ring_affine_kernel([(x, 0), (summed, 0)],
+                                      *_arrays(level.fusion))
+        if level.stride:
+            pooled.append(ag.pool_rows_kernel(x, normalize))
+        x = level.neighbor.kernel([(x, shift) for shift
+                                   in level.neighbor.shifts],
+                                  *_arrays(level.neighboring))
+        if level.stride:
+            x = ag.ring_rows_kernel(x, level.stride - 1, level.stride)
+    pooled.append(ag.pool_rows_kernel(x, normalize))
+    blocks = [Tensor(block) for block, _ in pooled]
+    concat = (Tensor(np.concatenate([b.data for b in blocks], axis=-1))
+              if len(blocks) > 1 else blocks[0])
+    return GlobalDescriptor(blocks=blocks, concat=concat,
+                            degenerate=[flag for _, flag in pooled])
+
+
+def _arrays(layer) -> tuple:
+    """The ``(weight, bias)`` arrays of an `Affine`; none for None."""
+    return () if layer is None else (layer.weight.data, layer.bias.data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, NumericError
 from .graph import hrge_forward
 
 METRIC_KEYS = ("p_at_n", "r_at_n", "f1_at_n", "map", "ndcg")
@@ -27,12 +27,11 @@ TILE_BYTES = 1 << 18
 
 
 def extract_descriptor(model, views) -> np.ndarray:
-    """Unit-normalized global descriptor of one shape (no gradients kept)."""
-    desc = hrge_forward(model, views).concat.data
-    norm = np.linalg.norm(desc)
-    if norm < ag.DEGENERATE_NORM:
-        return desc.copy()
-    return desc / norm
+    """Unit-normalized global descriptor of one shape, from the grad-free
+    forward."""
+    desc = hrge_forward(model, views, grad=False).concat.data
+    norm = ag.l2_norm(desc)
+    return desc if norm < ag.DEGENERATE_NORM else desc / norm
 
 
 @dataclass
@@ -52,8 +51,15 @@ class DescriptorIndex:
 
 
 def build_index(model, dataset) -> DescriptorIndex:
+    """One descriptor row per record; `NumericError` naming the first
+    record whose descriptor is not finite."""
     vectors = np.stack([extract_descriptor(model, r.views)
                         for r in dataset.records])
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericError(f"non-finite descriptor for record {k} "
+                           f"({dataset.records[k].id!r})")
     return DescriptorIndex(
         ids=[r.id for r in dataset.records],
         labels=np.array([r.coarse_label for r in dataset.records]),

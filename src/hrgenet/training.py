@@ -86,9 +86,14 @@ class TrainLog:
 def predict_batch(model, classifier, views_list):
     """Logits and argmax labels (first-wins tie-break), one row per shape.
 
-    Runs one forward per shape."""
-    descs = np.stack([hrge_forward(model, v).concat.data for v in views_list])
+    Runs one grad-free forward per shape.  Raises `NumericError` naming
+    the first shape whose logits are not finite."""
+    descs = np.stack([hrge_forward(model, v, grad=False).concat.data
+                      for v in views_list])
     logits = linear_forward(classifier.head, descs).data
+    bad = ~np.isfinite(logits).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite logits for shape {int(bad.argmax())}")
     return logits, logits.argmax(axis=1)
 
 

@@ -505,6 +505,21 @@ class TestPairWorkers:
         with pytest.raises(ValueError, match="group 3"):
             ag._run_groups(task, list(range(6)))
 
+    def test_pool_threads_run_under_the_callers_errstate(self, monkeypatch):
+        """A pool thread takes the caller's `np.errstate`, so an overflow
+        in a group warns nowhere when the caller silenced it."""
+        monkeypatch.setattr(ag, "_pair_workers", lambda: 2)
+        started = threading.Barrier(2, timeout=30)
+
+        def task(k):
+            started.wait()  # both threads hold a group
+            return threading.get_ident(), np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            results = ag._run_groups(task, [0, 1])
+        assert len({thread for thread, _ in results}) == 2
+        assert [over for _, over in results] == ["ignore", "ignore"]
+
     def test_no_group_starts_after_an_error(self, monkeypatch):
         monkeypatch.setattr(ag, "_pair_workers", lambda: 1)
         ran = []

@@ -316,3 +316,22 @@ def test_writer_refuses_non_finite_block(tmp_path):
         save_model(model, path, Classifier(model.descriptor_length, 2))
     assert not path.exists()
     assert not (tmp_path / "model.hrgm.manifest.txt").exists()
+
+
+def test_manifest_l2_of_a_block_whose_squares_overflow(tmp_path):
+    """A finite block whose sum of squares overflows gets the scaled norm
+    ``max|x| * ||x / max|x|||`` in the manifest, not Infinity; every other
+    block keeps `np.linalg.norm`'s value."""
+    model = HrgeModel(num_views=6, width=2, variant="baseline", seed=0)
+    classifier = Classifier(model.descriptor_length, 2, seed=1)
+    weight, bias = classifier.head
+    weight.data[...] = [[3e200, -4e200], [1.0, 2.0]]
+    bias.data[...] = [0.5, -2.0]
+    save_model(model, tmp_path / "model.hrgm", classifier)
+    lines = (tmp_path / "model.hrgm.manifest.txt").read_text().splitlines()
+    l2 = {r["block"]: r["l2"] for r in map(json.loads, lines[1:])}
+    top = 4e200
+    assert l2["classifier.head.weight"] == top * np.linalg.norm(
+        weight.data / top)
+    assert l2["classifier.head.weight"] == pytest.approx(5e200, rel=1e-15)
+    assert l2["classifier.head.bias"] == np.linalg.norm(bias.data)

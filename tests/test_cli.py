@@ -15,8 +15,8 @@ from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
 from hrgenet.data import ShapeRecord, load_dataset, save_dataset
 from hrgenet.errors import ConfigError
-from hrgenet.graph import VARIANT_NAMES, HrgeModel
-from hrgenet.retrieval import METRIC_KEYS
+from hrgenet.graph import VARIANT_NAMES, HrgeModel, hrge_forward
+from hrgenet.retrieval import METRIC_KEYS, build_index
 from hrgenet.training import Classifier, TrainLog
 
 
@@ -282,7 +282,7 @@ class TestTrainEval:
                     "baseline", "--stride", "4294967296", "--epochs", "1",
                     "--out", str(out)]) == 2
         assert "must each be <= 4294967295" in capsys.readouterr().err
-        assert not (out / "checkpoint.hrgm").exists()
+        assert not out.exists()  # refused before the run directory is made
 
     def test_1l_trains_at_its_own_depth(self, synth_file, tmp_path):
         out = tmp_path / "run"
@@ -538,6 +538,106 @@ class TestTrainEval:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120, check=True)
         assert int(done.stdout.split()[-1]) < 500
+
+
+@pytest.fixture(scope="class")
+def overflowed_run(tmp_path_factory):
+    """A 6-shape dataset and a `full` run on it whose learning rate grows
+    1e300-fold per epoch: its weights end finite, near 1e297, so `train`
+    writes them, but every forward of them overflows."""
+    work = tmp_path_factory.mktemp("overflow")
+    assert run(["synth", "--classes", "2", "--per-class", "3", "--views",
+                "6", "--dim", "4", "--seed", "1",
+                "--out", str(work / "d.hrgf")]) == 0
+    done = child(["train", "--data", work / "d.hrgf", "--lr", "1e-3",
+                  "--lr-decay-factor", "1e300", "--lr-decay-period", "1",
+                  "--epochs", "2", "--out", work / "run"])
+    return work, done
+
+
+class TestNonFiniteModel:
+    """A checkpoint whose forward is not finite fails every command that
+    runs it with exit 4, one whose forward is finite but huge runs, and
+    no run prints a numpy warning."""
+
+    def test_train_writes_finite_weights_and_a_finite_manifest(
+            self, overflowed_run):
+        work, done = overflowed_run
+        assert done.returncode == 0 and done.stderr == ""
+        manifest = (work / "run" / "checkpoint.hrgm.manifest.txt").read_text()
+        assert "Infinity" not in manifest and "NaN" not in manifest
+        blocks = [json.loads(line) for line in manifest.splitlines()[1:]]
+        assert max(b["l2"] for b in blocks) > 1e290
+
+    def test_eval_refuses_non_finite_logits(self, overflowed_run, capsys):
+        work, _ = overflowed_run
+        report = work / "report.txt"
+        assert run(["eval", "--data", str(work / "d.hrgf"), "--checkpoint",
+                    str(work / "run" / "checkpoint.hrgm"),
+                    "--out", str(report)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite logits for shape 0\n")
+        assert not report.exists()
+
+    def test_retrieve_refuses_non_finite_descriptors(self, overflowed_run):
+        work, _ = overflowed_run
+        out = work / "retr"
+        done = child(["retrieve", "--data", work / "d.hrgf", "--checkpoint",
+                      work / "run" / "checkpoint.hrgm", "--out", out])
+        assert done.returncode == 4
+        assert done.stderr == ("numeric failure: non-finite descriptor for "
+                               "record 0 ('proto-0-0')\n")
+        assert not (out / "ranked.txt").exists()
+
+    def test_fine_labels_refuse_non_finite_logits(self, overflowed_run,
+                                                  tmp_path):
+        """A finite coarse model with an overflowed fine one, whose head
+        of two classes fits the two sub-categories."""
+        work, _ = overflowed_run
+        data = tmp_path / "fine.hrgf"
+        assert run(["synth", "--classes", "2", "--per-class", "3",
+                    "--views", "6", "--dim", "4", "--fine-per-class", "1",
+                    "--seed", "1", "--out", str(data)]) == 0
+        assert run(["train", "--data", str(data), "--epochs", "1",
+                    "--out", str(tmp_path / "coarse")]) == 0
+        done = child(["retrieve", "--data", data, "--checkpoint",
+                      tmp_path / "coarse" / "checkpoint.hrgm",
+                      "--fine-checkpoint", work / "run" / "checkpoint.hrgm",
+                      "--out", tmp_path / "retr"])
+        assert done.returncode == 4
+        assert done.stderr == ("numeric failure: non-finite logits for "
+                               "shape 0\n")
+
+    def test_retrieve_keeps_a_huge_finite_won_descriptor_unit_length(
+            self, overflowed_run, tmp_path):
+        """`won` pools without normalizing, so weights scaled by 1e60 give
+        finite descriptors near 1e300 whose sum of squares overflows:
+        each index row is still unit length, and `retrieve` runs."""
+        work, _ = overflowed_run
+        model = HrgeModel(num_views=6, width=4, variant="won", seed=0)
+        for p in model.parameters():
+            p.data *= 1e60
+        save_model(model, tmp_path / "won.hrgm")
+        dataset = load_dataset(work / "d.hrgf")
+        raw = [hrge_forward(model, r.views, grad=False).concat.data
+               for r in dataset.records]
+        assert all(np.isfinite(d).all() and np.abs(d).max() > 1e290
+                   for d in raw)
+        index = build_index(model, dataset)
+        np.testing.assert_allclose(np.linalg.norm(index.vectors, axis=1),
+                                   1.0, rtol=1e-12)
+        done = child(["retrieve", "--data", work / "d.hrgf", "--checkpoint",
+                      tmp_path / "won.hrgm", "--out", tmp_path / "retr"])
+        assert done.returncode == 0 and done.stderr == ""
+        assert (tmp_path / "retr" / "ranked.txt").exists()
+
+    def test_overflowing_training_warns_nowhere(self, overflowed_run):
+        work, _ = overflowed_run
+        done = child(["train", "--data", work / "d.hrgf", "--lr", "1e300",
+                      "--epochs", "2", "--out", work / "big-lr"])
+        assert done.returncode == 4
+        assert done.stderr == ("numeric failure: non-finite loss nan at "
+                               "epoch 1 batch 0\n")
 
 
 class TestPathErrors:

@@ -2,8 +2,6 @@
 maps to exit 3, and odd flag values of every subcommand end in a
 documented exit code; never a traceback or an oversized allocation."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -171,13 +169,9 @@ def cli_files(tmp_path_factory):
 
 
 def run_cli(argv, files):
-    """`main` on `argv` with `files` filled in, as the command line runs
-    it: a numpy RuntimeWarning does not stop the run, where this suite's
-    warning filter would raise it."""
-    argv = [arg.format(**files) for arg in argv]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(argv)
+    """`main` on `argv` with `files` filled in; under this suite's warning
+    filter any warning the run gives fails it."""
+    code = main([arg.format(**files) for arg in argv])
     assert code in (0, 2, 3, 4), argv
 
 

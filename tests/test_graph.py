@@ -561,21 +561,134 @@ class TestGraphSize:
 
     def test_index_runs_one_forward_per_shape(self, monkeypatch):
         """`build_index` calls `hrge_forward` once per shape, on its
-        ``(n, w)`` views, as the retrieval benchmark counts it."""
+        ``(n, w)`` views and grad-free, as the retrieval benchmark counts
+        it; each row has the bits of the graph forward's descriptor scaled
+        to unit norm."""
         dataset = generate_synthetic(SyntheticSpec(3, 2, 12, 8, seed=45))
         model = HrgeModel(num_views=12, width=8, variant="full", seed=46)
-        shapes, forward = [], retrieval.hrge_forward
+        calls, forward = [], retrieval.hrge_forward
 
-        def counted(model, views):
-            shapes.append(np.shape(views))
-            return forward(model, views)
+        def counted(model, views, **kwargs):
+            calls.append((np.shape(views), kwargs))
+            return forward(model, views, **kwargs)
 
         monkeypatch.setattr(retrieval, "hrge_forward", counted)
         index = retrieval.build_index(model, dataset)
-        assert shapes == [(12, 8)] * 6
+        assert calls == [((12, 8), {"grad": False})] * 6
         for record, vector in zip(dataset.records, index.vectors):
+            desc = hrge_forward(model, record.views).concat.data
             np.testing.assert_array_equal(
-                vector, retrieval.extract_descriptor(model, record.views))
+                vector.view(np.uint64),
+                (desc / np.linalg.norm(desc)).view(np.uint64))
+
+
+# Geometries of the grad-free bit checks, each run by every variant that
+# accepts it: 12 views, 9 views at stride 3, 8 views at depth 2, and 7
+# views, which only the variants without hierarchy take.
+GEOMETRIES = {"n12": dict(num_views=12), "n9-s3": dict(num_views=9, stride=3),
+              "n8-d2": dict(num_views=8, depth=2), "n7": dict(num_views=7)}
+
+
+def accepts(variant, geometry):
+    try:
+        HrgeModel(width=1, variant=variant, **geometry)
+    except ConfigError:
+        return False
+    return True
+
+
+GRAD_FREE_CASES = [(variant, name) for variant in VARIANTS
+                   for name, geometry in GEOMETRIES.items()
+                   if accepts(variant, geometry)]
+
+
+def awkward_views(rng, batch, n, w):
+    """``(batch, n, w)`` views whose rows 0 and 1 are equal and whose row
+    2 mixes 0.0 and -0.0; the last shape has a NaN row and, in a batch,
+    the one before it is all zeros, so that every block of a model with
+    zero biases is degenerate."""
+    views = rng.normal(size=(batch, n, w))
+    views[:, 1] = views[:, 0]
+    views[:, 2] = np.where(np.arange(w) % 2, 0.0, -0.0)
+    views[-1, 3] = np.nan
+    if batch > 1:
+        views[-2] = 0.0
+    return views
+
+
+def assert_grad_free_bits(model, views):
+    """The grad-free forward of `views` has the graph forward's blocks,
+    concatenation and degenerate flags, bit for bit, as leaf tensors."""
+    graph = hrge_forward(model, views)
+    free = hrge_forward(model, views, grad=False)
+    assert len(free.blocks) == len(graph.blocks)
+    for g, f in zip(graph.blocks + [graph.concat],
+                    free.blocks + [free.concat]):
+        assert f.data.shape == g.data.shape
+        np.testing.assert_array_equal(f.data.view(np.uint64),
+                                      g.data.view(np.uint64))
+        assert f._parents == () and f._grad_fn is None
+    for g, f in zip(graph.degenerate, free.degenerate):
+        np.testing.assert_array_equal(f, g)
+    return free
+
+
+class TestGradFree:
+    """``hrge_forward(..., grad=False)`` runs the level plan over arrays
+    through the kernels the graph ops wrap, with the graph's bits."""
+
+    @pytest.mark.parametrize("variant, geometry", GRAD_FREE_CASES)
+    def test_bits_equal_the_graph_forward(self, variant, geometry):
+        spec = GEOMETRIES[geometry]
+        model = HrgeModel(width=5, variant=variant, seed=47, **spec)
+        rng = np.random.default_rng(48)
+        views = awkward_views(rng, 4, spec["num_views"], 5)
+        free = assert_grad_free_bits(model, views)
+        assert np.isnan(free.concat.data[-1]).all()
+        if VARIANTS[variant].normalize_blocks:
+            assert all(flags[-2] for flags in free.degenerate)
+        for shape in (views[0], views[-1], rng.normal(
+                size=(spec["num_views"], 5))):
+            assert_grad_free_bits(model, shape)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_n80_batch_in_one_shape_groups(self, monkeypatch, workers):
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 1)
+        monkeypatch.setattr(ag, "_pair_workers", lambda: workers)
+        model = HrgeModel(num_views=80, width=4, variant="full", seed=49)
+        views = awkward_views(np.random.default_rng(50), 3, 80, 4)
+        assert_grad_free_bits(model, views)
+        assert_grad_free_bits(model, views[0])
+
+    def test_keeps_no_pair_activation(self):
+        """A one-shape pass is one pair group, whose activations the graph
+        op keeps for backward: two 80 x 80 x 32 arrays at level 0.  The
+        grad-free forward holds none of them once it returns."""
+        model = HrgeModel(num_views=80, width=32, variant="full", seed=53)
+        views = np.random.default_rng(54).normal(size=(80, 32))
+        pair_array = 80 * 80 * 32 * 8
+        held = {}
+        for grad in (True, False):
+            hrge_forward(model, views, grad=grad)  # caches filled
+            tracemalloc.start()
+            try:
+                desc = hrge_forward(model, views, grad=grad)
+                held[grad], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del desc
+        assert held[True] > 2 * pair_array
+        assert held[False] < pair_array / 100
+
+    def test_one_block_concat_is_the_block(self, rng):
+        model = HrgeModel(num_views=6, width=3, variant="pr", seed=51)
+        free = hrge_forward(model, rng.normal(size=(6, 3)), grad=False)
+        assert free.concat is free.blocks[0]
+
+    def test_views_that_do_not_fit_the_model_are_refused(self, rng):
+        model = HrgeModel(num_views=6, width=3, variant="full", seed=52)
+        with pytest.raises(ShapeMismatchError, match="6 x 3 view matrix"):
+            hrge_forward(model, rng.normal(size=(6, 4)), grad=False)
 
 
 class TestPairGroups:
