@@ -11,12 +11,14 @@ The row ops act on the last two axes, rows (graph nodes) on axis -2 and
 features on axis -1, so each accepts an optional leading batch axis and
 treats every batch item on its own.
 
-The forward math of the model's ops is one array kernel each
-(``pair_relation_sum_kernel``, ``ring_affine_kernel``, ``ring_max_kernel``,
+Every op of the model and its head has one name and one array kernel of
+its forward math, the name with a ``_kernel`` suffix (``affine_kernel``,
+``pair_relation_sum_kernel``, ``ring_affine_kernel``, ``ring_max_kernel``,
 ``ring_mean_kernel``, ``ring_rows_kernel``, ``pool_rows_kernel``).  The op
 checks its inputs, runs its kernel, asking it to save what the backward
-needs, and adds the backward; the grad-free forward of `graph` calls the
-kernels directly on arrays the model's plan has already shaped.
+needs, and adds the backward; inference (the grad-free forward of `graph`
+and the head in `training.predict_batch`) calls the kernels directly on
+arrays the model's plan has already shaped, and builds no node.
 """
 
 from __future__ import annotations
@@ -114,20 +116,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def relu(a) -> Tensor:
-    """Rectifier that lets NaN through instead of mapping it to 0.  The
-    gradient mask comes from the output: ``max(a, 0) > 0`` is ``a > 0``,
-    NaN included."""
-    a = as_tensor(a)
-    y = np.maximum(a.data, 0.0)
-    out = Tensor(y, _parents=(a,))
-    out._grad_fn = lambda g: a._accumulate(g * (y > 0.0), fresh=True)
-    return out
-
-
 def _rows(a):
     """View of `a` with every leading axis folded into the rows."""
     return a.reshape(-1, a.shape[-1])
+
+
+def affine_kernel(x, weight, bias):
+    """The forward of `affine` on arrays."""
+    y = np.matmul(x, weight.T)
+    y += bias
+    return y
 
 
 def affine(x, weight, bias) -> Tensor:
@@ -145,9 +143,8 @@ def affine(x, weight, bias) -> Tensor:
             f"input has {x.data.shape[-1]} columns but weight expects "
             f"{weight.data.shape[1]}"
         )
-    y = np.matmul(x.data, weight.data.T)
-    y += bias.data
-    out = Tensor(y, _parents=(x, weight, bias))
+    out = Tensor(affine_kernel(x.data, weight.data, bias.data),
+                 _parents=(x, weight, bias))
 
     def _backward(g):
         x._accumulate(np.matmul(g, weight.data), fresh=True)
@@ -163,8 +160,7 @@ def ring_affine_kernel(parts, weight, bias, saved=None):
     an ``(out, in)`` weight array and a bias array.  When `saved` is a
     list, the joined input is appended to it."""
     x = np.concatenate(_turned(parts), axis=-1)
-    y = np.matmul(x, weight.T)
-    y += bias
+    y = affine_kernel(x, weight, bias)
     np.maximum(y, 0.0, out=y)
     if saved is not None:
         saved.append(x)
@@ -172,14 +168,15 @@ def ring_affine_kernel(parts, weight, bias, saved=None):
 
 
 def ring_affine(parts, weight, bias) -> Tensor:
-    """``relu(concat(parts) @ weight.T + bias)`` over the last axis, as one
-    node, with weight of shape (out, in).
+    """``max(concat(parts) @ weight.T + bias, 0)`` over the last axis, as
+    one node, with weight of shape (out, in).
 
     The parts are turned as `_turned` turns them, joined into one array
-    and run as `affine` runs it, and NaN passes the rectifier as in
-    `relu`, so the output has the bits of the `ring_rows`, `concat_cols`,
-    `affine` and `relu` chain.  The backward hands out the parts'
-    gradients in that chain's order too.
+    and run through `affine_kernel`, and the rectifier ``max(y, 0)`` lets
+    NaN through, so the output has the bits of a chain of `ring_rows`,
+    `concat_cols`, `affine` and such a rectifier.  The backward hands out
+    the parts' gradients in that chain's order too, and its rectifier
+    mask ``y > 0`` passes no gradient at NaN.
     """
     tensors, arrays, hand_back = _ring_parts(parts)
     weight, bias = as_tensor(weight), as_tensor(bias)

@@ -157,7 +157,8 @@ class ByteReader:
         at = self.offset if at is None else at
         return DataFormatError(f"{self.source}: {message} at byte {at}")
 
-    def _take(self, size: int, what: str) -> int:
+    def take(self, size: int, what: str) -> int:
+        """Pass over the next `size` bytes; returns their offset."""
         start, remain = self.offset, len(self.blob) - self.offset
         if size > remain:
             raise self.error(
@@ -168,10 +169,10 @@ class ByteReader:
     def unpack(self, fmt: str, what: str = "header") -> tuple:
         fmt = "<" + fmt
         return struct.unpack_from(
-            fmt, self.blob, self._take(struct.calcsize(fmt), what))
+            fmt, self.blob, self.take(struct.calcsize(fmt), what))
 
     def text(self, n: int, what: str) -> str:
-        start = self._take(n, what)
+        start = self.take(n, what)
         try:
             return self.blob[start:self.offset].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -180,14 +181,19 @@ class ByteReader:
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
         count = math.prod(shape)
-        start = self._take(8 * count, what)
+        start = self.take(8 * count, what)
         values = np.frombuffer(self.blob, dtype="<f8", count=count,
                                offset=start)
+        self.check_finite(values, start, what)
+        return values.reshape(shape).copy()
+
+    def check_finite(self, values: np.ndarray, start: int, what: str):
+        """Refuse the first non-finite entry of `values`, f64s read in
+        order from byte `start`."""
         finite = np.isfinite(values)
         if not finite.all():
             raise self.error(f"non-finite value in {what}",
                              at=start + 8 * int(np.argmin(finite)))
-        return values.reshape(shape).copy()
 
     def end(self) -> None:
         if self.offset != len(self.blob):
@@ -204,16 +210,28 @@ def _decode(blob: bytes, source: str) -> FeatureDataset:
                             (d, "view width", 16)):
         if value == 0:
             raise r.error(f"zero {what}", at=at)
-    records = []
+    heads, starts = [], []
     for k in range(count):
         (id_len,) = r.unpack("H", f"record {k}")
         rec_id = r.text(id_len, f"record {k} id")
         coarse, fine = r.unpack("II", f"record {k}")
-        views = r.floats((n, d), f"record {k} views")
-        records.append(ShapeRecord(
-            id=rec_id, views=views, coarse_label=coarse,
-            fine_label=None if fine == NO_FINE_LABEL else fine))
+        heads.append((rec_id, coarse,
+                      None if fine == NO_FINE_LABEL else fine))
+        starts.append(r.take(8 * n * d, f"record {k} views"))
     r.end()
+    # The structure holds, so the blob bounds the one array of every
+    # record's views, which is checked once; each record's are a row.
+    views = np.empty((count, n, d))
+    flat = views.reshape(count, n * d)
+    for k, start in enumerate(starts):
+        flat[k] = np.frombuffer(blob, "<f8", n * d, start)
+    finite = np.isfinite(views).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        r.check_finite(views[k], starts[k], f"record {k} views")
+    records = [ShapeRecord(id=rec_id, views=row, coarse_label=coarse,
+                           fine_label=fine)
+               for (rec_id, coarse, fine), row in zip(heads, views)]
     return FeatureDataset(records=records, num_classes=num_classes,
                           num_fine_classes=num_fine)
 

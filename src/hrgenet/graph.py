@@ -6,10 +6,10 @@ fused with the original feature), records a pooled level descriptor, runs
 a neighboring relation module on ring triplets, and coarsens the ring by a
 fixed stride.  The concatenated per-level descriptors form the global
 shape descriptor.  Each ablation variant is one row of ``VARIANTS`` and
-each neighbor kind one row of ``NEIGHBOR_KINDS``.  A model turns its
-variant into a level plan, ``HrgeModel.levels``, that the forward runs
-with no test of the variant; a variant without hierarchy is one level
-that emits only its last block.
+each neighbor kind one row of ``NEIGHBOR_KINDS``, which names its op.  A
+model turns its variant into a level plan, ``HrgeModel.levels``, that
+the forward runs with no test of the variant; a variant without
+hierarchy is one level that emits only its last block.
 
 Views come as one ``(n, w)`` matrix or as a ``(B, n, w)`` batch, and the
 same code runs both.  Stacked-GEMM rule: every matrix product of the
@@ -23,12 +23,12 @@ Only weight gradients, which nothing compares bit for bit, fold the batch.
 Each module is one graph node, or two for the pairwise module, because
 at one shape every node is a few microseconds of numpy plus its Python
 bookkeeping, so the node count sets the cost of a forward.  The fusion
-and the learned neighboring module are each one `ag.ring_affine`
-(``relu`` of an affine map of row-turned parts joined by columns), the
-max and avg kinds one `ag.ring_max` or `ag.ring_mean` over the same
-parts, the identity kind none, a level block one `ag.pool_rows` (the
-column max, unit-normalized by variant), and coarsening one
-`ag.ring_rows`.
+is one `ag.ring_affine` (the rectified affine map of row-turned parts
+joined by columns); the neighboring module is one node of the op its
+kind names, ``ring_affine`` for the learned kind, ``ring_max`` or
+``ring_mean`` over the same parts for max and avg, and none for the
+identity kind; a level block is one `ag.pool_rows` (the column max,
+unit-normalized by variant), and coarsening one `ag.ring_rows`.
 
 The pair level holds n (n - 1) pairs per shape, so it is one op,
 `ag.pair_relation_sum`: it puts each shape's rows in a canonical
@@ -49,20 +49,18 @@ count: each group writes its own rows, and the groups' weight gradients
 are kept until the pass ends and added in group order.
 
 Inference needs no graph.  Each op's forward math is one array kernel in
-`autograd` (``ag.pair_relation_sum_kernel``, ``ag.ring_affine_kernel``,
-``ag.ring_max_kernel``, ``ag.ring_mean_kernel``, ``ag.pool_rows_kernel``
-and ``ag.ring_rows_kernel``); the op checks its inputs, runs the kernel
-and adds the backward.  ``hrge_forward(model, views, grad=False)`` walks
-the same level plan over plain arrays through those kernels, so it
-builds no node, closure or `ViewGraph` and keeps no pair activation, and
-its blocks, concatenation and degenerate flags have the graph forward's
-bits.  `retrieval.build_index` and `training.predict_batch` run it.
+`autograd`, named after the op with ``_kernel`` appended; the op checks
+its inputs, runs the kernel and adds the backward.
+``hrge_forward(model, views, grad=False)`` walks the same level plan over
+plain arrays through the kernels, so it builds no node, closure or
+`ViewGraph` and keeps no pair activation, and its blocks, concatenation
+and degenerate flags have the graph forward's bits.  `retrieval.build_index`
+runs it, and `training.predict_batch` runs it and the head's kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -80,34 +78,24 @@ from .layers import build_affines
 @dataclass(frozen=True)
 class NeighborKind:
     """How a neighboring module fuses each node with its ring neighbors:
-    ``combine(parts, *affine)`` over the ring turned by each of `shifts`,
-    as one node, with ``affine`` the level's ``neighboring`` map for a
-    `learned` kind; ``kernel`` is the same map over arrays, with the
-    map's arrays, for the grad-free forward.  The shifts are a range, so
-    they read distinct nodes on a ring of at least ``len(shifts)``
+    one node of the `autograd` op named ``op`` (None passes the features
+    through) over the ring turned by each of `shifts`, with the level's
+    ``neighboring`` map for a `learned` kind.  The walks look ``op``, or
+    ``op + "_kernel"``, up on `ag` when they run, so that a function
+    wrapped after import is the one that runs.  The shifts are a range,
+    so they read distinct nodes on a ring of at least ``len(shifts)``
     nodes."""
 
     shifts: range
-    combine: Callable
-    kernel: Callable
+    op: str | None
     learned: bool = False
 
 
-def _first_part(parts):
-    """The identity kind: the features pass through, with no node."""
-    return parts[0][0]
-
-
-# Each combine and kernel looks its function up on `ag` when it runs, so
-# that a function wrapped after import is the one that runs.
 NEIGHBOR_KINDS = {
-    "learned": NeighborKind(range(-1, 2), lambda *a: ag.ring_affine(*a),
-                            lambda *a: ag.ring_affine_kernel(*a), True),
-    "max": NeighborKind(range(-1, 2), lambda parts: ag.ring_max(parts),
-                        lambda parts: ag.ring_max_kernel(parts)),
-    "avg": NeighborKind(range(-1, 2), lambda parts: ag.ring_mean(parts),
-                        lambda parts: ag.ring_mean_kernel(parts)),
-    "identity": NeighborKind(range(1), _first_part, _first_part),
+    "learned": NeighborKind(range(-1, 2), "ring_affine", True),
+    "max": NeighborKind(range(-1, 2), "ring_max"),
+    "avg": NeighborKind(range(-1, 2), "ring_mean"),
+    "identity": NeighborKind(range(1), None),
 }
 
 
@@ -253,9 +241,11 @@ def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
     if n < len(kind.shifts):
         raise RingTooSmallError(f"neighboring relation needs a ring of >= "
                                 f"{len(kind.shifts)} nodes, got {n}")
+    if kind.op is None:
+        return graph
     parts = [(graph.features, shift) for shift in kind.shifts]
-    return ViewGraph(graph.level,
-                     kind.combine(parts, *(params.neighboring or ())))
+    return ViewGraph(graph.level, getattr(ag, kind.op)(
+        parts, *(params.neighboring or ())))
 
 
 def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
@@ -411,9 +401,11 @@ def _forward_arrays(model: HrgeModel, x) -> GlobalDescriptor:
                                       *_arrays(level.fusion))
         if level.stride:
             pooled.append(ag.pool_rows_kernel(x, normalize))
-        x = level.neighbor.kernel([(x, shift) for shift
-                                   in level.neighbor.shifts],
-                                  *_arrays(level.neighboring))
+        kind = level.neighbor
+        if kind.op is not None:
+            x = getattr(ag, kind.op + "_kernel")(
+                [(x, shift) for shift in kind.shifts],
+                *_arrays(level.neighboring))
         if level.stride:
             x = ag.ring_rows_kernel(x, level.stride - 1, level.stride)
     pooled.append(ag.pool_rows_kernel(x, normalize))

@@ -86,11 +86,13 @@ class TrainLog:
 def predict_batch(model, classifier, views_list):
     """Logits and argmax labels (first-wins tie-break), one row per shape.
 
-    Runs one grad-free forward per shape.  Raises `NumericError` naming
-    the first shape whose logits are not finite."""
+    Runs one grad-free forward per shape and the head's kernel, with no
+    graph node.  Raises `NumericError` naming the first shape whose
+    logits are not finite."""
     descs = np.stack([hrge_forward(model, v, grad=False).concat.data
                       for v in views_list])
-    logits = linear_forward(classifier.head, descs).data
+    head = classifier.head
+    logits = ag.affine_kernel(descs, head.weight.data, head.bias.data)
     bad = ~np.isfinite(logits).all(axis=1)
     if bad.any():
         raise NumericError(f"non-finite logits for shape {int(bad.argmax())}")
@@ -104,7 +106,11 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
     Each step runs one batched forward and backward over its mini-batch.
     The last partial batch is used, not dropped.  Raises NumericError
     with epoch/batch diagnostics if the loss goes non-finite, and Adam
-    raises it if a gradient or parameter does.
+    raises it if a gradient or parameter does.  No loss checks the last
+    update, so the trained model then runs, as `predict_batch` runs it,
+    on the first record in file order, and raises NumericError if its
+    logits are not finite, as from finite weights so large that a
+    forward overflows.
     """
     records = list(dataset.records)
     if not records:
@@ -152,6 +158,11 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
             step += 1
         log.add(epoch=epoch, step=step, loss=float(np.mean(losses)),
                 lr=opt.lr, acc=correct / n)
+    try:
+        predict_batch(model, classifier, views[:1])
+    except NumericError:
+        raise NumericError(f"the trained model gives non-finite logits for "
+                           f"record {records[0].id!r}") from None
     return log
 
 

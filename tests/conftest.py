@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hrgenet.autograd import Tensor, as_tensor
+
 
 @pytest.fixture
 def rng():
@@ -26,3 +28,15 @@ def finite_difference(loss_fn, param, h=1e-5):
 def max_rel_err(a, b, floor=1e-6):
     denom = np.maximum(np.abs(a) + np.abs(b), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def relu(a):
+    """Rectifier node that lets NaN through instead of mapping it to 0,
+    for the oracles that rebuild a fused op from separate nodes.  The
+    gradient mask comes from the output: ``max(a, 0) > 0`` is ``a > 0``,
+    NaN included."""
+    a = as_tensor(a)
+    y = np.maximum(a.data, 0.0)
+    out = Tensor(y, _parents=(a,))
+    out._grad_fn = lambda g: a._accumulate(g * (y > 0.0), fresh=True)
+    return out

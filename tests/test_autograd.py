@@ -16,7 +16,7 @@ from hrgenet.errors import (
 )
 from hrgenet.layers import Affine, build_affines, linear_forward
 
-from conftest import finite_difference, max_rel_err
+from conftest import finite_difference, max_rel_err, relu
 
 
 def make_layer(weight, bias):
@@ -92,7 +92,7 @@ class TestBackward:
         def loss_fn():
             h = x
             for layer in mlp[:-1]:
-                h = ag.relu(linear_forward(layer, h))
+                h = relu(linear_forward(layer, h))
             out = linear_forward(mlp[-1], h)
             return ag.softmax_cross_entropy(linear_forward(head, out), labels)
 
@@ -118,7 +118,7 @@ class TestBackward:
 
     def test_only_leaves_keep_gradients(self):
         x = ag.Tensor([[1.0, -2.0]])
-        hidden = ag.relu(x)
+        hidden = relu(x)
         loss = ag.softmax_cross_entropy(hidden, [0])
         loss.backward()
         assert hidden.grad is None and loss.grad is None
@@ -129,7 +129,7 @@ class TestBackward:
         # Two rectifier paths from x, joined and summed by one layer.
         summed = linear_forward(make_layer([[1.0, 0.0, 1.0, 0.0],
                                             [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]),
-                                ag.concat_cols([ag.relu(x), ag.relu(x)]))
+                                ag.concat_cols([relu(x), relu(x)]))
         loss = ag.softmax_cross_entropy(summed, [0])
         loss.backward()
         np.testing.assert_allclose(
@@ -174,15 +174,17 @@ class TestSegmentSumRows:
 
 
 class TestRelu:
+    """The test helpers' rectifier, which the unfused oracles build on."""
+
     def test_nan_propagates(self):
-        out = ag.relu([[np.nan, -1.0, 2.0]])
+        out = relu([[np.nan, -1.0, 2.0]])
         assert np.isnan(out.data[0, 0])
         np.testing.assert_array_equal(out.data[0, 1:], [0.0, 2.0])
 
     def test_gradient_is_the_positive_mask(self):
         a = ag.Tensor([[-1.0, 0.0, 3.0]])
         out = ag.segment_sum_rows(
-            linear_forward(make_layer([[1.0, 1.0, 1.0]], [0.0]), ag.relu(a)),
+            linear_forward(make_layer([[1.0, 1.0, 1.0]], [0.0]), relu(a)),
             [0], 1)
         out.backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
@@ -686,7 +688,7 @@ def chained_ring_affine(parts, layer):
     turned part, `concat_cols`, `affine` and `relu`."""
     turned = [t if shift == 0 else ag.ring_rows(t, shift)
               for t, shift in parts]
-    return ag.relu(linear_forward(layer, ag.concat_cols(turned)))
+    return relu(linear_forward(layer, ag.concat_cols(turned)))
 
 
 class TestRingAffine:
@@ -785,7 +787,7 @@ def test_determinism_bit_identical(rng):
     x = rng.normal(size=(4, 3))
     mlp1, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
     mlp2, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
-    out1, out2 = (linear_forward(mlp[1], ag.relu(linear_forward(mlp[0], x)))
+    out1, out2 = (linear_forward(mlp[1], relu(linear_forward(mlp[0], x)))
                   for mlp in (mlp1, mlp2))
     np.testing.assert_array_equal(out1.data, out2.data)
 

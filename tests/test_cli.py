@@ -542,9 +542,10 @@ class TestTrainEval:
 
 @pytest.fixture(scope="class")
 def overflowed_run(tmp_path_factory):
-    """A 6-shape dataset and a `full` run on it whose learning rate grows
-    1e300-fold per epoch: its weights end finite, near 1e297, so `train`
-    writes them, but every forward of them overflows."""
+    """A 6-shape dataset; a `full` run on it whose learning rate grows
+    1e300-fold per epoch, so that its weights end finite, near 1e297, but
+    every forward of them overflows; and ``overflowed.hrgm``, a `full`
+    checkpoint of such weights: the initial ones times 1e297."""
     work = tmp_path_factory.mktemp("overflow")
     assert run(["synth", "--classes", "2", "--per-class", "3", "--views",
                 "6", "--dim", "4", "--seed", "1",
@@ -552,19 +553,37 @@ def overflowed_run(tmp_path_factory):
     done = child(["train", "--data", work / "d.hrgf", "--lr", "1e-3",
                   "--lr-decay-factor", "1e300", "--lr-decay-period", "1",
                   "--epochs", "2", "--out", work / "run"])
+    model = HrgeModel(num_views=6, width=4, variant="full", seed=0)
+    classifier = Classifier(model.descriptor_length, 2, seed=1)
+    for p in model.parameters() + classifier.parameters():
+        p.data *= 1e297
+    save_model(model, work / "overflowed.hrgm", classifier)
     return work, done
 
 
 class TestNonFiniteModel:
     """A checkpoint whose forward is not finite fails every command that
-    runs it with exit 4, one whose forward is finite but huge runs, and
-    no run prints a numpy warning."""
+    runs it with exit 4, `train` writes no such checkpoint, one whose
+    forward is finite but huge runs, and no run prints a numpy warning."""
 
-    def test_train_writes_finite_weights_and_a_finite_manifest(
+    def test_train_refuses_a_model_whose_forward_overflows(
             self, overflowed_run):
+        """No loss checks the last update: `train` runs the trained model
+        on the first record and exits 4 without writing a checkpoint.
+        The run's manifest stays, as after any failed training run, and
+        no ``train.log`` is written."""
         work, done = overflowed_run
-        assert done.returncode == 0 and done.stderr == ""
-        manifest = (work / "run" / "checkpoint.hrgm.manifest.txt").read_text()
+        assert done.returncode == 4
+        assert done.stderr == ("numeric failure: the trained model gives "
+                               "non-finite logits for record 'proto-0-0'\n")
+        assert sorted(p.name for p in (work / "run").iterdir()) == [
+            "manifest.txt"]
+        [record] = read_records(work / "run" / "manifest.txt")
+        assert record["lr_decay_factor"] == 1e300
+
+    def test_overflowed_checkpoint_is_finite(self, overflowed_run):
+        work, _ = overflowed_run
+        manifest = (work / "overflowed.hrgm.manifest.txt").read_text()
         assert "Infinity" not in manifest and "NaN" not in manifest
         blocks = [json.loads(line) for line in manifest.splitlines()[1:]]
         assert max(b["l2"] for b in blocks) > 1e290
@@ -573,7 +592,7 @@ class TestNonFiniteModel:
         work, _ = overflowed_run
         report = work / "report.txt"
         assert run(["eval", "--data", str(work / "d.hrgf"), "--checkpoint",
-                    str(work / "run" / "checkpoint.hrgm"),
+                    str(work / "overflowed.hrgm"),
                     "--out", str(report)]) == 4
         assert capsys.readouterr().err == (
             "numeric failure: non-finite logits for shape 0\n")
@@ -583,7 +602,7 @@ class TestNonFiniteModel:
         work, _ = overflowed_run
         out = work / "retr"
         done = child(["retrieve", "--data", work / "d.hrgf", "--checkpoint",
-                      work / "run" / "checkpoint.hrgm", "--out", out])
+                      work / "overflowed.hrgm", "--out", out])
         assert done.returncode == 4
         assert done.stderr == ("numeric failure: non-finite descriptor for "
                                "record 0 ('proto-0-0')\n")
@@ -602,7 +621,7 @@ class TestNonFiniteModel:
                     "--out", str(tmp_path / "coarse")]) == 0
         done = child(["retrieve", "--data", data, "--checkpoint",
                       tmp_path / "coarse" / "checkpoint.hrgm",
-                      "--fine-checkpoint", work / "run" / "checkpoint.hrgm",
+                      "--fine-checkpoint", work / "overflowed.hrgm",
                       "--out", tmp_path / "retr"])
         assert done.returncode == 4
         assert done.stderr == ("numeric failure: non-finite logits for "
@@ -638,6 +657,33 @@ class TestNonFiniteModel:
         assert done.returncode == 4
         assert done.stderr == ("numeric failure: non-finite loss nan at "
                                "epoch 1 batch 0\n")
+
+
+def test_inference_builds_no_graph(tmp_path, monkeypatch):
+    """`eval`, and `retrieve` with fine labels, run the model and a
+    classifier head and give no tensor a backward function."""
+    data = tmp_path / "d.hrgf"
+    assert run(["synth", "--classes", "2", "--per-class", "3", "--views",
+                "6", "--dim", "4", "--fine-per-class", "2",
+                "--out", str(data)]) == 0
+    coarse = write_checkpoint(tmp_path / "coarse.hrgm", 6, 4, 2)
+    fine = write_checkpoint(tmp_path / "fine.hrgm", 6, 4, 4)
+    slot = ag.Tensor.__dict__["_grad_fn"]
+    built = []
+
+    def set_grad_fn(tensor, fn):
+        if fn is not None:
+            built.append(fn)
+        slot.__set__(tensor, fn)
+
+    monkeypatch.setattr(ag.Tensor, "_grad_fn",
+                        property(slot.__get__, set_grad_fn))
+    assert run(["eval", "--data", str(data), "--checkpoint", str(coarse),
+                "--out", str(tmp_path / "report.txt")]) == 0
+    assert run(["retrieve", "--data", str(data), "--checkpoint", str(coarse),
+                "--fine-checkpoint", str(fine),
+                "--out", str(tmp_path / "retr")]) == 0
+    assert built == []
 
 
 class TestPathErrors:

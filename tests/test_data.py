@@ -92,6 +92,29 @@ class TestContainerFormat:
                            match=f"non-finite value in record 1 .* byte {at}"):
             load_dataset(path)
 
+    def test_structural_fault_is_reported_before_a_non_finite_value(
+            self, rng, tmp_path):
+        """The payload's finite check runs once the structure holds."""
+        path = tmp_path / "ds.hrgf"
+        save_dataset(sample_dataset(rng), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 28 + 2 + len("shape-0-0") + 8, np.nan)
+        path.write_bytes(blob[:-1])
+        with pytest.raises(DataFormatError, match="truncated record 11 views"):
+            load_dataset(path)
+
+    def test_views_are_rows_of_one_array(self, rng, tmp_path):
+        path = tmp_path / "ds.hrgf"
+        ds = sample_dataset(rng)
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        base = loaded.records[0].views.base
+        assert base.shape == (len(ds), 6, 5)
+        for rec, row, want in zip(loaded.records, base, ds.records):
+            assert rec.views.base is base
+            np.testing.assert_array_equal(rec.views, want.views)
+            np.testing.assert_array_equal(row, want.views)
+
     def test_writer_refuses_non_finite_views(self, rng, tmp_path):
         ds = sample_dataset(rng)
         ds.records[5].views[1, 2] = np.inf
