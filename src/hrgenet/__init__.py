@@ -16,12 +16,7 @@ from .graph import (
     HrgeModel,
     LevelParams,
     VariantSpec,
-    ViewGraph,
-    coarsen,
     hrge_forward,
-    level_descriptor,
-    neighboring_relation,
-    pairwise_relation,
 )
 from .layers import Affine, linear_forward
 from .optim import Adam, LrSchedule

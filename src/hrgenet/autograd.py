@@ -14,11 +14,12 @@ treats every batch item on its own.
 Every op of the model and its head has one name and one array kernel of
 its forward math, the name with a ``_kernel`` suffix (``affine_kernel``,
 ``pair_relation_sum_kernel``, ``ring_affine_kernel``, ``ring_max_kernel``,
-``ring_mean_kernel``, ``ring_rows_kernel``, ``pool_rows_kernel``).  The op
-checks its inputs, runs its kernel, asking it to save what the backward
-needs, and adds the backward; inference (the grad-free forward of `graph`
-and the head in `training.predict_batch`) calls the kernels directly on
-arrays the model's plan has already shaped, and builds no node.
+``ring_mean_kernel``, ``ring_rows_kernel``, ``pool_rows_kernel``,
+``concat_cols_kernel``).  The op checks its inputs, runs its kernel,
+asking it to save what the backward needs, and adds the backward;
+inference (`graph.hrge_forward` with ``grad=False`` and the head in
+`training.predict_batch`) calls the kernels directly on arrays the
+model's plan has already shaped, and builds no node.
 """
 
 from __future__ import annotations
@@ -556,7 +557,7 @@ def _pair_activations(xs, layers):
     left = np.matmul(xs, w0[:, :width].T)
     right = np.matmul(xs, w0[:, width:].T)
     right += b0
-    h = np.repeat(right, n, axis=1)
+    h = right.repeat(n, axis=1)
     pairs = _by_partner(h, n)
     pairs += left[:, None]
     np.maximum(h, 0.0, out=h)
@@ -636,11 +637,16 @@ def segment_sum_rows(a, segments, num_segments: int) -> Tensor:
     return out
 
 
+def concat_cols_kernel(arrays):
+    """The forward of `concat_cols` on arrays."""
+    return np.concatenate(arrays, axis=-1)
+
+
 def concat_cols(tensors) -> Tensor:
     """Concatenate along the last axis."""
     tensors = [as_tensor(t) for t in tensors]
     widths = [t.data.shape[-1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1),
+    out = Tensor(concat_cols_kernel([t.data for t in tensors]),
                  _parents=tuple(tensors))
 
     def _backward(g):

@@ -252,6 +252,10 @@ def _cmd_synth(args):
 def _relabel_fine(dataset):
     if dataset.num_fine_classes == 0:
         raise ConfigError("--use-fine-labels needs a dataset with fine labels")
+    for r in dataset.records:
+        if r.fine_label is None:
+            raise LabelError(f"--use-fine-labels: record {r.id!r} has no "
+                             "fine label")
     records = [data.ShapeRecord(id=r.id, views=r.views,
                                 coarse_label=r.fine_label)
                for r in dataset.records]

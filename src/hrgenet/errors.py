@@ -13,14 +13,6 @@ class EmptyInputError(HrgeError, ValueError):
     """An operation received an empty matrix or dataset."""
 
 
-class RingTooSmallError(HrgeError, ValueError):
-    """Cyclic neighborhoods need at least 3 nodes."""
-
-
-class CoarseningError(HrgeError, ValueError):
-    """Node count is not divisible by the coarsening stride."""
-
-
 class LabelError(HrgeError, ValueError):
     """A class label is outside the declared range."""
 

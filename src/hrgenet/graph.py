@@ -48,30 +48,28 @@ none is set, since BLAS then uses every CPU.  Set
 count: each group writes its own rows, and the groups' weight gradients
 are kept until the pass ends and added in group order.
 
-Inference needs no graph.  Each op's forward math is one array kernel in
-`autograd`, named after the op with ``_kernel`` appended; the op checks
-its inputs, runs the kernel and adds the backward.
-``hrge_forward(model, views, grad=False)`` walks the same level plan over
-plain arrays through the kernels, so it builds no node, closure or
-`ViewGraph` and keeps no pair activation, and its blocks, concatenation
+`hrge_forward` is the one walk over the plan, and inference needs no
+graph.  Each op's forward math is one array kernel in `autograd`, named
+after the op with ``_kernel`` appended; the op checks its inputs, runs
+the kernel and adds the backward.  The walk looks every step's op up by
+name on `autograd` when it runs: the op itself on tensors by default,
+or with ``grad=False`` its kernel on plain arrays, so it builds no node
+or closure and keeps no pair activation, and its blocks, concatenation
 and degenerate flags have the graph forward's bits.  `retrieval.build_index`
-runs it, and `training.predict_batch` runs it and the head's kernel.
+runs it grad-free, and `training.predict_batch` runs it and the head's
+kernel.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, as_tensor
-from .errors import (
-    CoarseningError,
-    ConfigError,
-    RingTooSmallError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, ShapeMismatchError
 from .layers import build_affines
 
 
@@ -80,11 +78,11 @@ class NeighborKind:
     """How a neighboring module fuses each node with its ring neighbors:
     one node of the `autograd` op named ``op`` (None passes the features
     through) over the ring turned by each of `shifts`, with the level's
-    ``neighboring`` map for a `learned` kind.  The walks look ``op``, or
-    ``op + "_kernel"``, up on `ag` when they run, so that a function
-    wrapped after import is the one that runs.  The shifts are a range,
-    so they read distinct nodes on a ring of at least ``len(shifts)``
-    nodes."""
+    ``neighboring`` map for a `learned` kind.  `hrge_forward` looks
+    ``op``, or ``op + "_kernel"``, up on `ag` when it runs, so that a
+    function wrapped after import is the one that runs.  The shifts are
+    a range, so they read distinct nodes on a ring of at least
+    ``len(shifts)`` nodes."""
 
     shifts: range
     op: str | None
@@ -102,7 +100,7 @@ NEIGHBOR_KINDS = {
 @dataclass(frozen=True)
 class VariantSpec:
     """One ablation variant: which modules each level of its plan runs,
-    and how many levels coarsen.
+    and how many coarsening levels it has.
 
     ``neighbor_kind`` names a row of ``NEIGHBOR_KINDS``.  ``fixed_depth``
     is the number of coarsening levels the variant always runs, 0 for a
@@ -158,28 +156,6 @@ VARIANT_NAMES = tuple(VARIANTS)
 _IRREGULAR_NAMES = {"w/o-n": "won"}
 
 
-@dataclass
-class ViewGraph:
-    """Ring-ordered node features at one hierarchy level: an ``(n, w)``
-    matrix, or a ``(B, n, w)`` batch of rings of the same size."""
-
-    level: int
-    features: Tensor
-
-    def __post_init__(self):
-        self.features = as_tensor(self.features)
-        shape = self.features.data.shape
-        if len(shape) not in (2, 3) or shape[-2] < 1:
-            raise ShapeMismatchError(
-                f"view graph needs a non-empty 2-D feature matrix or a "
-                f"batch of them, got shape {self.features.shape}"
-            )
-
-    @property
-    def num_nodes(self) -> int:
-        return self.features.data.shape[-2]
-
-
 class LevelParams:
     """One level of a model's plan: the modules it runs with their maps,
     declared as affine rows, and the stride it coarsens by.
@@ -212,70 +188,6 @@ class LevelParams:
         self.neighboring = affines.get("neighboring")
 
 
-def pairwise_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
-    """Update node features from all ordered pairwise relations.
-
-    For each node i the relations r_ij over all other nodes j are computed
-    by the pairwise MLP on concatenated features, summed, and fused with
-    the node's own feature through the fusion layer plus a rectifier.  The
-    module is two graph nodes.  The pairs, the MLP and the sum are one op,
-    `ag.pair_relation_sum`, which runs on the nodes in a canonical order
-    of their features, so the sum does not depend on the order of the
-    nodes; it factors the MLP's first layer over the pair and applies the
-    last layer once per node to the sum of the hidden activations.  The
-    fusion is one `ag.ring_affine` over ``[node, summed relations]``.
-    """
-    x = graph.features
-    if params.pairwise is None:
-        raise ConfigError("level has no pairwise module")
-    summed = ag.pair_relation_sum(x, params.pairwise)
-    return ViewGraph(graph.level, ag.ring_affine([(x, 0), (summed, 0)],
-                                                 *params.fusion))
-
-
-def neighboring_relation(graph: ViewGraph, params: LevelParams) -> ViewGraph:
-    """Fuse each node with its ring neighbors (cyclic wrap at both ends)
-    by the level's neighbor kind: one node of the kind's op over the ring
-    turned by each of its shifts, or none for the identity kind."""
-    kind, n = params.neighbor, graph.num_nodes
-    if n < len(kind.shifts):
-        raise RingTooSmallError(f"neighboring relation needs a ring of >= "
-                                f"{len(kind.shifts)} nodes, got {n}")
-    if kind.op is None:
-        return graph
-    parts = [(graph.features, shift) for shift in kind.shifts]
-    return ViewGraph(graph.level, getattr(ag, kind.op)(
-        parts, *(params.neighboring or ())))
-
-
-def coarsen(graph: ViewGraph, stride: int) -> ViewGraph:
-    """Down-sample the ring, keeping every stride-th node.
-
-    With 1-based ring indices the new node i takes the feature of old
-    node stride*i, so stride 2 keeps old nodes 2, 4, ..., N: the rows
-    ``stride - 1::stride``, in ring order.
-    """
-    n = graph.num_nodes
-    if stride < 1:
-        raise CoarseningError(f"stride must be >= 1, got {stride}")
-    if n % stride != 0:
-        raise CoarseningError(
-            f"cannot coarsen {n} nodes with stride {stride}"
-        )
-    return ViewGraph(graph.level + 1,
-                     ag.ring_rows(graph.features, stride - 1, stride))
-
-
-def level_descriptor(features, normalize: bool):
-    """Column-wise max over node features, unit-normalized if
-    `normalize` is set.
-
-    Returns ``(tensor, degenerate)``; the degenerate flag mirrors the
-    normalization guard on all-zero pooled features.
-    """
-    return ag.pool_rows(features, normalize)
-
-
 @dataclass
 class GlobalDescriptor:
     """Per-level pooled descriptors, their concatenation and one
@@ -291,7 +203,7 @@ def hierarchy_depth(num_views: int, stride: int,
                     depth: int | None = None) -> int:
     """Coarsening levels of a ring of `num_views` views cut by `stride`:
     `depth`, or the deepest valid one (at least 1) when it is None.  A
-    depth of 0 is a plan of one level that does not coarsen.  The one
+    depth of 0 is a plan of one level with no coarsening.  The one
     ring-size rule: stride >= 2, and every coarsening level's ring
     divides by the stride and has >= 3 nodes.  Anything else raises
     `ConfigError`."""
@@ -310,8 +222,8 @@ def hierarchy_depth(num_views: int, stride: int,
 
 class HrgeModel:
     """The hierarchical relational embedding network of one variant: a
-    plan of ``levels``, one per coarsening level, or one level that does
-    not coarsen for a variant without hierarchy (depth 0)."""
+    plan of ``levels``, one per coarsening level, or one level with no
+    coarsening for a variant without hierarchy (depth 0)."""
 
     def __init__(self, num_views: int, width: int, variant="full",
                  stride: int = 2, depth: int | None = None, seed: int = 0):
@@ -347,6 +259,18 @@ class HrgeModel:
         return [p for _, p in self.named_parameters()]
 
 
+
+
+# The fixed steps of `hrge_forward`, read off `autograd` by name each time
+# it runs: the ops themselves (suffix "") or their kernels ("_kernel").
+_WALK_OPS = {suffix: operator.attrgetter(*(
+    name + suffix for name in ("pair_relation_sum", "ring_affine",
+                               "pool_rows", "ring_rows", "concat_cols")))
+    for suffix in ("", "_kernel")}
+# The ``(weight, bias)`` arrays of an `Affine`, for its kernels.
+_AFFINE_ARRAYS = operator.attrgetter("weight.data", "bias.data")
+
+
 def hrge_forward(model: HrgeModel, views, grad: bool = True
                  ) -> GlobalDescriptor:
     """Run the forward pass over the model's level plan and build the
@@ -354,15 +278,21 @@ def hrge_forward(model: HrgeModel, views, grad: bool = True
 
     Per level: pairwise relations update the features, a coarsening level
     pools its block from those updated features, then the neighboring
-    module and the coarsening produce the next level's ring.  The final
+    module and the coarsening produce the next level's ring.  Coarsening
+    by a stride keeps the rows ``stride - 1::stride`` in ring order: with
+    1-based indices, new node i is old node ``stride * i``.  The final
     ring is pooled as the last block.  A ``(B, n, w)`` batch of views
     gives ``(B, ...)`` blocks, each row bit-identical to that shape's own
     unbatched forward.
 
-    With ``grad=False`` the same plan runs over plain arrays through each
-    op's array kernel (`_forward_arrays`): the blocks and the
-    concatenation are leaf tensors with the bits of the graph's, and no
-    graph node, backward closure or pair activation is kept.
+    This is the one walk over the plan, and it runs each step by the name
+    of its `autograd` op, looked up on `ag` each time it runs.  With
+    ``grad`` it calls the op on tensors; with ``grad=False`` it calls the
+    op's kernel, the name with ``_kernel`` appended, on plain arrays, with
+    each `Affine` unwrapped to its weight and bias arrays.  Then the
+    blocks and the concatenation are leaf tensors with the bits of the
+    graph's, and no graph node, backward closure or pair activation is
+    kept.
     """
     views = as_tensor(views)
     shape = views.data.shape
@@ -371,51 +301,31 @@ def hrge_forward(model: HrgeModel, views, grad: bool = True
         raise ShapeMismatchError(
             f"expected a {model.num_views} x {model.width} view matrix "
             f"or a batch of them, got shape {views.shape}")
-    if not grad:
-        return _forward_arrays(model, views.data)
-    normalize, pooled = model.variant.normalize_blocks, []
-    graph = ViewGraph(0, views)
-    for level in model.levels:
-        if level.pairwise is not None:
-            graph = pairwise_relation(graph, level)
-        if level.stride:
-            pooled.append(level_descriptor(graph.features, normalize))
-        graph = neighboring_relation(graph, level)
-        if level.stride:
-            graph = coarsen(graph, level.stride)
-    pooled.append(level_descriptor(graph.features, normalize))
-    blocks, flags = map(list, zip(*pooled))
-    concat = ag.concat_cols(blocks) if len(blocks) > 1 else blocks[0]
-    return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)
-
-
-def _forward_arrays(model: HrgeModel, x) -> GlobalDescriptor:
-    """`hrge_forward`'s plan over the ``(n, w)`` or ``(B, n, w)`` array
-    `x`, each module run by the array kernel its graph op wraps."""
+    if grad:
+        x, suffix, unwrap = views, "", tuple
+    else:
+        x, suffix, unwrap = views.data, "_kernel", _AFFINE_ARRAYS
+    pair_relation_sum, ring_affine, pool_rows, ring_rows, concat_cols = (
+        _WALK_OPS[suffix](ag))
     normalize, pooled = model.variant.normalize_blocks, []
     for level in model.levels:
         if level.pairwise is not None:
-            summed = ag.pair_relation_sum_kernel(
-                x, [_arrays(layer) for layer in level.pairwise])
-            x = ag.ring_affine_kernel([(x, 0), (summed, 0)],
-                                      *_arrays(level.fusion))
+            summed = pair_relation_sum(
+                x, [unwrap(layer) for layer in level.pairwise])
+            x = ring_affine([(x, 0), (summed, 0)], *unwrap(level.fusion))
         if level.stride:
-            pooled.append(ag.pool_rows_kernel(x, normalize))
+            pooled.append(pool_rows(x, normalize))
         kind = level.neighbor
         if kind.op is not None:
-            x = getattr(ag, kind.op + "_kernel")(
+            x = getattr(ag, kind.op + suffix)(
                 [(x, shift) for shift in kind.shifts],
-                *_arrays(level.neighboring))
+                *(unwrap(level.neighboring) if kind.learned else ()))
         if level.stride:
-            x = ag.ring_rows_kernel(x, level.stride - 1, level.stride)
-    pooled.append(ag.pool_rows_kernel(x, normalize))
-    blocks = [Tensor(block) for block, _ in pooled]
-    concat = (Tensor(np.concatenate([b.data for b in blocks], axis=-1))
-              if len(blocks) > 1 else blocks[0])
-    return GlobalDescriptor(blocks=blocks, concat=concat,
-                            degenerate=[flag for _, flag in pooled])
-
-
-def _arrays(layer) -> tuple:
-    """The ``(weight, bias)`` arrays of an `Affine`; none for None."""
-    return () if layer is None else (layer.weight.data, layer.bias.data)
+            x = ring_rows(x, level.stride - 1, level.stride)
+    pooled.append(pool_rows(x, normalize))
+    blocks, flags = map(list, zip(*pooled))
+    concat = concat_cols(blocks) if len(blocks) > 1 else blocks[0]
+    if not grad:
+        blocks = [Tensor(block) for block in blocks]
+        concat = Tensor(concat) if len(blocks) > 1 else blocks[0]
+    return GlobalDescriptor(blocks=blocks, concat=concat, degenerate=flags)

@@ -16,15 +16,7 @@ from hrgenet.data import (
     split,
 )
 from hrgenet.errors import DataFormatError
-from hrgenet.graph import (
-    HrgeModel,
-    LevelParams,
-    VARIANT_NAMES,
-    ViewGraph,
-    hrge_forward,
-    neighboring_relation,
-    pairwise_relation,
-)
+from hrgenet.graph import HrgeModel, VARIANT_NAMES, hrge_forward
 from hrgenet.layers import linear_forward
 from hrgenet.retrieval import (
     DescriptorIndex,
@@ -34,7 +26,7 @@ from hrgenet.retrieval import (
 from hrgenet.training import Classifier, TrainConfig, evaluate_accuracy, train
 
 from conftest import finite_difference, max_rel_err
-from test_graph import oracle_forward
+from test_graph import identity_plan, oracle_forward
 from test_retrieval import brute_force_metrics
 
 
@@ -142,12 +134,14 @@ def test_criterion_5_variant_matrix():
         cfg = TrainConfig(batch_size=9, epochs=1, learning_rate=1e-3, seed=54)
         train(model, classifier, dataset, cfg)
         evaluate_accuracy(model, classifier, dataset)
-    # ID variant's neighboring stage is an exact passthrough
-    rng = np.random.default_rng(55)
-    params = LevelParams(8, rng, neighbor_kind="identity")
-    x = rng.normal(size=(12, 8))
-    out = neighboring_relation(ViewGraph(0, x), params)
-    np.testing.assert_array_equal(out.features.data, x)
+    # ID variant's neighboring stage is an exact passthrough: its forward
+    # has the bits of its plan run with no neighboring step
+    model = HrgeModel(num_views=12, width=8, variant="id", seed=52)
+    views = np.random.default_rng(55).normal(size=(12, 8))
+    desc = hrge_forward(model, views)
+    for block, want in zip(desc.blocks, identity_plan(model, views),
+                           strict=True):
+        np.testing.assert_array_equal(block.data, want.data)
     report(5, f"all {len(VARIANT_NAMES)} variants train and evaluate; "
               "ID neighboring is exact passthrough")
 

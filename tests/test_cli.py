@@ -250,6 +250,27 @@ class TestTrainEval:
                     "--batch", "12", *flags, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_record_without_a_fine_label_is_data_error(self, tmp_path,
+                                                       capsys):
+        """HRGF lets a record carry no fine label in a dataset that
+        declares fine classes; `--use-fine-labels` cannot train on it and
+        names the first such record before it writes anything."""
+        data_path, out = tmp_path / "partial.hrgf", tmp_path / "run"
+        assert run(["synth", "--classes", "2", "--per-class", "4",
+                    "--views", "6", "--dim", "3", "--fine-per-class", "2",
+                    "--out", str(data_path)]) == 0
+        dataset = load_dataset(data_path)
+        assert dataset.num_fine_classes == 4
+        unlabelled = dataset.records[5]
+        dataset.records[5] = ShapeRecord(unlabelled.id, unlabelled.views,
+                                         unlabelled.coarse_label)
+        save_dataset(dataset, data_path)
+        assert run(["train", "--data", str(data_path), "--use-fine-labels",
+                    "--epochs", "1", "--out", str(out)]) == 3
+        assert (f"record {unlabelled.id!r} has no fine label"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant,depth", [("1l", "2"), ("pr", "5")])
     def test_depth_the_variant_does_not_run_is_usage_error(
             self, synth_file, tmp_path, capsys, variant, depth):

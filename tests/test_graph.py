@@ -6,26 +6,16 @@ import pytest
 
 from hrgenet import autograd as ag
 from hrgenet import retrieval
-from hrgenet.autograd import Tensor
+from hrgenet.autograd import Tensor, as_tensor
 from hrgenet.data import SyntheticSpec, generate_synthetic
-from hrgenet.errors import (
-    CoarseningError,
-    ConfigError,
-    RingTooSmallError,
-    ShapeMismatchError,
-)
+from hrgenet.errors import ConfigError, ShapeMismatchError
 from hrgenet.graph import (
     VARIANTS,
     HrgeModel,
     LevelParams,
     VariantSpec,
-    ViewGraph,
-    coarsen,
     hierarchy_depth,
     hrge_forward,
-    level_descriptor,
-    neighboring_relation,
-    pairwise_relation,
 )
 from hrgenet.layers import linear_forward
 from hrgenet.training import Classifier
@@ -108,41 +98,71 @@ def oracle_forward(model, views):
     return blocks
 
 
+def pairwise_step(x, params):
+    """A level's pairwise module as `hrge_forward` runs it: the pair sum,
+    then the fusion of ``[node, summed relations]``."""
+    summed = ag.pair_relation_sum(x, params.pairwise)
+    return ag.ring_affine([(x, 0), (summed, 0)], *params.fusion)
+
+
+def neighbor_step(x, params):
+    """A level's neighboring module as `hrge_forward` runs it: the op its
+    neighbor kind names over the ring turned by each of the kind's
+    shifts."""
+    kind = params.neighbor
+    return getattr(ag, kind.op)([(x, shift) for shift in kind.shifts],
+                                *(params.neighboring or ()))
+
+
+def identity_plan(model, views):
+    """The blocks of a model whose neighbor kind is the identity, built op
+    by op with no neighboring step at all."""
+    x, blocks = as_tensor(views), []
+    for level in model.levels:
+        if level.pairwise is not None:
+            x = pairwise_step(x, level)
+        if level.stride:
+            blocks.append(ag.pool_rows(x, True)[0])
+            x = ag.ring_rows(x, level.stride - 1, level.stride)
+    blocks.append(ag.pool_rows(x, True)[0])
+    return blocks
+
+
 class TestPairwiseRelation:
     def test_single_node_empty_neighborhood(self, rng):
         params = LevelParams(3, rng)
         x = rng.normal(size=(1, 3))
-        out = pairwise_relation(ViewGraph(0, x), params)
+        out = pairwise_step(x, params)
         wf, bf = params.fusion.weight.data, params.fusion.bias.data
         expected = np.maximum(
             wf @ np.concatenate([x[0], np.zeros(3)]) + bf, 0.0)
-        np.testing.assert_allclose(out.features.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_two_nodes_single_pair_each(self, rng):
         params = LevelParams(3, rng)
         x = rng.normal(size=(2, 3))
-        out = pairwise_relation(ViewGraph(0, x), params)
-        np.testing.assert_allclose(out.features.data, oracle_pairwise(x, params),
+        out = pairwise_step(x, params)
+        np.testing.assert_allclose(out.data, oracle_pairwise(x, params),
                                    atol=1e-12)
 
     def test_matches_double_loop_oracle(self, rng):
         params = LevelParams(3, rng)
         x = rng.normal(size=(4, 3))
-        out = pairwise_relation(ViewGraph(0, x), params)
-        np.testing.assert_allclose(out.features.data, oracle_pairwise(x, params),
+        out = pairwise_step(x, params)
+        np.testing.assert_allclose(out.data, oracle_pairwise(x, params),
                                    atol=1e-12)
 
     def test_width_mismatch_rejected(self, rng):
         params = LevelParams(3, rng)
         with pytest.raises(ShapeMismatchError):
-            pairwise_relation(ViewGraph(0, rng.normal(size=(4, 5))), params)
+            ag.pair_relation_sum(rng.normal(size=(4, 5)), params.pairwise)
 
     def test_permutation_equivariance_exact(self, rng):
         params = LevelParams(4, rng)
         x = rng.normal(size=(6, 4))
-        out = pairwise_relation(ViewGraph(0, x), params).features.data
+        out = pairwise_step(x, params).data
         perm = rng.permutation(6)
-        out_p = pairwise_relation(ViewGraph(0, x[perm]), params).features.data
+        out_p = pairwise_step(x[perm], params).data
         np.testing.assert_array_equal(out_p, out[perm])
 
 
@@ -150,84 +170,97 @@ class TestNeighboringRelation:
     def test_three_nodes_full_ring(self, rng):
         params = LevelParams(2, rng)
         x = rng.normal(size=(3, 2))
-        out = neighboring_relation(ViewGraph(0, x), params)
-        np.testing.assert_allclose(out.features.data,
-                                   oracle_neighboring(x, params), atol=1e-12)
+        out = neighbor_step(x, params)
+        np.testing.assert_allclose(out.data, oracle_neighboring(x, params),
+                                   atol=1e-12)
 
     def test_identical_features_give_identical_outputs(self, rng):
         params = LevelParams(3, rng)
         x = np.tile(rng.normal(size=(1, 3)), (5, 1))
-        out = neighboring_relation(ViewGraph(0, x), params).features.data
+        out = neighbor_step(x, params).data
         np.testing.assert_array_equal(out, np.tile(out[:1], (5, 1)))
 
     def test_cyclic_shift_equivariance(self, rng):
         params = LevelParams(3, rng)
         x = rng.normal(size=(6, 3))
-        out = neighboring_relation(ViewGraph(0, x), params).features.data
+        out = neighbor_step(x, params).data
         for k in (1, 2, 5):
-            shifted = neighboring_relation(
-                ViewGraph(0, np.roll(x, k, axis=0)), params).features.data
+            shifted = neighbor_step(np.roll(x, k, axis=0), params).data
             np.testing.assert_array_equal(shifted, np.roll(out, k, axis=0))
 
-    def test_ring_below_three_rejected(self, rng):
-        params = LevelParams(3, rng)
-        with pytest.raises(RingTooSmallError):
-            neighboring_relation(ViewGraph(0, rng.normal(size=(2, 3))), params)
+    def test_ring_below_three_rejected(self):
+        """The neighbor triplets need a ring of 3; the model refuses a
+        smaller one before any forward runs."""
+        with pytest.raises(ConfigError, match="ring of >= 3 views"):
+            HrgeModel(num_views=2, width=3, variant="nr")
 
 
 class TestCoarsen:
-    def test_twelve_nodes_stride_two_keeps_even_ring_positions(self):
+    """Coarsening by a stride is ``ag.ring_rows(x, stride - 1, stride)``."""
+
+    def test_twelve_nodes_stride_two_keeps_even_ring_positions(
+            self, monkeypatch):
         x = np.arange(12, dtype=float).reshape(12, 1)
-        out = coarsen(ViewGraph(0, x), 2)
+        out = ag.ring_rows(x, 1, 2)
         # 1-based old indices 2, 4, ..., 12
-        np.testing.assert_array_equal(out.features.data.ravel(),
-                                      [1, 3, 5, 7, 9, 11])
-        assert out.level == 1
+        np.testing.assert_array_equal(out.data.ravel(), [1, 3, 5, 7, 9, 11])
+        # The forward coarsens level 0's ring into level 1's that way.
+        calls, ring_rows = [], ag.ring_rows
+
+        def spy(a, shift, stride=1):
+            calls.append((a.data.shape[-2], shift, stride))
+            return ring_rows(a, shift, stride)
+
+        monkeypatch.setattr(ag, "ring_rows", spy)
+        hrge_forward(HrgeModel(num_views=12, width=1, variant="full"), x)
+        assert calls == [(12, 1, 2), (6, 1, 2)]
 
     def test_stride_one_is_identity(self, rng):
         x = rng.normal(size=(5, 2))
-        out = coarsen(ViewGraph(0, x), 1)
-        np.testing.assert_array_equal(out.features.data, x)
+        np.testing.assert_array_equal(ag.ring_rows(x, 0, 1).data, x)
 
     def test_repeated_stride_two_differs_from_stride_four(self, rng):
         x = rng.normal(size=(8, 2))
-        twice = coarsen(coarsen(ViewGraph(0, x), 2), 2)
-        once = coarsen(ViewGraph(0, x), 4)
+        twice = ag.ring_rows(ag.ring_rows(x, 1, 2), 1, 2)
+        once = ag.ring_rows(x, 3, 4)
         # index maps: {2,4,6,8} -> {4,8} versus {4,8} directly; same here,
         # but on 6 nodes stride-2-twice is impossible while the composed
         # selections on 8 nodes coincide -- enumerate to document the maps
-        np.testing.assert_array_equal(twice.features.data, x[[3, 7]])
-        np.testing.assert_array_equal(once.features.data, x[[3, 7]])
-        with pytest.raises(CoarseningError):
-            coarsen(coarsen(ViewGraph(0, rng.normal(size=(6, 2))), 2), 2)
+        np.testing.assert_array_equal(twice.data, x[[3, 7]])
+        np.testing.assert_array_equal(once.data, x[[3, 7]])
+        with pytest.raises(ShapeMismatchError):
+            ag.ring_rows(ag.ring_rows(rng.normal(size=(6, 2)), 1, 2), 1, 2)
+        with pytest.raises(ConfigError, match="6 views with stride 2"):
+            HrgeModel(num_views=6, width=2, variant="full", depth=2)
 
     def test_non_divisible_rejected(self, rng):
-        with pytest.raises(CoarseningError):
-            coarsen(ViewGraph(0, rng.normal(size=(5, 2))), 2)
+        with pytest.raises(ShapeMismatchError):
+            ag.ring_rows(rng.normal(size=(5, 2)), 1, 2)
+        with pytest.raises(ConfigError, match="5 views with stride 2"):
+            HrgeModel(num_views=5, width=2, variant="full", depth=1)
 
     def test_shift_by_stride_maps_to_shift_by_one(self, rng):
         x = rng.normal(size=(12, 3))
-        base = coarsen(ViewGraph(0, x), 2).features.data
-        shifted = coarsen(ViewGraph(0, np.roll(x, 2, axis=0)), 2).features.data
+        base = ag.ring_rows(x, 1, 2).data
+        shifted = ag.ring_rows(np.roll(x, 2, axis=0), 1, 2).data
         np.testing.assert_array_equal(shifted, np.roll(base, 1, axis=0))
 
 
 class TestLevelDescriptor:
     def test_single_row(self, rng):
         v = rng.normal(size=(1, 4))
-        out, degenerate = level_descriptor(v, True)
+        out, degenerate = ag.pool_rows(v, True)
         np.testing.assert_allclose(out.data, v[0] / np.linalg.norm(v[0]))
         assert not degenerate
 
     def test_hand_case(self):
-        out, _ = level_descriptor(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                  True)
+        out, _ = ag.pool_rows(np.array([[1.0, 0.0], [0.0, 1.0]]), True)
         np.testing.assert_allclose(out.data, [np.sqrt(2) / 2, np.sqrt(2) / 2])
 
     def test_permutation_invariance(self, rng):
         x = rng.normal(size=(6, 4))
-        out, _ = level_descriptor(x, True)
-        out_p, _ = level_descriptor(x[rng.permutation(6)], True)
+        out, _ = ag.pool_rows(x, True)
+        out_p, _ = ag.pool_rows(x[rng.permutation(6)], True)
         np.testing.assert_array_equal(out.data, out_p.data)
 
 
@@ -369,22 +402,26 @@ class TestVariants:
         np.testing.assert_allclose(desc, oracle_descriptor(views))
 
     def test_id_variant_neighboring_is_passthrough(self, rng):
-        params = LevelParams(3, rng, neighbor_kind="identity")
-        x = rng.normal(size=(5, 3))
-        out = neighboring_relation(ViewGraph(0, x), params)
-        np.testing.assert_array_equal(out.features.data, x)
+        """The `id` forward has the bits of its plan run with no
+        neighboring step."""
+        model = HrgeModel(num_views=12, width=3, variant="id", seed=4)
+        views = rng.normal(size=(12, 3))
+        desc = hrge_forward(model, views)
+        for block, want in zip(desc.blocks, identity_plan(model, views),
+                               strict=True):
+            np.testing.assert_array_equal(block.data, want.data)
 
     def test_ap_variant_on_identical_rows(self, rng):
         params = LevelParams(3, rng, neighbor_kind="avg")
         row = rng.normal(size=3)
         x = np.tile(row, (4, 1))
-        out = neighboring_relation(ViewGraph(0, x), params)
-        np.testing.assert_allclose(out.features.data, x, rtol=1e-15)
+        out = neighbor_step(x, params)
+        np.testing.assert_allclose(out.data, x, rtol=1e-15)
 
     def test_mp_variant_is_elementwise_triplet_max(self, rng):
         params = LevelParams(2, rng, neighbor_kind="max")
         x = rng.normal(size=(5, 2))
-        out = neighboring_relation(ViewGraph(0, x), params).features.data
+        out = neighbor_step(x, params).data
         n = 5
         for i in range(n):
             trip = np.stack([x[(i - 1) % n], x[i], x[(i + 1) % n]])
@@ -393,7 +430,7 @@ class TestVariants:
     def test_ap_variant_is_sum_in_ring_order_times_rounded_third(self, rng):
         params = LevelParams(3, rng, neighbor_kind="avg")
         x = rng.normal(size=(2, 7, 3))
-        out = neighboring_relation(ViewGraph(0, x), params).features.data
+        out = neighbor_step(x, params).data
         prev, nxt = np.roll(x, 1, axis=-2), np.roll(x, -1, axis=-2)
         np.testing.assert_array_equal(out, ((prev + x) + nxt) * (1.0 / 3.0))
 
@@ -409,7 +446,7 @@ class TestVariants:
                              [0.0, 2.0, 1.0, 0.0],
                              [1.0, nan, 1.0, 0.0]]))
         params = LevelParams(4, np.random.default_rng(0), neighbor_kind="max")
-        out = neighboring_relation(ViewGraph(0, x), params).features
+        out = neighbor_step(x, params)
         g = np.arange(1.0, 17.0).reshape(4, 4)
         backward_from(out, g)
         n = 4
@@ -434,8 +471,7 @@ class TestVariants:
         params = LevelParams(3, rng, neighbor_kind="avg")
         x = Tensor(rng.normal(size=(5, 3)))
         g = rng.normal(size=(5, 3))
-        backward_from(neighboring_relation(ViewGraph(0, x), params).features,
-                      g)
+        backward_from(neighbor_step(x, params), g)
         want = (np.roll(g, 1, axis=0) + g + np.roll(g, -1, axis=0)) / 3.0
         np.testing.assert_allclose(x.grad, want, rtol=1e-15)
 
@@ -691,6 +727,68 @@ class TestGradFree:
             hrge_forward(model, rng.normal(size=(6, 4)), grad=False)
 
 
+# Every op name `hrge_forward` runs, looked up on `ag` at run time, as the
+# tracer and per-level attribution by `ring_rows` calls rely on.
+WALK_OPS = ("pair_relation_sum", "ring_affine", "ring_max", "ring_mean",
+            "pool_rows", "ring_rows", "concat_cols")
+
+
+def record_walk_calls(monkeypatch):
+    """Wrap each of `WALK_OPS` and its kernel on `ag`.  The returned list
+    gets the name of every call not made from inside another wrapped
+    call, so a graph op's own call of its kernel is not listed."""
+    calls, inside = [], []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            if not inside:
+                calls.append(name)
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    for op in WALK_OPS:
+        for name in (op, op + "_kernel"):
+            monkeypatch.setattr(ag, name, counted(name, getattr(ag, name)))
+    return calls
+
+
+class TestOneWalk:
+    """Both modes of `hrge_forward` are one walk: the grad-free forward
+    calls the kernel of each op the graph forward calls, in the same
+    order."""
+
+    @pytest.mark.parametrize("variant, geometry", GRAD_FREE_CASES)
+    def test_both_modes_make_the_same_op_calls(self, monkeypatch, variant,
+                                               geometry):
+        spec = GEOMETRIES[geometry]
+        model = HrgeModel(width=3, variant=variant, seed=55, **spec)
+        views = np.random.default_rng(56).normal(
+            size=(2, spec["num_views"], 3))
+        calls = record_walk_calls(monkeypatch)
+        hrge_forward(model, views)
+        graph = calls.copy()
+        calls.clear()
+        hrge_forward(model, views, grad=False)
+        assert calls == [name + "_kernel" for name in graph]
+        assert graph.count("ring_rows") == model.depth
+        assert calls.count("ring_rows_kernel") == model.depth
+
+    def test_full_n12_op_sequence(self, monkeypatch, rng):
+        """Per level of a `full` model: the pair sum, the fusion, the level
+        block, the learned neighbor and the coarsening; then the last block
+        and the concatenation."""
+        model = HrgeModel(num_views=12, width=3, variant="full", seed=57)
+        calls = record_walk_calls(monkeypatch)
+        hrge_forward(model, rng.normal(size=(12, 3)))
+        level = ["pair_relation_sum", "ring_affine", "pool_rows",
+                 "ring_affine", "ring_rows"]
+        assert calls == level * 2 + ["pool_rows", "concat_cols"]
+
+
 class TestPairGroups:
     """`ag.pair_relation_sum` runs its pair rows in groups of shapes."""
 
@@ -827,7 +925,7 @@ def test_model_without_views_or_width_rejected(num_views, width):
 @pytest.mark.parametrize("num_views", [1, 2, 7])
 def test_model_without_hierarchy_runs_one_level(rng, num_views):
     """A variant without hierarchy takes any ring its modules run on, and
-    its plan is one level that does not coarsen."""
+    its plan is one level with no coarsening."""
     model = HrgeModel(num_views, 3, "pr", seed=1)
     assert model.depth == 0
     assert [level.stride for level in model.levels] == [None]
