@@ -27,7 +27,8 @@ def main():
     train(model, classifier, dataset, cfg)
 
     index = build_index(model, dataset)
-    report, blocks = evaluate_retrieval(index)
+    blocks = []
+    report = evaluate_retrieval(index, emit=lambda *block: blocks.append(block))
     queries, order, dists, kept = blocks[0]
     query = dataset.records[queries[0]]
     print(f"query {query.id} (class {query.coarse_label}), top 5 neighbors:")

@@ -14,6 +14,7 @@ flag's own check; an error reads ``<file>: <key> <argparse message>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import math
 import os
@@ -321,6 +322,22 @@ def _cmd_eval(args):
     return EXIT_OK
 
 
+def _ranked_writer(f, ids):
+    """An `evaluate_retrieval` emit that writes each query's row of
+    ranked.txt to ``f``: its id, a tab, then ``f"{id}:{distance:.8g}"``
+    per kept candidate, joined by spaces."""
+    ids = np.array(ids, dtype=object)
+
+    def emit(queries, order, dists, kept):
+        for q, row, dist, n in zip(queries, order, dists, kept):
+            # One %-format per row.
+            entries = [None] * (2 * n)
+            entries[::2], entries[1::2] = ids[row[:n]], dist[:n].tolist()
+            text = " ".join(["%s:%.8g"] * n) % tuple(entries)
+            f.write(f"{ids[q]}\t{text}\n")
+    return emit
+
+
 def _cmd_retrieve(args):
     check_threshold(args.tau)
     dataset = data.load_dataset(args.data)
@@ -334,20 +351,20 @@ def _cmd_retrieve(args):
         _, fine_preds = predict_batch(fine_model, fine_clf,
                                       [r.views for r in dataset.records])
         predict_fine = dict(zip(index.ids, fine_preds)).__getitem__
-    report, blocks = evaluate_retrieval(index, threshold=args.tau,
-                                        predict_fine=predict_fine)
-    data.write_records(os.path.join(args.out, "metrics.txt"),
-                       [report.record()])
-    ids = np.array(index.ids, dtype=object)
-    with open(os.path.join(args.out, "ranked.txt"), "w") as f:
-        for queries, order, dists, kept in blocks:
-            for q, row, dist, n in zip(queries, order, dists, kept):
-                # One %-format per row, the bytes of f"{id}:{distance:.8g}"
-                # per entry joined by spaces.
-                entries = [None] * (2 * n)
-                entries[::2], entries[1::2] = ids[row[:n]], dist[:n].tolist()
-                text = " ".join(["%s:%.8g"] * n) % tuple(entries)
-                f.write(f"{ids[q]}\t{text}\n")
+    ranked = os.path.join(args.out, "ranked.txt")
+    partial = ranked + ".partial"
+    try:
+        with open(partial, "w") as f:
+            report = evaluate_retrieval(
+                index, threshold=args.tau, predict_fine=predict_fine,
+                emit=_ranked_writer(f, index.ids))
+        data.write_records(os.path.join(args.out, "metrics.txt"),
+                           [report.record()])
+        os.replace(partial, ranked)
+    finally:
+        # A run that fails leaves no ranked.txt, not even a partial one.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
     print(report.render_table())
     return EXIT_OK
 

@@ -4,12 +4,15 @@ Every index item is a leave-one-out query.  Candidates are ranked by L2
 distance between unit-normalized global descriptors, entries beyond a
 distance threshold are dropped, and an optional sub-category predictor
 stably promotes same-sub-category items.  Queries are ranked and scored
-in blocks of arrays.  Metric cutoffs follow the SHREC convention: N
-equals the number of other corpus items sharing the query's class.
+in blocks of arrays, each distance computed once, and each block's
+rankings are handed on as soon as they are ranked.  Metric cutoffs
+follow the SHREC convention: N equals the number of other corpus items
+sharing the query's class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,23 +85,60 @@ def pairwise_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_block(index, queries, threshold, fine):
-    """(order, dists, kept) for the index rows ``queries``: corpus
-    positions by ascending distance, stably moving the query itself and
-    candidates not within ``threshold`` (NaN too) to the back, then kept
-    candidates whose ``fine`` label is the query's to the front; kept[i]
-    counts row i's kept candidates."""
-    dists = pairwise_distances(index.vectors[queries], index.vectors)
-    order = np.argsort(dists, axis=1, kind="stable")
-    dists = np.take_along_axis(dists, order, axis=1)
+def _block_distances(vectors, start, mirror):
+    """Exact L2 distances of the `QUERY_BLOCK` index rows from ``start``
+    to every index row, from the upper triangle of the leave-one-out
+    matrix.  Blocks are taken in index order.  Each computes its
+    distances to its own rows and the rows after it and leaves in
+    ``mirror`` (later block start -> tiles) the columns of each later
+    block, transposed; the columns before it are the tiles earlier blocks
+    left, freed once read.  So at most ``start * (len(vectors) - start)``
+    mirrored distances are live.  ``c - q`` and ``q - c`` square to the
+    same bits, so every distance is the one `pairwise_distances` gives
+    its row."""
+    tile = pairwise_distances(vectors[start:start + QUERY_BLOCK],
+                              vectors[start:])
+    for later in range(start + QUERY_BLOCK, len(vectors), QUERY_BLOCK):
+        cols = tile[:, later - start:later - start + QUERY_BLOCK]
+        mirror.setdefault(later, []).append(cols.T.copy())
+    return np.hstack(mirror.pop(start) + [tile]) if start else tile
+
+
+def _rank_block(dists, queries, threshold, fine):
+    """(order, dists, kept) for the index rows ``queries`` and their
+    distances to every index row: corpus positions by ascending distance,
+    stably moving the query itself and candidates not within
+    ``threshold`` (NaN too) to the back, then kept candidates whose
+    ``fine`` label is the query's to the front; kept[i] counts row i's
+    kept candidates."""
+    order = np.argsort(dists, axis=1)
+    ranked = np.take_along_axis(dists, order, axis=1)
+    # Distinct distances have one ascending order, so only rows with a tie
+    # or a NaN (sorted last) need a stable sort to keep ties in index order.
+    ties = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+                          | np.isnan(ranked[:, -1]))
+    if len(ties):
+        order[ties] = np.argsort(dists[ties], axis=1, kind="stable")
+        ranked[ties] = np.take_along_axis(dists[ties], order[ties], axis=1)
+    dists = ranked
     dropped = (order == queries[:, None]) | ~(dists <= threshold)
     key = dropped.astype(np.uint8) * 2
     if fine is not None:
         key += fine[order] != fine[queries, None]
     promote = np.argsort(key, axis=1, kind="stable")
-    return (np.take_along_axis(order, promote, axis=1),
-            np.take_along_axis(dists, promote, axis=1),
-            len(index) - dropped.sum(axis=1))
+    order = np.take_along_axis(order, promote, axis=1)
+    dists = np.take_along_axis(dists, promote, axis=1)
+    return order, dists, dists.shape[1] - dropped.sum(axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _discounts(length):
+    """Read-only NDCG discounts 1/log2(1 + rank) for ranks 1..length,
+    built once per list length."""
+    discount = np.array([1.0 / math.log2(1 + rank)
+                         for rank in range(1, length + 1)])
+    discount.flags.writeable = False
+    return discount
 
 
 def ranking_metrics(relevance, total_relevant) -> dict:
@@ -124,8 +164,7 @@ def ranking_metrics(relevance, total_relevant) -> dict:
                    out=np.zeros(len(rel)), where=precision > 0)
     ranks = np.arange(1, length + 1)
     ap = np.cumsum(np.where(rel, hits / ranks, 0.0), axis=1)[:, -1] / total
-    discount = np.array([1.0 / math.log2(1 + rank)
-                         for rank in range(1, max(length, total.max()) + 1)])
+    discount = _discounts(max(length, int(total.max())))
     dcg = np.cumsum(np.where(rel, discount[:length], 0.0), axis=1)[:, -1]
     ndcg = dcg / np.cumsum(discount)[total - 1]
     return {"p_at_n": precision, "r_at_n": recall, "f1_at_n": f1,
@@ -181,37 +220,44 @@ def check_threshold(threshold: float):
 
 
 def evaluate_retrieval(index: DescriptorIndex, threshold: float = math.inf,
-                       predict_fine=None):
+                       predict_fine=None, emit=None) -> MetricsReport:
     """Run every index item as a query and aggregate the metric suite.
 
     ``predict_fine`` (id -> predicted sub-category) is called once per
     id.  Queries whose class has no other corpus member are skipped and
-    listed in the report.  Returns (report, blocks), a tuple (queries,
-    order, dists, kept) per `QUERY_BLOCK` of queries in index order: their
-    index rows, ranked corpus rows and distances cut to the widest kept
-    row, and kept counts.  So memory is 16 bytes per candidate up to each
-    block's widest kept row, plus one block of work arrays.
+    listed in the report.  Queries are ranked in blocks of `QUERY_BLOCK`
+    index rows; after each block with a query, ``emit(queries, order,
+    dists, kept)`` is called with the block's query rows, their ranked
+    corpus rows and distances cut to the widest kept row, and their kept
+    counts, in index order.  The arrays may be views, and no block is
+    kept, so memory is one block of work arrays plus the mirrored
+    distances of `_block_distances`.
     """
     check_threshold(threshold)
     _, label_pos, counts = np.unique(index.labels, return_inverse=True,
                                      return_counts=True)
     total = counts[label_pos] - 1
-    queries = np.flatnonzero(total >= 1)
+    evaluated = np.flatnonzero(total >= 1)
     fine = None
     if predict_fine is not None:
         fine = np.array([predict_fine(i) for i in index.ids])
-    per_query = {k: np.empty(len(queries)) for k in METRIC_KEYS}
-    blocks = []
-    for start in range(0, len(queries), QUERY_BLOCK):
-        block = queries[start:start + QUERY_BLOCK]
-        order, dists, kept = _rank_block(index, block, threshold, fine)
-        relevance = ((index.labels[order] == index.labels[block, None])
+    per_query = {k: np.empty(len(evaluated)) for k in METRIC_KEYS}
+    done, mirror = 0, {}
+    for start in range(0, len(index), QUERY_BLOCK):
+        rows = np.flatnonzero(total[start:start + QUERY_BLOCK] >= 1)
+        dists = _block_distances(index.vectors, start, mirror)[rows]
+        if not len(rows):
+            continue
+        queries = start + rows
+        order, dists, kept = _rank_block(dists, queries, threshold, fine)
+        relevance = ((index.labels[order] == index.labels[queries, None])
                      & (np.arange(len(index)) < kept[:, None]))
-        for k, values in ranking_metrics(relevance, total[block]).items():
-            per_query[k][start:start + len(block)] = values
-        width = kept.max()  # copies, so the full-width arrays are freed
-        blocks.append((block, order[:, :width].copy(),
-                       dists[:, :width].copy(), kept))
-    report = aggregate(per_query, index.labels[queries])
+        for k, values in ranking_metrics(relevance, total[queries]).items():
+            per_query[k][done:done + len(queries)] = values
+        done += len(queries)
+        if emit is not None:
+            width = kept.max()
+            emit(queries, order[:, :width], dists[:, :width], kept)
+    report = aggregate(per_query, index.labels[evaluated])
     report.skipped_queries = [index.ids[k] for k in np.flatnonzero(total < 1)]
-    return report, blocks
+    return report

@@ -173,7 +173,7 @@ def test_criterion_7_retrieval_metric_oracle():
         labels = rng.integers(0, 4, size=20)
         index = DescriptorIndex(ids=[f"s{k}" for k in range(20)],
                                 labels=labels, vectors=vectors)
-        result, _ = evaluate_retrieval(index)
+        result = evaluate_retrieval(index)
         micro, macro = brute_force_metrics(vectors, labels)
         for key in micro:
             assert result.micro[key] == pytest.approx(micro[key], abs=1e-12)

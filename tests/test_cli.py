@@ -10,11 +10,11 @@ import pytest
 
 import hrgenet
 from hrgenet import autograd as ag
-from hrgenet import cli
+from hrgenet import cli, retrieval
 from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
 from hrgenet.data import ShapeRecord, load_dataset, save_dataset
-from hrgenet.errors import ConfigError
+from hrgenet.errors import ConfigError, NumericError
 from hrgenet.graph import VARIANT_NAMES, HrgeModel, hrge_forward
 from hrgenet.retrieval import METRIC_KEYS, build_index
 from hrgenet.training import Classifier, TrainLog
@@ -894,10 +894,11 @@ class TestRetrieve:
         ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 3)
         blocks, evaluate = [], cli.evaluate_retrieval
 
-        def keep(*args, **kwargs):
-            report, ranked = evaluate(*args, **kwargs)
-            blocks.extend(ranked)
-            return report, ranked
+        def keep(*args, emit, **kwargs):
+            def emit_and_keep(*block):
+                blocks.append(block)
+                emit(*block)
+            return evaluate(*args, emit=emit_and_keep, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate_retrieval", keep)
         out = tmp_path / "r"
@@ -920,6 +921,30 @@ class TestRetrieve:
         else:
             assert lengths == {0, 1, 2}
             assert {d for _, _, row in rows for d in row} == {0.0}
+
+    def test_failed_ranking_leaves_no_rankings_or_metrics(
+            self, tmp_path, monkeypatch, capsys):
+        # 75 shapes make two query blocks; the second block's metrics
+        # fail after the first block's rows were written.
+        data = tmp_path / "data.hrgf"
+        run(["synth", "--classes", "3", "--per-class", "25", "--views", "6",
+             "--dim", "4", "--seed", "5", "--out", str(data)])
+        ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 3)
+        calls, ranking_metrics = [], retrieval.ranking_metrics
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericError("injected failure")
+            return ranking_metrics(*args)
+
+        monkeypatch.setattr(retrieval, "ranking_metrics", fail_second)
+        out = tmp_path / "r"
+        assert run(["retrieve", "--data", str(data), "--checkpoint",
+                    str(ckpt), "--tau", "inf", "--out", str(out)]) == 4
+        assert "injected failure" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
 
 
 class TestGradcheck:

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hrgenet import cli
 from hrgenet.data import FeatureDataset, ShapeRecord, write_records
 from hrgenet.errors import ConfigError, EmptyInputError
 from hrgenet.graph import HrgeModel
@@ -94,9 +96,18 @@ def random_index(seed, size, dim=6, classes=4, duplicates=0):
                            labels=labels, vectors=vectors)
 
 
+def evaluate_blocks(index, **kwargs):
+    """(report, blocks): `evaluate_retrieval`'s report and every block it
+    emitted, in order."""
+    blocks = []
+    report = evaluate_retrieval(index, emit=lambda *block: blocks.append(block),
+                                **kwargs)
+    return report, blocks
+
+
 def ranked_rows(blocks):
     """(query row, ranked corpus rows, distances) of every evaluated
-    query, from the blocks of `evaluate_retrieval`."""
+    query, from the blocks `evaluate_retrieval` emitted."""
     return [(q, row[:n].tolist(), dist[:n].tolist())
             for queries, order, dists, kept in blocks
             for q, row, dist, n in zip(queries, order, dists, kept)]
@@ -107,8 +118,8 @@ def assert_matches_brute_force(index, tau=math.inf, fine=None):
     the metrics to 1e-12.  Each block's arrays end at its widest kept
     row."""
     predict = None if fine is None else dict(zip(index.ids, fine)).__getitem__
-    report, blocks = evaluate_retrieval(index, threshold=tau,
-                                        predict_fine=predict)
+    report, blocks = evaluate_blocks(index, threshold=tau,
+                                     predict_fine=predict)
     labels = index.labels
     evaluated = [q for q in range(len(index))
                  if (labels == labels[q]).sum() > 1]
@@ -222,7 +233,7 @@ class TestRetrieve:
         with_query = DescriptorIndex(
             ids=index.ids + ["q"], labels=np.append(index.labels, 0),
             vectors=np.vstack([index.vectors, query]))
-        _, blocks = evaluate_retrieval(with_query, **kwargs)
+        _, blocks = evaluate_blocks(with_query, **kwargs)
         return next(([with_query.ids[j] for j in ranked], distances)
                     for q, ranked, distances in ranked_rows(blocks)
                     if with_query.ids[q] == "q")
@@ -235,7 +246,7 @@ class TestRetrieve:
         assert distances == sorted(distances)
 
     def test_query_excluded_from_results(self):
-        _, blocks = evaluate_retrieval(self.make_index())
+        _, blocks = evaluate_blocks(self.make_index())
         rows = ranked_rows(blocks)
         assert [q for q, _, _ in rows] == [0, 1, 2, 3]
         for q, ranked, _ in rows:
@@ -329,7 +340,7 @@ class TestEvaluateRetrieval:
         fine = np.random.default_rng(3).integers(0, 2, size=20)
         for tau in (1.0, math.inf):
             assert_matches_brute_force(index, tau, fine)
-        _, blocks = evaluate_retrieval(index)
+        _, blocks = evaluate_blocks(index)
         assert all(5 not in ranked for _, ranked, _ in ranked_rows(blocks))
 
     @pytest.mark.parametrize("size", [QUERY_BLOCK - 1, QUERY_BLOCK,
@@ -344,18 +355,31 @@ class TestEvaluateRetrieval:
         index.labels = np.random.default_rng(size).integers(0, size // 2,
                                                             size=size)
         assert_matches_brute_force(index, 1.1, fine)
+        # two classes beside singleton classes at the first and last rows
+        # of each block and inside one: skipped rows whose distances the
+        # later blocks still mirror
+        index.labels = np.arange(size) % 2
+        edges = {0, QUERY_BLOCK // 2, QUERY_BLOCK - 1, QUERY_BLOCK, size - 1}
+        for k, row in enumerate(sorted(r for r in edges if r < size)):
+            index.labels[row] = 2 + k
+        assert_matches_brute_force(index, 1.1, fine)
+        assert_matches_brute_force(index)
 
-    def test_ranking_memory_is_bounded(self):
-        # At tau inf the 1000 rankings hold 16 bytes per candidate, 16 MB,
-        # beside one block of (QUERY_BLOCK, 1000) work arrays.
-        index = random_index(0, 1000, dim=96, classes=20)
-        tracemalloc.start()
-        try:
-            evaluate_retrieval(index)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+    def test_evaluating_and_writing_rankings_is_memory_bounded(self):
+        # 2000 queries at tau inf: kept, the rankings alone would take
+        # 16 bytes per candidate, 64 MB.  Streamed to the CLI's row
+        # writer, the peak is one block of (QUERY_BLOCK, 2000) work
+        # arrays beside the mirrored distances, 8 MB at the middle block.
+        index = random_index(0, 2000, dim=96, classes=20)
+        with open(os.devnull, "w") as sink:
+            emit = cli._ranked_writer(sink, index.ids)
+            tracemalloc.start()
+            try:
+                evaluate_retrieval(index, emit=emit)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_all_queries_skipped_is_empty_input(self, size):
@@ -376,12 +400,32 @@ class TestEvaluateRetrieval:
                 assert np.array_equal(pairwise_distances(rows, vectors),
                                       want)
 
+    @pytest.mark.parametrize("case", ["duplicates", "nan", "signed zero"])
+    def test_distances_are_bitwise_symmetric(self, case):
+        # D=96, the descriptor length of the retrieve-n12 index
+        vectors = random_index(1, 40, dim=96).vectors
+        if case == "duplicates":
+            vectors[30:] = vectors[:10]
+        elif case == "nan":
+            vectors[7] = np.nan
+            vectors[33, 5] = np.nan
+        else:
+            vectors[::2, :48] = 0.0
+            vectors[1::2] = vectors[::2]
+            vectors[1::2, :48] = -0.0
+        for a, b in ((vectors[:25], vectors[10:]), (vectors, vectors),
+                     (vectors[3:4], vectors)):
+            forward = pairwise_distances(a, b)
+            backward = pairwise_distances(b, a).T
+            assert np.array_equal(forward.view(np.uint64),
+                                  backward.view(np.uint64))
+
     def test_singleton_class_queries_skipped(self, rng):
         vectors = rng.normal(size=(5, 3))
         labels = np.array([0, 0, 0, 0, 1])
         index = DescriptorIndex(ids=[f"s{k}" for k in range(5)],
                                 labels=labels, vectors=vectors)
-        report, _ = evaluate_retrieval(index)
+        report = evaluate_retrieval(index)
         assert report.skipped_queries == ["s4"]
 
     def test_build_index_from_dataset(self, rng):
