@@ -18,8 +18,8 @@ from .graph import (
     VariantSpec,
     hrge_forward,
 )
-from .layers import Affine, linear_forward
-from .optim import Adam, LrSchedule
+from .layers import Affine
+from .optim import Adam
 from .retrieval import (
     DescriptorIndex,
     MetricsReport,

@@ -745,15 +745,17 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ShapeMismatchError(
             f"expected {batch} labels, got shape {labels.shape}"
         )
-    for k, lab in enumerate(labels):
-        if not 0 <= lab < num_classes:
-            raise LabelError(
-                f"label {lab} at index {k} outside [0, {num_classes})"
-            )
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        k = int(bad.argmax())
+        raise LabelError(
+            f"label {labels[k]} at index {k} outside [0, {num_classes})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0])
     loss_val = np.mean(lse - shifted[np.arange(batch), labels])
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = exp / total
     out = Tensor(loss_val, _parents=(logits,))
 
     def _backward(g):

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .gradcheck import check_gradients
 from .graph import VARIANT_NAMES, HrgeModel, hrge_forward
-from .layers import linear_forward
 from .retrieval import build_index, check_threshold, evaluate_retrieval
 from .training import Classifier, TrainConfig, evaluate_accuracy, predict_batch, train
 
@@ -143,12 +142,15 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", default="full", choices=list(VARIANT_NAMES))
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=72)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--lr-decay-factor", type=float, default=0.5)
-    p.add_argument("--lr-decay-period", type=int, default=20)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float,
+                   default=TrainConfig.weight_decay)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr-decay-factor", type=float,
+                   default=TrainConfig.lr_decay_factor)
+    p.add_argument("--lr-decay-period", type=int,
+                   default=TrainConfig.lr_decay_period)
     p.add_argument("--use-fine-labels", action="store_true",
                    help="train against fine (sub-category) labels")
     p.add_argument("--seed", type=_seed, default=0)
@@ -402,7 +404,7 @@ def _cmd_gradcheck(args):
 
     def loss_fn():
         desc = hrge_forward(model, views[None]).concat
-        logits = linear_forward(classifier.head, desc)
+        logits = ag.affine(desc, *classifier.head)
         loss = ag.softmax_cross_entropy(logits, label)
         if args.perturb:
             loss = _with_wrong_gradient(loss, named[0][1], args.perturb)

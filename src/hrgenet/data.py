@@ -5,7 +5,7 @@ HRGF v1 layout (little-endian throughout):
   magic ``HRGF`` | u32 version=1 | u32 record count | u32 N | u32 D |
   u32 num_classes | u32 num_fine_classes (0 = none)
 followed by one block per record:
-  u16 id length | UTF-8 id | u32 coarse label |
+  u16 id length | UTF-8 id (printable, no space) | u32 coarse label |
   u32 fine label (0xFFFFFFFF = absent) | N*D f64 row-major payload
 """
 
@@ -70,6 +70,11 @@ class FeatureDataset:
             if rec.id in seen:
                 raise DataFormatError(f"duplicate record id {rec.id!r} at index {k}")
             seen.add(rec.id)
+            if not rec.id.isprintable() or " " in rec.id:
+                # ranked.txt rows are split on whitespace.
+                raise DataFormatError(
+                    f"record id {rec.id!r} at index {k} holds whitespace "
+                    "or a non-printable character")
             if rec.views.shape != (self.num_views, self.dim):
                 raise DataFormatError(
                     f"record {rec.id!r}: views shape {rec.views.shape} does "

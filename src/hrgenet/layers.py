@@ -1,4 +1,4 @@
-"""Affine parameter blocks, declared as rows, and the map they run."""
+"""Affine parameter blocks, declared as rows."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autograd import Tensor, affine, as_tensor
+from .autograd import Tensor
 from .errors import ShapeMismatchError
 
 
@@ -40,15 +40,3 @@ def build_affines(rows, rng):
         named += [(f"{name}.weight", layer.weight),
                   (f"{name}.bias", layer.bias)]
     return affines, named
-
-
-def linear_forward(layer: Affine, x) -> Tensor:
-    """The layer over the last axis of a matrix or of a batch of them."""
-    x = as_tensor(x)
-    out_dim, in_dim = layer.weight.data.shape
-    if x.data.ndim not in (2, 3) or x.data.shape[-1] != in_dim:
-        raise ShapeMismatchError(
-            f"input of shape {x.shape} does not match layer "
-            f"({out_dim} x {in_dim})"
-        )
-    return affine(x, layer.weight, layer.bias)

@@ -1,36 +1,12 @@
-"""Adam with decoupled weight decay, plus the staircase LR schedule."""
+"""Adam with decoupled weight decay."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Piecewise-constant decay: lr(e) = initial * factor ** (e // period)."""
-
-    initial_lr: float = 1e-5
-    decay_factor: float = 0.5
-    decay_period: int = 20
-
-    def __post_init__(self):
-        for what, value in (("learning rate", self.initial_lr),
-                            ("lr decay factor", self.decay_factor)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{what} must be finite and >= 0, got {value}")
-        if not self.decay_period >= 1:
-            raise ConfigError(
-                f"lr decay period must be >= 1, got {self.decay_period}")
-
-    def lr_at_epoch(self, epoch: int) -> float:
-        if epoch < 0:
-            raise ConfigError(f"epoch must be non-negative, got {epoch}")
-        return self.initial_lr * self.decay_factor ** (epoch // self.decay_period)
 
 
 class Adam:

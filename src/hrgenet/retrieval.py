@@ -162,10 +162,15 @@ def ranking_metrics(relevance, total_relevant) -> dict:
     precision = recall = at_n / total  # the cutoff N is total_relevant
     f1 = np.divide(2.0 * precision * recall, precision + recall,
                    out=np.zeros(len(rel)), where=precision > 0)
-    ranks = np.arange(1, length + 1)
-    ap = np.cumsum(np.where(rel, hits / ranks, 0.0), axis=1)[:, -1] / total
+    # AP and DCG are each the last column of a cumsum over one reused
+    # (queries, L) buffer; a relevance of 0 or 1 scales a term to 0.0 or
+    # keeps its bits.
+    buf = np.divide(hits, np.arange(1, length + 1))
+    buf *= rel
+    ap = np.cumsum(buf, axis=1, out=buf)[:, -1] / total
     discount = _discounts(max(length, int(total.max())))
-    dcg = np.cumsum(np.where(rel, discount[:length], 0.0), axis=1)[:, -1]
+    np.multiply(rel, discount[:length], out=buf)
+    dcg = np.cumsum(buf, axis=1, out=buf)[:, -1]
     ndcg = dcg / np.cumsum(discount)[total - 1]
     return {"p_at_n": precision, "r_at_n": recall, "f1_at_n": f1,
             "map": ap, "ndcg": ndcg}

@@ -10,8 +10,8 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError, EmptyInputError, NumericError
 from .graph import HrgeModel, hrge_forward
-from .layers import build_affines, linear_forward
-from .optim import Adam, LrSchedule
+from .layers import build_affines
+from .optim import Adam
 
 
 class Classifier:
@@ -42,14 +42,13 @@ class Classifier:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer schedule; defaults mirror the second-stage recipe
-    (batch 72, 60 epochs, lr 1e-5 halved every 20 epochs, wd 1e-3)."""
+    """The training recipe; defaults are the second stage's (batch 72,
+    60 epochs, lr 1e-5 halved every 20 epochs, wd 1e-3)."""
 
     batch_size: int = 72
     epochs: int = 60
     learning_rate: float = 1e-5
     weight_decay: float = 1e-3
-    betas: tuple = (0.9, 0.999)
     lr_decay_factor: float = 0.5
     lr_decay_period: int = 20
     seed: int = 0
@@ -59,15 +58,21 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        for what, value in (("weight decay", self.weight_decay),
+                            ("learning rate", self.learning_rate),
+                            ("lr decay factor", self.lr_decay_factor)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{what} must be finite and >= 0, got {value}")
+        if not self.lr_decay_period >= 1:
             raise ConfigError(
-                f"weight decay must be finite and >= 0, got {self.weight_decay}")
-        self.schedule  # an LrSchedule checks the learning rate and its decay
+                f"lr decay period must be >= 1, got {self.lr_decay_period}")
 
-    @property
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(self.learning_rate, self.lr_decay_factor,
-                          self.lr_decay_period)
+    def lr_at_epoch(self, epoch: int) -> float:
+        """Piecewise-constant decay: lr * factor ** (epoch // period)."""
+        if epoch < 0:
+            raise ConfigError(f"epoch must be non-negative, got {epoch}")
+        return (self.learning_rate
+                * self.lr_decay_factor ** (epoch // self.lr_decay_period))
 
 
 @dataclass
@@ -124,14 +129,12 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
     views = np.stack([rec.views for rec in records])
     all_labels = np.array([rec.coarse_label for rec in records])
     params = model.named_parameters() + classifier.named_parameters()
-    opt = Adam(params, lr=cfg.learning_rate, betas=cfg.betas,
-               weight_decay=cfg.weight_decay)
-    schedule = cfg.schedule
+    opt = Adam(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     n = len(records)
     for epoch in range(cfg.epochs):
-        opt.lr = schedule.lr_at_epoch(epoch)
+        opt.lr = cfg.lr_at_epoch(epoch)
         order = rng.permutation(n)
         losses, correct = [], 0
         step = 0
@@ -139,8 +142,8 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
             batch = order[start:start + cfg.batch_size]
             labels = all_labels[batch]
             opt.zero_grad()
-            logits = linear_forward(classifier.head,
-                                    hrge_forward(model, views[batch]).concat)
+            logits = ag.affine(hrge_forward(model, views[batch]).concat,
+                               *classifier.head)
             loss = ag.softmax_cross_entropy(logits, labels)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):

@@ -17,7 +17,6 @@ from hrgenet.data import (
 )
 from hrgenet.errors import DataFormatError
 from hrgenet.graph import HrgeModel, VARIANT_NAMES, hrge_forward
-from hrgenet.layers import linear_forward
 from hrgenet.retrieval import (
     DescriptorIndex,
     evaluate_retrieval,
@@ -45,7 +44,7 @@ def test_criterion_1_gradient_fidelity():
 
     def loss_fn():
         desc = hrge_forward(model, views[None]).concat
-        logits = linear_forward(classifier.head, desc)
+        logits = ag.affine(desc, *classifier.head)
         return ag.softmax_cross_entropy(logits, labels)
 
     named = model.named_parameters() + classifier.named_parameters()
@@ -183,8 +182,8 @@ def test_criterion_7_retrieval_metric_oracle():
 
 
 def test_criterion_8_lr_schedule():
-    from hrgenet.optim import LrSchedule
-    schedule = LrSchedule(1e-5, 0.5, 20)
+    schedule = TrainConfig(learning_rate=1e-5, lr_decay_factor=0.5,
+                           lr_decay_period=20)
     for epoch in range(60):
         expected = (1e-5, 5e-6, 2.5e-6)[epoch // 20]
         assert schedule.lr_at_epoch(epoch) == expected

@@ -14,7 +14,7 @@ from hrgenet.errors import (
     ShapeMismatchError,
     StaleGraphError,
 )
-from hrgenet.layers import Affine, build_affines, linear_forward
+from hrgenet.layers import Affine, build_affines
 
 from conftest import finite_difference, max_rel_err, relu
 
@@ -39,14 +39,16 @@ def make_mlp(dims, rng):
 
 
 class TestLinearForward:
+    """`ag.affine` as a layer's forward, the op the classifier head runs."""
+
     def test_identity(self):
         layer = make_layer(np.eye(2), [0.0, 0.0])
-        out = linear_forward(layer, [[3.0, 4.0]])
+        out = ag.affine([[3.0, 4.0]], *layer)
         np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_hand_arithmetic(self):
         layer = make_layer([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
-        out = linear_forward(layer, [[2.0, 5.0]])
+        out = ag.affine([[2.0, 5.0]], *layer)
         np.testing.assert_array_equal(out.data, [[7.0, -3.0]])
 
     def test_matches_triple_loop_matmul(self, rng):
@@ -59,13 +61,14 @@ class TestLinearForward:
                 for k in range(5):
                     expected[i, j] += x[i, k] * layer.weight.data[j, k]
                 expected[i, j] += layer.bias.data[j]
-        out = linear_forward(layer, x)
+        out = ag.affine(x, *layer)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_dimension_mismatch_names_both_dims(self, rng):
         layer = random_layer(5, 4, rng)
-        with pytest.raises(ShapeMismatchError, match=r"4 x 5"):
-            linear_forward(layer, np.zeros((3, 6)))
+        with pytest.raises(ShapeMismatchError,
+                           match=r"6 columns but weight expects 5"):
+            ag.affine(np.zeros((3, 6)), *layer)
 
 
 class TestBackward:
@@ -75,8 +78,8 @@ class TestBackward:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         for p in layer:
             p.zero_grad()
-        out = linear_forward(layer, x)
-        col_sums = linear_forward(make_layer([[1.0, 1.0]], [0.0]), out)
+        out = ag.affine(x, *layer)
+        col_sums = ag.affine(out, *make_layer([[1.0, 1.0]], [0.0]))
         scalar = ag.segment_sum_rows(col_sums, [0, 0], 1)
         scalar.backward()
         np.testing.assert_allclose(layer.weight.grad,
@@ -92,9 +95,9 @@ class TestBackward:
         def loss_fn():
             h = x
             for layer in mlp[:-1]:
-                h = relu(linear_forward(layer, h))
-            out = linear_forward(mlp[-1], h)
-            return ag.softmax_cross_entropy(linear_forward(head, out), labels)
+                h = relu(ag.affine(h, *layer))
+            out = ag.affine(h, *mlp[-1])
+            return ag.softmax_cross_entropy(ag.affine(out, *head), labels)
 
         params = [p for _, p in named] + list(head)
         for p in params:
@@ -108,10 +111,10 @@ class TestBackward:
         layer = random_layer(2, 2, rng)
         for p in layer:
             p.zero_grad()
-        out = linear_forward(layer, np.ones((1, 2)))
+        out = ag.affine(np.ones((1, 2)), *layer)
         # a reducer that weighs the whole output by zero
         reducer = make_layer([[0.0, 0.0]], [0.0])
-        scalar = linear_forward(reducer, out)
+        scalar = ag.affine(out, *reducer)
         scalar.backward()
         np.testing.assert_array_equal(layer.weight.grad, np.zeros((2, 2)))
         np.testing.assert_array_equal(layer.bias.grad, np.zeros(2))
@@ -127,9 +130,9 @@ class TestBackward:
     def test_gradient_reaching_a_leaf_twice_is_summed(self):
         x = ag.Tensor([[1.0, -2.0]])
         # Two rectifier paths from x, joined and summed by one layer.
-        summed = linear_forward(make_layer([[1.0, 0.0, 1.0, 0.0],
-                                            [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]),
-                                ag.concat_cols([relu(x), relu(x)]))
+        summed = ag.affine(ag.concat_cols([relu(x), relu(x)]),
+                           *make_layer([[1.0, 0.0, 1.0, 0.0],
+                                        [0.0, 1.0, 0.0, 1.0]], [0.0, 0.0]))
         loss = ag.softmax_cross_entropy(summed, [0])
         loss.backward()
         np.testing.assert_allclose(
@@ -137,14 +140,14 @@ class TestBackward:
 
     def test_backward_twice_raises_stale_error(self, rng):
         layer = random_layer(2, 1, rng)
-        out = linear_forward(layer, np.ones((1, 2)))
+        out = ag.affine(np.ones((1, 2)), *layer)
         out.backward()
         with pytest.raises(StaleGraphError):
             out.backward()
 
     def test_backward_needs_scalar(self, rng):
         layer = random_layer(2, 2, rng)
-        out = linear_forward(layer, np.ones((1, 2)))
+        out = ag.affine(np.ones((1, 2)), *layer)
         with pytest.raises(ShapeMismatchError):
             out.backward()
 
@@ -184,7 +187,7 @@ class TestRelu:
     def test_gradient_is_the_positive_mask(self):
         a = ag.Tensor([[-1.0, 0.0, 3.0]])
         out = ag.segment_sum_rows(
-            linear_forward(make_layer([[1.0, 1.0, 1.0]], [0.0]), relu(a)),
+            ag.affine(relu(a), *make_layer([[1.0, 1.0, 1.0]], [0.0])),
             [0], 1)
         out.backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
@@ -688,7 +691,7 @@ def chained_ring_affine(parts, layer):
     turned part, `concat_cols`, `affine` and `relu`."""
     turned = [t if shift == 0 else ag.ring_rows(t, shift)
               for t, shift in parts]
-    return relu(linear_forward(layer, ag.concat_cols(turned)))
+    return relu(ag.affine(ag.concat_cols(turned), *layer))
 
 
 class TestRingAffine:
@@ -787,7 +790,7 @@ def test_determinism_bit_identical(rng):
     x = rng.normal(size=(4, 3))
     mlp1, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
     mlp2, _ = make_mlp([3, 4, 2], np.random.default_rng(9))
-    out1, out2 = (linear_forward(mlp[1], relu(linear_forward(mlp[0], x)))
+    out1, out2 = (ag.affine(relu(ag.affine(x, *mlp[0])), *mlp[1])
                   for mlp in (mlp1, mlp2))
     np.testing.assert_array_equal(out1.data, out2.data)
 

@@ -17,7 +17,7 @@ from hrgenet.data import ShapeRecord, load_dataset, save_dataset
 from hrgenet.errors import ConfigError, NumericError
 from hrgenet.graph import VARIANT_NAMES, HrgeModel, hrge_forward
 from hrgenet.retrieval import METRIC_KEYS, build_index
-from hrgenet.training import Classifier, TrainLog
+from hrgenet.training import Classifier, TrainConfig, TrainLog
 
 
 def run(args):
@@ -762,6 +762,22 @@ class TestPathErrors:
 
 
 class TestRetrieve:
+    @pytest.mark.parametrize("bad_id", ["a b\tc", "a\u3000b"])
+    def test_id_that_splits_a_ranked_row_is_data_error(
+            self, synth_file, tmp_path, capsys, bad_id):
+        ckpt = write_checkpoint(tmp_path / "c.hrgm", 12, 6, 3)
+        encoded = bad_id.encode()
+        blob = synth_file.read_bytes().replace(
+            struct.pack("<H", 9) + b"order-0-0",
+            struct.pack("<H", len(encoded)) + encoded, 1)
+        bad = tmp_path / "bad.hrgf"
+        bad.write_bytes(blob)
+        out = tmp_path / "r"
+        assert run(["retrieve", "--data", str(bad), "--checkpoint", str(ckpt),
+                    "--out", str(out)]) == 3
+        assert repr(bad_id) in capsys.readouterr().err
+        assert not (out / "ranked.txt").exists()
+
     def test_metrics_and_rankings_written(self, synth_file, tmp_path):
         train_dir = tmp_path / "train"
         run(["train", "--data", str(synth_file), "--epochs", "1",
@@ -1024,6 +1040,16 @@ def test_float_flags_are_the_documented_ones():
         ("synth", "--noise"), ("train", "--lr"), ("train", "--weight-decay"),
         ("train", "--lr-decay-factor"), ("retrieve", "--tau"),
         ("gradcheck", "--tol"), ("gradcheck", "--perturb")]
+
+
+def test_train_flag_defaults_are_the_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--data", "d",
+                                          "--out", "o"])
+    cfg = TrainConfig()
+    assert (args.batch, args.epochs, args.lr, args.weight_decay,
+            args.lr_decay_factor, args.lr_decay_period, args.seed) == (
+        cfg.batch_size, cfg.epochs, cfg.learning_rate, cfg.weight_decay,
+        cfg.lr_decay_factor, cfg.lr_decay_period, cfg.seed)
 
 
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e5"])

@@ -154,6 +154,14 @@ class TestContainerFormat:
         with pytest.raises(DataFormatError, match="dup"):
             FeatureDataset(records=records, num_classes=1)
 
+    @pytest.mark.parametrize("bad_id", ["a b", "a\tb", "a\nb", "a\x00b",
+                                        "a\u00a0b", "a\u3000b"])
+    def test_id_that_whitespace_splits_rejected(self, rng, bad_id):
+        records = [ShapeRecord(id=bad_id, views=rng.normal(size=(2, 2)),
+                               coarse_label=0)]
+        with pytest.raises(DataFormatError, match="record id"):
+            FeatureDataset(records=records, num_classes=1)
+
 
 class TestSyntheticGenerators:
     def test_prototype_sigma_zero_collapses_classes(self):

@@ -17,7 +17,6 @@ from hrgenet.graph import (
     hierarchy_depth,
     hrge_forward,
 )
-from hrgenet.layers import linear_forward
 from hrgenet.training import Classifier
 
 from conftest import finite_difference, max_rel_err
@@ -348,7 +347,7 @@ class TestHrgeForward:
 
         def loss_fn():
             desc = hrge_forward(model, views[None]).concat
-            logits = linear_forward(classifier.head, desc)
+            logits = ag.affine(desc, *classifier.head)
             return ag.softmax_cross_entropy(logits, labels)
 
         params = model.parameters() + classifier.parameters()
@@ -381,7 +380,7 @@ class TestVariants:
         classifier = Classifier(model.descriptor_length, 3, seed=19)
         views = rng.normal(size=(12, 8))
         desc = hrge_forward(model, views[None]).concat
-        logits = linear_forward(classifier.head, desc)
+        logits = ag.affine(desc, *classifier.head)
         ag.softmax_cross_entropy(logits, np.array([1])).backward()
         for name, p in model.named_parameters() + classifier.named_parameters():
             assert p.grad is not None and np.any(p.grad != 0), name
@@ -544,7 +543,7 @@ class TestBatch:
         def loss_fn():
             desc = hrge_forward(model, views).concat
             return ag.softmax_cross_entropy(
-                linear_forward(classifier.head, desc), labels)
+                ag.affine(desc, *classifier.head), labels)
 
         for _, p in named:
             p.zero_grad()
@@ -817,7 +816,7 @@ class TestPairGroups:
         def loss_fn():
             desc = hrge_forward(model, views).concat
             return ag.softmax_cross_entropy(
-                linear_forward(classifier.head, desc), labels)
+                ag.affine(desc, *classifier.head), labels)
 
         named.append(("views", views))
         for _, p in named:
@@ -836,8 +835,8 @@ class TestPairGroups:
         views = np.random.default_rng(43).normal(size=(16, 80, 32))
         tracemalloc.start()
         try:
-            logits = linear_forward(classifier.head,
-                                    hrge_forward(model, views).concat)
+            logits = ag.affine(hrge_forward(model, views).concat,
+                               *classifier.head)
             ag.softmax_cross_entropy(logits, np.arange(16) % 4).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -885,8 +884,8 @@ class TestPairGroups:
         views = np.random.default_rng(43).normal(size=(16, 80, 32))
 
         def step():
-            logits = linear_forward(classifier.head,
-                                    hrge_forward(model, views).concat)
+            logits = ag.affine(hrge_forward(model, views).concat,
+                               *classifier.head)
             ag.softmax_cross_entropy(logits, np.arange(16) % 4).backward()
 
         step()  # the pool and the gradient buffers exist before tracing

@@ -5,7 +5,8 @@ import pytest
 
 from hrgenet.autograd import Tensor
 from hrgenet.errors import ConfigError, NumericError
-from hrgenet.optim import Adam, LrSchedule
+from hrgenet.optim import Adam
+from hrgenet.training import TrainConfig
 
 
 class TestAdam:
@@ -41,7 +42,6 @@ class TestAdam:
         opt = Adam([Tensor([0.0])])
         assert opt.weight_decay == 1e-3
         assert opt.lr == 1e-5
-        from hrgenet.training import TrainConfig
         cfg = TrainConfig()
         assert (cfg.weight_decay, cfg.batch_size, cfg.epochs,
                 cfg.learning_rate) == (1e-3, 72, 60, 1e-5)
@@ -158,25 +158,28 @@ class TestAdam:
         assert Adam([Tensor([1.0])], lr=0.0).lr == 0.0
 
 
+# 1e-5 halved every 20 epochs, the schedule of the second-stage recipe.
+STAIRCASE = TrainConfig(learning_rate=1e-5, lr_decay_factor=0.5,
+                        lr_decay_period=20)
+
+
 class TestLrSchedule:
     def test_epoch_zero(self):
-        assert LrSchedule(1e-5, 0.5, 20).lr_at_epoch(0) == 1e-5
+        assert STAIRCASE.lr_at_epoch(0) == 1e-5
 
     def test_halving_every_20_epochs(self):
-        s = LrSchedule(1e-5, 0.5, 20)
-        assert s.lr_at_epoch(20) == 5e-6
-        assert s.lr_at_epoch(40) == 2.5e-6
+        assert STAIRCASE.lr_at_epoch(20) == 5e-6
+        assert STAIRCASE.lr_at_epoch(40) == 2.5e-6
 
     def test_staircase_boundary(self):
-        assert LrSchedule(1e-5, 0.5, 20).lr_at_epoch(19) == 1e-5
+        assert STAIRCASE.lr_at_epoch(19) == 1e-5
 
     def test_full_staircase(self):
-        s = LrSchedule(1e-5, 0.5, 20)
         for e in range(60):
             expected = 1e-5 * 0.5 ** (e // 20)
-            assert s.lr_at_epoch(e) == expected
+            assert STAIRCASE.lr_at_epoch(e) == expected
             assert expected > 0
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ConfigError):
-            LrSchedule(1e-5).lr_at_epoch(-1)
+            TrainConfig().lr_at_epoch(-1)
