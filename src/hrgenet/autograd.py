@@ -331,20 +331,21 @@ def pair_relation_sum(x, layers) -> Tensor:
     row's pairs with one stacked matmul by a row of ones.
 
     Both passes run over groups of shapes whose pair rows fit
-    ``PAIR_GROUP_BYTES`` per array, so the pair-level memory does not
-    grow with the batch.  A pass of one group keeps its pair activations
-    for backward; a pass of several keeps only `x` and the layers, and
-    the backward recomputes each group's activations.  The backward
-    orders the rows by their bytes and then by their gradients' bytes, so
-    that under any permutation the gradients are one computation too,
-    equal rows with unequal gradients included; equal rows have equal
+    ``PAIR_GROUP_BYTES`` per array (`_pair_groups`), so the pair-level
+    memory does not grow with the batch.  A pass of one group keeps its
+    pair activations for backward; a pass of several keeps only `x` and
+    the layers, and the backward recomputes each group's activations.  The
+    backward orders the rows by their bytes and then by their gradients'
+    bytes, so that under any permutation the gradients are one computation
+    too, equal rows with unequal gradients included; equal rows have equal
     bytes, so the sorted rows and their activations are the forward's.
     Every matrix product is one GEMM per shape whatever the group, so the
-    result does not depend on the grouping.
-    The groups may run on several threads (`_run_groups`): each writes
-    its own rows, and the weight gradients of the groups are kept until
-    the pass ends and added in group order, so no bit depends on the
-    thread count.
+    result does not depend on the grouping; the weight gradients, summed
+    over groups, do.
+    The groups may run on several threads (`_run_groups`): they do not
+    depend on the thread count, each writes its own rows, and the weight
+    gradients of the groups are kept until the pass ends and added in
+    group order, so no bit depends on the thread count.
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -450,12 +451,17 @@ def pair_relation_sum_kernel(x, layers, saved=None):
 
 
 def _pair_groups(count, n, layers):
-    """Slices of the `count` shapes of a pair pass, as many shapes each
-    as fit ``PAIR_GROUP_BYTES`` per pair-level array of the widest of
-    `layers`, the ``(weight, bias)`` arrays."""
+    """Slices of the `count` shapes of a pair pass, in order: the fewest
+    groups whose pair-level arrays of the widest of `layers`, the
+    ``(weight, bias)`` arrays, fit ``PAIR_GROUP_BYTES`` (at least one
+    shape each), equal to within one shape.  Group k of g starts at
+    shape ``ceil(count k / g)``, so 16 shapes at n=40 and width 32 are
+    4 groups of 4, not 5, 5, 5 and 1, and two threads finish together."""
     hidden = max([w.shape[0] for w, _ in layers])
     size = max(1, PAIR_GROUP_BYTES // max(1, 8 * n * n * hidden))
-    return [slice(s, s + size) for s in range(0, count, size)]
+    groups = -(-count // size)
+    return [slice(-(-count * k // groups), -(-count * (k + 1) // groups))
+            for k in range(groups)]
 
 
 def _canonical_rows(*parts):
@@ -687,6 +693,16 @@ def pool_rows_kernel(a, normalize: bool, saved=None):
     norm = None
     if normalize:
         norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1, keepdims=True))
+        # A finite vector whose squares overflow takes the norm of
+        # `l2_norm`, its largest magnitude times the norm of it scaled by
+        # that magnitude, so it is not divided to zeros.  A list search
+        # finds an inf norm in a tenth of the time of an array reduction.
+        if np.inf in norm.ravel().tolist():
+            rows = np.isinf(norm[..., 0]) & np.isfinite(pooled).all(axis=-1)
+            top = np.abs(pooled[rows]).max(axis=-1, keepdims=True)
+            scaled = pooled[rows] / top
+            norm[rows] = top * np.sqrt(np.add.reduce(scaled * scaled, axis=-1,
+                                                     keepdims=True))
         small = norm < DEGENERATE_NORM
         norm[small] = 1.0
         pooled = pooled / norm

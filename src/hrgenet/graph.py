@@ -31,22 +31,24 @@ identity kind; a level block is one `ag.pool_rows` (the column max,
 unit-normalized by variant), and coarsening one `ag.ring_rows`.
 
 The pair level holds n (n - 1) pairs per shape, so it is one op,
-`ag.pair_relation_sum`: it puts each shape's rows in a canonical
-order first, so that the relation sums do not depend on the order of the
+`ag.pair_relation_sum`: it puts each shape's rows in a canonical order
+first, so that the relation sums do not depend on the order of the
 views, lays the pair rows out as the ``(n, n)`` grid whose diagonal
 rows, a node paired with itself, are zeroed before any sum, runs the
 last pair layer once per node after the sum, and runs both passes over
-groups of shapes whose pair rows fit ``ag.PAIR_GROUP_BYTES`` per array,
-keeping the pair activations for backward only when the pass is one
-group and recomputing them per group otherwise.  Grouping cannot
-change a descriptor, since every GEMM is already per shape.  A pass of
-two groups or more runs them on up to ``ag.MAX_PAIR_WORKERS`` threads:
-the usable CPUs over the BLAS threads that ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` declares, and one thread when
-none is set, since BLAS then uses every CPU.  Set
-``OPENBLAS_NUM_THREADS=1`` for throughput.  No bit depends on the thread
-count: each group writes its own rows, and the groups' weight gradients
-are kept until the pass ends and added in group order.
+the fewest groups of shapes whose pair rows fit ``ag.PAIR_GROUP_BYTES``
+per array, equal to within one shape, keeping the pair activations for
+backward only when the pass is one group and recomputing them per group
+otherwise.  Grouping cannot change a descriptor, since every GEMM is
+already per shape.  A pass of two groups or more runs them on up to
+``ag.MAX_PAIR_WORKERS`` threads: the usable CPUs over the BLAS threads
+that ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` declares, and one thread when none is set, since
+BLAS then uses every CPU.  Set ``OPENBLAS_NUM_THREADS=1`` for
+throughput.  No bit depends on the thread count: the groups depend only
+on the shape count, n and the layer widths, each group writes its own
+rows, and the groups' weight gradients are kept until the pass ends and
+added in group order.
 
 `hrge_forward` is the one walk over the plan, and inference needs no
 graph.  Each op's forward math is one array kernel in `autograd`, named

@@ -674,6 +674,30 @@ class TestPoolRows:
             np.testing.assert_array_equal(out.data[b], out_b.data)
             np.testing.assert_array_equal(x.grad[b], one.grad)
 
+    def test_overflowing_norm_is_scaled_and_other_rows_keep_bits(self, rng):
+        """A finite pooled vector whose squares overflow is divided by its
+        scaled norm, and its gradient is the unscaled vector's over the
+        scale.  A vector holding inf, and every other, keeps the bits of
+        the plain ``sqrt(sum(v * v))`` rule."""
+        x = rng.normal(size=(3, 5, 4))
+        huge = x * 1e160
+        huge[0] = x[0]
+        huge[2, 1, 1] = np.inf
+        upstream = rng.normal(size=(3, 4))
+        small, big = ag.Tensor(x), ag.Tensor(huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, degenerate = ag.pool_rows(big, True)
+            dot_loss(out, upstream).backward()
+            plain = huge.max(axis=1)
+            plain = plain / np.sqrt((plain * plain).sum(axis=-1))[:, None]
+        ref, _ = ag.pool_rows(small, True)
+        dot_loss(ref, upstream).backward()
+        np.testing.assert_array_equal(out.data[[0, 2]], plain[[0, 2]])
+        np.testing.assert_allclose(out.data[1], ref.data[1], rtol=1e-14)
+        np.testing.assert_allclose(big.grad[1] * 1e160, small.grad[1],
+                                   rtol=1e-12)
+        assert not degenerate.any()
+
     @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
     def test_gradient_matches_finite_differences(self, rng, shape):
         x = ag.Tensor(rng.normal(size=shape))

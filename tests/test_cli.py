@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -808,6 +809,31 @@ class TestRetrieve:
             outs.append((out / "metrics.txt").read_text())
         assert outs[0] == outs[1]
 
+    def test_huge_finite_views_rank_at_non_zero_distances(self, tmp_path):
+        """Views near 1e160 load, since they are finite, though the squares
+        of their pooled level blocks overflow.  The trained model still
+        ranks them on unit-length blocks, at finite non-zero distances,
+        not on blocks divided to zeros."""
+        data = tmp_path / "data.hrgf"
+        assert run(["synth", "--classes", "3", "--per-class", "4",
+                    "--views", "12", "--dim", "8", "--seed", "3",
+                    "--out", str(data)]) == 0
+        dataset = load_dataset(data)
+        for r in dataset.records:
+            r.views *= 1e160
+        save_dataset(dataset, data)
+        train_dir, out = tmp_path / "train", tmp_path / "retr"
+        assert run(["train", "--data", str(data), "--epochs", "1",
+                    "--batch", "6", "--out", str(train_dir)]) == 0
+        assert run(["retrieve", "--data", str(data), "--checkpoint",
+                    str(train_dir / "checkpoint.hrgm"),
+                    "--out", str(out)]) == 0
+        rows = (out / "ranked.txt").read_text().splitlines()
+        distances = [float(entry.rpartition(":")[2]) for row in rows
+                     for entry in row.split("\t")[1].split()]
+        assert len(rows) == 12 and len(distances) == 12 * 11
+        assert all(0.0 < d < math.inf for d in distances)
+
     def test_negative_infinite_tau_is_usage_error(self, synth_file, tmp_path,
                                                   capsys):
         ckpt = write_checkpoint(tmp_path / "c.hrgm", 12, 6, 3)
@@ -1103,3 +1129,52 @@ def test_negative_seed_is_usage_error(synth_file, tmp_path, capsys, command):
 
 def test_usage_error_on_unknown_command():
     assert run(["launder"]) == 2
+
+
+class TestRetainFreedMemory:
+    """`cli._retain_freed_memory` sets glibc's malloc to keep freed memory
+    in one heap that every thread shares, and changes nothing where
+    there is no such malloc."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, platform, **members):
+        """Run as `platform` with `ctypes.CDLL` giving a library of
+        `members`; returns the names CDLL was asked for."""
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            return types.SimpleNamespace(**members)
+
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        return opened
+
+    def test_sets_mmap_trim_and_arena_limits(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.fake_libc(monkeypatch, "linux", mallopt=mallopt)
+        cli._retain_freed_memory()
+        assert calls == [(cli._M_MMAP_MAX, 0),
+                         (cli._M_TRIM_THRESHOLD, 2**31 - 1),
+                         (cli._M_ARENA_MAX, 1)]
+        # glibc's malloc.h ids.
+        assert (cli._M_TRIM_THRESHOLD, cli._M_MMAP_MAX,
+                cli._M_ARENA_MAX) == (-1, -4, -8)
+
+    def test_libc_without_mallopt_changes_nothing(self, monkeypatch):
+        opened = self.fake_libc(monkeypatch, "linux")
+        cli._retain_freed_memory()
+        assert opened == [None]
+
+    def test_other_platforms_change_nothing(self, monkeypatch):
+        def mallopt(param, value):
+            raise AssertionError("mallopt called")
+
+        opened = self.fake_libc(monkeypatch, "darwin", mallopt=mallopt)
+        cli._retain_freed_memory()
+        assert opened == []

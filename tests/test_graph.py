@@ -715,6 +715,23 @@ class TestGradFree:
         assert held[True] > 2 * pair_array
         assert held[False] < pair_array / 100
 
+    @pytest.mark.parametrize("variant", [
+        name for name, spec in VARIANTS.items() if spec.normalize_blocks])
+    def test_blocks_of_huge_views_are_unit_length(self, variant):
+        """Views near 1e160 are finite, but the squares of their pooled
+        blocks overflow.  Each normalized block is still unit length and
+        unflagged, not divided to zeros, in both modes and with the same
+        bits.  The CLI runs every command with overflow ignored, as here."""
+        model = HrgeModel(num_views=12, width=8, variant=variant, seed=57)
+        views = np.random.default_rng(58).normal(size=(3, 12, 8)) * 1e160
+        with np.errstate(over="ignore"):
+            for shapes in (views, views[0]):
+                free = assert_grad_free_bits(model, shapes)
+                for block, flags in zip(free.blocks, free.degenerate):
+                    np.testing.assert_allclose(
+                        np.linalg.norm(block.data, axis=-1), 1.0, rtol=1e-12)
+                    assert not np.any(flags)
+
     def test_one_block_concat_is_the_block(self, rng):
         model = HrgeModel(num_views=6, width=3, variant="pr", seed=51)
         free = hrge_forward(model, rng.normal(size=(6, 3)), grad=False)
@@ -788,13 +805,41 @@ class TestOneWalk:
         assert calls == level * 2 + ["pool_rows", "concat_cols"]
 
 
+def pair_layers_w32():
+    """The pair MLP's ``(weight, bias)`` arrays of a width-32 level."""
+    return level_arrays(HrgeModel(12, 32, "full", seed=59).levels[0])[0]
+
+
 class TestPairGroups:
     """`ag.pair_relation_sum` runs its pair rows in groups of shapes."""
 
+    @pytest.mark.parametrize("n", [6, 12, 20, 40, 80])
+    @pytest.mark.parametrize("count", range(18))
+    def test_planner_cuts_the_fewest_equal_groups(self, count, n):
+        """Each shape falls in one group, in order; no group is empty or
+        over the budget, sizes differ by at most one, and one group fewer
+        could not hold every shape within the budget."""
+        groups = ag._pair_groups(count, n, pair_layers_w32())
+        shapes = [range(count)[g] for g in groups]
+        assert [k for group in shapes for k in group] == list(range(count))
+        sizes = [len(group) for group in shapes]
+        most = max(1, ag.PAIR_GROUP_BYTES // (8 * n * n * 32))
+        assert all(1 <= size <= most for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert (len(groups) - 1) * most < count or not groups
+
+    def test_sixteen_shapes_at_n40_are_four_groups_of_four(self):
+        """Level 1 of a 16-shape n=80 step: the budget holds 5 shapes, so
+        4 groups are the fewest, and they are cut equal, not 5, 5, 5, 1."""
+        groups = ag._pair_groups(16, 40, pair_layers_w32())
+        assert [len(range(16)[g]) for g in groups] == [4, 4, 4, 4]
+
     def test_rows_bit_identical_across_groups(self, monkeypatch):
         # Level 0 at n=80, w=32 runs groups of 2, 2 and 1 shapes.
-        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 2 * 8 * 80 * 79 * 32)
+        monkeypatch.setattr(ag, "PAIR_GROUP_BYTES", 2 * 8 * 80 * 80 * 32)
         model = HrgeModel(num_views=80, width=32, variant="full", seed=36)
+        groups = ag._pair_groups(5, 80, pair_layers_w32())
+        assert [len(range(5)[g]) for g in groups] == [2, 2, 1]
         views = np.random.default_rng(37).normal(size=(5, 80, 32))
         batch = hrge_forward(model, views).concat.data
         for b in range(5):
@@ -849,7 +894,8 @@ class TestPairGroups:
         peaks no higher than it did on one thread before the backward
         reused its spent pair arrays: 15,616,656 bytes under tracemalloc
         (numpy 2.4, Python 3.11).  About 8.5 MB of that was one level-1
-        group of 5 shapes, 4.3 times its 2 MB pair array.
+        group of 5 shapes, 4.3 times its 2 MB pair array; level-1 groups
+        are now 4 shapes each.
 
         Each thread waits, holding its pair activations, until the other
         holds its own, so the two groups' pair arrays are alive together
