@@ -668,61 +668,57 @@ def concat_cols(tensors) -> Tensor:
 DEGENERATE_NORM = 1e-12
 
 
-def l2_norm(x) -> float:
-    """The L2 norm of all of `x`, as `np.linalg.norm` gives it, or, where
-    its sum of squares overflows, ``max|x| * ||x / max|x|||``, so a
-    finite array has a finite norm."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x)
-        if np.isinf(norm):
-            top = np.abs(x).max()
-            norm = top * np.linalg.norm(x / top)
-    return float(norm)
+def unit_norm(v, axis=-1):
+    """``(unit, (norm, top), degenerate)`` of the vectors along ``axis``
+    of `v`, or of all of `v` for None, with ``axis`` kept as length 1.
+
+    ``norm`` has `np.linalg.norm`'s bits, but a finite vector whose norm
+    overflows has ``top = max|v|`` and the norm of ``v / top`` (any other
+    has ``top = 1.0``).  ``unit`` is ``v / top / norm``, never divided by
+    the product, or `v` itself, flagged, where ``norm < DEGENERATE_NORM``.
+    Along an axis the norm is `np.linalg.norm`'s arithmetic without its
+    argument handling, which would add a microsecond per level block."""
+    norm = (np.linalg.norm(v, keepdims=True) if axis is None
+            else np.sqrt(np.add.reduce(v * v, axis=axis, keepdims=True)))
+    top, scaled = 1.0, v
+    # A list search finds inf in a tenth of an array reduction's time.
+    if np.inf in norm.ravel().tolist():
+        overflow = np.isinf(norm) & np.isfinite(v).all(axis, keepdims=True)
+        top = np.where(overflow, np.abs(v).max(axis, keepdims=True), 1.0)
+        scaled = v / top
+        norm = np.linalg.norm(scaled, axis=axis, keepdims=True)
+    degenerate = norm < DEGENERATE_NORM
+    unit = np.divide(scaled, norm, out=scaled.copy(), where=~degenerate)
+    return unit, (norm, top), degenerate
 
 
 def pool_rows_kernel(a, normalize: bool, saved=None):
     """The forward of `pool_rows` on an array: ``(pooled, degenerate)``.
-    When `saved` is a list, the index of each column's pooled row and the
-    norm each pooled vector was divided by (None without `normalize`)
-    are appended to it."""
+    When `saved` is a list, the pooled rows' index and `unit_norm`'s
+    ``(norm, top)`` (both None without `normalize`) are appended to it."""
     n, width = a.shape[-2:]
     mats = a.reshape(-1, n, width)
-    index = (np.arange(len(mats))[:, None], mats.argmax(axis=1),
-             np.arange(width))
+    index = (_ring_index(len(mats), 0)[:, None], mats.argmax(axis=1),
+             _ring_index(width, 0))
     pooled = mats[index].reshape(*a.shape[:-2], width)
-    norm = None
     if normalize:
-        norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1, keepdims=True))
-        # A finite vector whose squares overflow takes the norm of
-        # `l2_norm`, its largest magnitude times the norm of it scaled by
-        # that magnitude, so it is not divided to zeros.  A list search
-        # finds an inf norm in a tenth of the time of an array reduction.
-        if np.inf in norm.ravel().tolist():
-            rows = np.isinf(norm[..., 0]) & np.isfinite(pooled).all(axis=-1)
-            top = np.abs(pooled[rows]).max(axis=-1, keepdims=True)
-            scaled = pooled[rows] / top
-            norm[rows] = top * np.sqrt(np.add.reduce(scaled * scaled, axis=-1,
-                                                     keepdims=True))
-        small = norm < DEGENERATE_NORM
-        norm[small] = 1.0
-        pooled = pooled / norm
+        pooled, scale, small = unit_norm(pooled)
     else:
-        small = np.zeros(pooled.shape[:-1] + (1,), dtype=bool)
+        scale, small = (None, None), np.zeros(pooled.shape[:-1] + (1,), bool)
     if saved is not None:
-        saved += [index, norm]
+        saved += [index, scale]
     return pooled, small[..., 0]
 
 
 def pool_rows(a, normalize: bool):
     """Column-wise max over the rows (axis -2), scaled to unit norm along
-    the last axis when `normalize` is set.
+    the last axis by `unit_norm` when `normalize` is set.
 
-    Returns ``(tensor, degenerate)``.  Each column takes its first maximal
-    row (the first NaN, if any), and the gradient is routed there
-    exclusively.  A pooled vector whose norm is below ``DEGENERATE_NORM``
-    passes through unchanged, and its entry of the boolean ``degenerate``
-    array (0-d for one matrix) is set instead of raising; without
-    `normalize` no entry is set.
+    Returns ``(tensor, degenerate)``: the flags of `unit_norm` (0-d for
+    one matrix, all False without `normalize`), set instead of raising.
+    Each column takes its first maximal row (the first NaN, if any), and
+    the gradient is routed there exclusively, divided by ``norm`` and
+    then by ``top``.
     """
     a = as_tensor(a)
     if a.data.ndim < 2 or a.data.shape[-2] < 1:
@@ -730,13 +726,14 @@ def pool_rows(a, normalize: bool):
             f"pool_rows needs a non-empty matrix, got {a.shape}")
     saved = []
     pooled, degenerate = pool_rows_kernel(a.data, normalize, saved)
-    index, norm = saved
+    index, (norm, top) = saved
     out = Tensor(pooled, _parents=(a,))
 
     def _backward(g):
         if normalize:
             proj = np.add.reduce(pooled * g, axis=-1, keepdims=True)
-            g = np.where(degenerate[..., None], g, (g - pooled * proj) / norm)
+            g = np.divide(g - pooled * proj, norm, out=np.array(g),
+                          where=~degenerate[..., None]) / top
         ga = np.zeros(a.data.shape)
         mats = ga.reshape(-1, *a.data.shape[-2:])
         mats[index] = g.reshape(mats.shape[0], mats.shape[2])

@@ -68,9 +68,11 @@ def save_model(model: HrgeModel, path, classifier: Classifier | None = None):
               "num_views": model.num_views, "stride": model.stride,
               "depth": model.depth, "width": model.width,
               "variant": model.variant.name, "num_classes": num_classes}
+    with np.errstate(over="ignore"):
+        norms = [ag.unit_norm(p.data, None)[1] for _, p in named]
     write_records(f"{path}.manifest.txt", [header] + [
-        {"block": name, "shape": list(tensor.data.shape),
-         "l2": ag.l2_norm(tensor.data)} for name, tensor in named])
+        {"block": name, "shape": list(p.data.shape), "l2": (top * s).item()}
+        for (name, p), (s, top) in zip(named, norms)])
 
 
 def load_model(path):

@@ -366,7 +366,7 @@ def _cmd_retrieve(args):
     ranked = os.path.join(args.out, "ranked.txt")
     partial = ranked + ".partial"
     try:
-        with open(partial, "w") as f:
+        with open(partial, "w", encoding="utf-8") as f:
             report = evaluate_retrieval(
                 index, threshold=args.tau, predict_fine=predict_fine,
                 emit=_ranked_writer(f, index.ids))

@@ -139,7 +139,7 @@ def write_records(path, records) -> None:
     line.  Floats keep their shortest round-trip form, and a non-finite
     one is written as ``NaN`` or ``Infinity``, which ``json.loads``
     reads back."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.writelines(json.dumps(record) + "\n" for record in records)
 
 

@@ -30,11 +30,11 @@ TILE_BYTES = 1 << 18
 
 
 def extract_descriptor(model, views) -> np.ndarray:
-    """Unit-normalized global descriptor of one shape, from the grad-free
-    forward."""
+    """Global descriptor of one shape, from the grad-free forward, scaled
+    to unit length as one vector by `ag.unit_norm`."""
     desc = hrge_forward(model, views, grad=False).concat.data
-    norm = ag.l2_norm(desc)
-    return desc if norm < ag.DEGENERATE_NORM else desc / norm
+    with np.errstate(over="ignore"):
+        return ag.unit_norm(desc, axis=None)[0]
 
 
 @dataclass

@@ -698,6 +698,42 @@ class TestPoolRows:
                                    rtol=1e-12)
         assert not degenerate.any()
 
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 3, 8)])
+    def test_blocks_near_the_float_maximum_are_unit_length(self, shape):
+        """Entries of 1e308 are finite, but neither their norm nor the
+        scaled norm ``max|v| * ||v / max|v|||`` is: each row is still unit
+        length, unflagged, not divided to zeros, with the same bits in the
+        graph and the grad-free kernel.  The CLI ignores overflow, as
+        here."""
+        x = np.full(shape, 1e308)
+        with np.errstate(over="ignore"):
+            out, degenerate = ag.pool_rows(x, True)
+            free, free_degenerate = ag.pool_rows_kernel(x, True)
+        np.testing.assert_allclose(np.linalg.norm(out.data, axis=-1), 1.0,
+                                   rtol=1e-12)
+        assert not np.any(degenerate) and not np.any(free_degenerate)
+        np.testing.assert_array_equal(out.data.view(np.uint64),
+                                      free.view(np.uint64))
+
+    def test_gradient_near_the_float_maximum_is_the_scaled_gradient(
+            self, rng):
+        """Pooled rows within sqrt(width) of the float maximum: the
+        gradient is divided by the scaled norm and then by the scale, so
+        it is finite and equals the unscaled vector's over the scale.
+        The upstream is large enough that no gradient is subnormal."""
+        x = rng.uniform(1.0, 1.9, size=(3, 5, 8))
+        upstream = rng.normal(size=(3, 8)) * 2.0 ** 60
+        small, big = ag.Tensor(x), ag.Tensor(x * 2.0 ** 1023)
+        with np.errstate(over="ignore"):
+            out, _ = ag.pool_rows(big, True)
+            dot_loss(out, upstream).backward()
+        ref, _ = ag.pool_rows(small, True)
+        dot_loss(ref, upstream).backward()
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-14)
+        assert np.isfinite(big.grad).all()
+        np.testing.assert_allclose(big.grad * 2.0 ** 1023, small.grad,
+                                   rtol=1e-12)
+
     @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
     def test_gradient_matches_finite_differences(self, rng, shape):
         x = ag.Tensor(rng.normal(size=shape))
@@ -708,6 +744,53 @@ class TestPoolRows:
 
         loss_fn().backward()
         assert max_rel_err(x.grad, finite_difference(loss_fn, x)) < 1e-6
+
+
+class TestUnitNorm:
+    """`ag.unit_norm`, the one unit-length rule of level blocks, index
+    descriptors and the checkpoint manifest's norms."""
+
+    def test_each_axis_keeps_its_plain_norm_bits(self, rng):
+        """Along an axis a row is divided by ``sqrt(sum(v * v))``; over
+        all of `v` by `np.linalg.norm`'s dot product: the bits the level
+        blocks and the index rows had before the rule was shared."""
+        m = rng.normal(size=(40, 7))
+        unit, (norm, top), degenerate = ag.unit_norm(m)
+        plain = np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
+        np.testing.assert_array_equal(unit.view(np.uint64),
+                                      (m / plain).view(np.uint64))
+        np.testing.assert_array_equal(norm, plain)
+        assert top == 1.0 and degenerate.shape == (40, 1)
+        assert not degenerate.any()
+        for v in m:
+            unit, (norm, top), _ = ag.unit_norm(v, axis=None)
+            np.testing.assert_array_equal(
+                unit.view(np.uint64), (v / np.linalg.norm(v)).view(np.uint64))
+            assert (top * norm).item() == np.linalg.norm(v)
+
+    def test_vector_near_the_float_maximum(self):
+        """The L2 norm of eight entries of 1e308 is not a float, so
+        ``top * norm`` is inf, but the unit vector is finite.  Its plain
+        norm overflows, which numpy reports unless the caller ignores
+        overflow, as the CLI does and as here."""
+        v = np.full(8, 1e308)
+        with np.errstate(over="ignore"):
+            unit, (norm, top), degenerate = ag.unit_norm(v, axis=None)
+            assert top * norm == np.inf
+            unit_rows, _, degenerate_rows = ag.unit_norm(np.full((3, 8), v))
+        np.testing.assert_allclose(unit, np.full(8, 8 ** -0.5), rtol=1e-15)
+        assert top == 1e308 and norm == pytest.approx(8 ** 0.5, rel=1e-15)
+        assert not degenerate.any() and not degenerate_rows.any()
+        np.testing.assert_allclose(unit_rows, np.full((3, 8), 8 ** -0.5),
+                                   rtol=1e-15)
+
+    def test_degenerate_vector_passes_through_with_its_norm(self):
+        """A vector below `DEGENERATE_NORM` is kept as it is and flagged,
+        and its norm, which the manifest writes, is still its own."""
+        v = np.array([0.0, 3e-13, -4e-13])
+        unit, (norm, top), degenerate = ag.unit_norm(v, axis=None)
+        np.testing.assert_array_equal(unit, v)
+        assert degenerate.all() and (top * norm).item() == np.linalg.norm(v)
 
 
 def chained_ring_affine(parts, layer):

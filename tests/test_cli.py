@@ -25,13 +25,13 @@ def run(args):
     return main(args)
 
 
-def child(args, timeout=60):
+def child(args, timeout=60, **env):
     """Run the CLI in a child process, so that a hang fails the test
-    instead of stalling the suite."""
+    instead of stalling the suite; ``env`` adds environment variables."""
     src = os.path.dirname(os.path.dirname(hrgenet.__file__))
     return subprocess.run(
         [sys.executable, "-m", "hrgenet", *map(str, args)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
         text=True, timeout=timeout)
 
 
@@ -833,6 +833,59 @@ class TestRetrieve:
                      for entry in row.split("\t")[1].split()]
         assert len(rows) == 12 and len(distances) == 12 * 11
         assert all(0.0 < d < math.inf for d in distances)
+
+    def test_views_near_the_float_maximum_rank_at_non_zero_distances(
+            self, tmp_path):
+        """Views within sqrt(width) of the float maximum load, since they
+        are finite, but even the scaled norm of their pooled block
+        overflows.  `baseline` pools the views themselves, so its blocks
+        are divided by the scale and then by the scaled norm, never by
+        their product: finite non-zero distances, not blocks divided to
+        zeros that rank everything at 0."""
+        data = tmp_path / "data.hrgf"
+        assert run(["synth", "--classes", "3", "--per-class", "4",
+                    "--views", "12", "--dim", "8", "--seed", "1",
+                    "--out", str(data)]) == 0
+        train_dir, out = tmp_path / "train", tmp_path / "retr"
+        assert run(["train", "--data", str(data), "--variant", "baseline",
+                    "--epochs", "1", "--batch", "4", "--lr", "1e-3",
+                    "--out", str(train_dir)]) == 0
+        dataset = load_dataset(data)
+        for r in dataset.records:
+            r.views[...] = 1e308 - np.abs(r.views) * 1e306
+        save_dataset(dataset, data)
+        assert run(["retrieve", "--data", str(data), "--checkpoint",
+                    str(train_dir / "checkpoint.hrgm"),
+                    "--out", str(out)]) == 0
+        rows = (out / "ranked.txt").read_text().splitlines()
+        distances = [float(entry.rpartition(":")[2]) for row in rows
+                     for entry in row.split("\t")[1].split()]
+        assert len(rows) == 12 and len(distances) == 12 * 11
+        assert all(0.0 < d < math.inf for d in distances)
+
+    def test_run_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """A record id outside ASCII is written as UTF-8, the encoding
+        HRGF stores it in, whatever the locale: a run in the C locale
+        with UTF-8 mode off writes the bytes of a run in a UTF-8 one."""
+        data = tmp_path / "data.hrgf"
+        assert run(["synth", "--classes", "2", "--per-class", "3",
+                    "--views", "6", "--dim", "4", "--seed", "1",
+                    "--out", str(data)]) == 0
+        dataset = load_dataset(data)
+        dataset.records[0].id = "form\u00e9-0"
+        save_dataset(dataset, data)
+        ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 2)
+        outs = {}
+        for name, env in (("ascii", dict(LC_ALL="C", PYTHONUTF8="0",
+                                         PYTHONCOERCECLOCALE="0")),
+                          ("utf8", dict(LC_ALL="C.UTF-8"))):
+            done = child(["retrieve", "--data", data, "--checkpoint", ckpt,
+                          "--out", tmp_path / name], **env)
+            assert done.returncode == 0 and done.stderr == ""
+            outs[name] = [(tmp_path / name / f).read_bytes()
+                          for f in ("ranked.txt", "metrics.txt")]
+        assert outs["ascii"] == outs["utf8"]
+        assert outs["utf8"][0].startswith("form\u00e9-0\t".encode("utf-8"))
 
     def test_negative_infinite_tau_is_usage_error(self, synth_file, tmp_path,
                                                   capsys):
