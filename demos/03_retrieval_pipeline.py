@@ -30,8 +30,9 @@ def main():
     blocks = []
     report = evaluate_retrieval(index, emit=lambda *block: blocks.append(block))
     queries, order, dists, kept = blocks[0]
-    query = dataset.records[queries[0]]
-    print(f"query {query.id} (class {query.coarse_label}), top 5 neighbors:")
+    q = queries[0]
+    print(f"query {dataset.ids[q]} (class {dataset.coarse[q]}), "
+          "top 5 neighbors:")
     for j, dist in zip(order[0, :min(5, kept[0])], dists[0]):
         print(f"  {index.ids[j]:>12}  distance {dist:.4f}")
 

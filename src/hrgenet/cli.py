@@ -265,15 +265,14 @@ def _cmd_synth(args):
 def _relabel_fine(dataset):
     if dataset.num_fine_classes == 0:
         raise ConfigError("--use-fine-labels needs a dataset with fine labels")
-    for r in dataset.records:
-        if r.fine_label is None:
-            raise LabelError(f"--use-fine-labels: record {r.id!r} has no "
-                             "fine label")
-    records = [data.ShapeRecord(id=r.id, views=r.views,
-                                coarse_label=r.fine_label)
-               for r in dataset.records]
-    return data.FeatureDataset(records=records,
-                               num_classes=dataset.num_fine_classes)
+    missing = dataset.fine == data.NO_FINE
+    if missing.any():
+        rec_id = dataset.ids[missing.argmax()]
+        raise LabelError(
+            f"--use-fine-labels: record {rec_id!r} has no fine label")
+    return data.FeatureDataset(
+        [r._replace(coarse_label=r.fine_label, fine_label=None)
+         for r in dataset.records], num_classes=dataset.num_fine_classes)
 
 
 def _cmd_train(args):
@@ -360,8 +359,7 @@ def _cmd_retrieve(args):
     if args.fine_checkpoint:
         fine_model, fine_clf = _load_fitting(
             args.fine_checkpoint, dataset, dataset.num_fine_classes)
-        _, fine_preds = predict_batch(fine_model, fine_clf,
-                                      [r.views for r in dataset.records])
+        _, fine_preds = predict_batch(fine_model, fine_clf, dataset.views)
         predict_fine = dict(zip(index.ids, fine_preds)).__getitem__
     ranked = os.path.join(args.out, "ranked.txt")
     partial = ranked + ".partial"

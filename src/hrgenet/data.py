@@ -17,6 +17,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,106 +25,128 @@ from .errors import ConfigError, DataFormatError, EmptyInputError, LabelError
 
 MAGIC = b"HRGF"
 VERSION = 1
-NO_FINE_LABEL = 0xFFFFFFFF
+NO_FINE_LABEL = 0xFFFFFFFF  # an HRGF record's fine label when it has none
+NO_FINE = -1  # a FeatureDataset's fine label of a shape that has none
 
 
-@dataclass
-class ShapeRecord:
-    """One shape: N view-feature rows of width D plus labels."""
+class ShapeRecord(NamedTuple):
+    """One shape of a `FeatureDataset`, ``fine_label`` None if it has none.
+    Immutable: build a new dataset from edited `_replace` copies."""
 
     id: str
     views: np.ndarray
     coarse_label: int
     fine_label: int | None = None
 
-    def __post_init__(self):
-        self.views = np.ascontiguousarray(self.views, dtype=np.float64)
-        if self.views.ndim != 2:
-            raise DataFormatError(
-                f"record {self.id!r}: views must be 2-D, got {self.views.shape}"
-            )
 
-
-@dataclass
 class FeatureDataset:
-    records: list
-    num_classes: int
-    num_fine_classes: int = 0
+    """Shapes as columns: ``ids`` (a list of str), ``views`` (one float64
+    ``(N, n, w)`` array, ``(0, 0, 0)`` when empty), and int64 ``coarse``
+    and ``fine`` labels (`NO_FINE` where absent).  Built from `ShapeRecord`
+    rows, whose views are copied once into ``views``; `records` reads the
+    rows back."""
 
-    def __post_init__(self):
+    def __init__(self, records, num_classes: int, num_fine_classes: int = 0):
+        self.num_classes, self.num_fine_classes = num_classes, num_fine_classes
+        shape = np.shape(records[0].views) if records else (0, 0)
+        if len(shape) != 2:
+            raise DataFormatError(
+                f"record {records[0].id!r}: views must be 2-D, got {shape}")
+        self.ids = [rec.id for rec in records]
+        self.views = np.empty((len(records), *shape))
+        for k, rec in enumerate(records):
+            if np.shape(rec.views) != shape:
+                raise DataFormatError(
+                    f"record {rec.id!r}: views shape {np.shape(rec.views)} "
+                    f"does not match dataset {shape}")
+            if rec.fine_label == NO_FINE:  # the column's "none", not a label
+                raise LabelError(f"record {rec.id!r}: fine label {NO_FINE} "
+                                 f"outside [0, {num_fine_classes})")
+            self.views[k] = rec.views
+        self.coarse = np.array([rec.coarse_label for rec in records], np.int64)
+        self.fine = np.array([NO_FINE if rec.fine_label is None else
+                              rec.fine_label for rec in records], np.int64)
         self.validate()
 
     @property
+    def records(self) -> list:
+        """A new list of `ShapeRecord` rows on every call, their views rows
+        of ``views``: for building other datasets, not for hot loops."""
+        return [ShapeRecord(*row, None if fine == NO_FINE else fine)
+                for *row, fine in zip(self.ids, self.views,
+                                      self.coarse.tolist(),
+                                      self.fine.tolist())]
+
+    @property
     def num_views(self) -> int:
-        return self.records[0].views.shape[0] if self.records else 0
+        return self.views.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.records[0].views.shape[1] if self.records else 0
+        return self.views.shape[2]
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
     def validate(self):
+        """Refuse a duplicate id, one holding whitespace or a
+        non-printable character, and a label outside its range."""
         seen = set()
-        for k, rec in enumerate(self.records):
-            if rec.id in seen:
-                raise DataFormatError(f"duplicate record id {rec.id!r} at index {k}")
-            seen.add(rec.id)
-            if not rec.id.isprintable() or " " in rec.id:
+        for k, rec_id in enumerate(self.ids):
+            if rec_id in seen:
+                raise DataFormatError(
+                    f"duplicate record id {rec_id!r} at index {k}")
+            seen.add(rec_id)
+            if not rec_id.isprintable() or " " in rec_id:
                 # ranked.txt rows are split on whitespace.
                 raise DataFormatError(
-                    f"record id {rec.id!r} at index {k} holds whitespace "
+                    f"record id {rec_id!r} at index {k} holds whitespace "
                     "or a non-printable character")
-            if rec.views.shape != (self.num_views, self.dim):
-                raise DataFormatError(
-                    f"record {rec.id!r}: views shape {rec.views.shape} does "
-                    f"not match dataset ({self.num_views}, {self.dim})"
-                )
-            if not 0 <= rec.coarse_label < self.num_classes:
-                raise LabelError(
-                    f"record {rec.id!r}: coarse label {rec.coarse_label} "
-                    f"outside [0, {self.num_classes})"
-                )
-            if rec.fine_label is not None:
-                if self.num_fine_classes == 0:
-                    raise LabelError(
-                        f"record {rec.id!r} carries a fine label but the "
-                        "dataset declares none"
-                    )
-                if not 0 <= rec.fine_label < self.num_fine_classes:
-                    raise LabelError(
-                        f"record {rec.id!r}: fine label {rec.fine_label} "
-                        f"outside [0, {self.num_fine_classes})"
-                    )
+        has_fine = self.fine != NO_FINE
+        if self.num_fine_classes == 0 and has_fine.any():
+            raise LabelError(
+                f"record {self.ids[int(has_fine.argmax())]!r} carries a fine "
+                "label but the dataset declares none")
+        for what, labels, count, given in (
+                ("coarse", self.coarse, self.num_classes, True),
+                ("fine", self.fine, self.num_fine_classes, has_fine)):
+            bad = given & ((labels < 0) | (labels >= count))
+            if bad.any():
+                k = int(bad.argmax())
+                raise LabelError(f"record {self.ids[k]!r}: {what} label "
+                                 f"{labels[k]} outside [0, {count})")
 
 
 def save_dataset(dataset: FeatureDataset, path) -> None:
     """Write the canonical HRGF encoding (byte-deterministic).
 
     Refuses, before it creates the file, what `load_dataset` would
-    refuse: no records, zero views or zero width, an over-long id, or a
-    non-finite view value.
+    refuse: what `FeatureDataset.validate` refuses, no records, zero
+    views or zero width, an over-long id, or a non-finite view value.
     """
+    dataset.validate()
     n, d = dataset.num_views, dataset.dim
-    if not dataset.records or n == 0 or d == 0:
+    if not len(dataset) or n == 0 or d == 0:
         raise DataFormatError(
             f"{path}: refusing to write an empty dataset "
-            f"({len(dataset.records)} records of {n} x {d} views)")
-    parts = [MAGIC, struct.pack("<IIIIII", VERSION, len(dataset.records), n,
-                                d, dataset.num_classes,
-                                dataset.num_fine_classes)]
-    for rec in dataset.records:
-        encoded = rec.id.encode("utf-8")
+            f"({len(dataset)} records of {n} x {d} views)")
+    finite = np.isfinite(dataset.views).all(axis=(1, 2))
+    if not finite.all():
+        rec_id = dataset.ids[finite.argmin()]
+        raise DataFormatError(
+            f"{path}: record {rec_id!r} has a non-finite view value")
+    parts = [MAGIC, struct.pack("<IIIIII", VERSION, len(dataset), n, d,
+                                dataset.num_classes, dataset.num_fine_classes)]
+    for rec_id, views, coarse, fine in zip(
+            dataset.ids, dataset.views, dataset.coarse.tolist(),
+            dataset.fine.tolist()):
+        encoded = rec_id.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise DataFormatError(f"record id too long: {rec.id[:32]!r}...")
-        if not np.isfinite(rec.views).all():
-            raise DataFormatError(
-                f"{path}: record {rec.id!r} has a non-finite view value")
-        fine = NO_FINE_LABEL if rec.fine_label is None else rec.fine_label
+            raise DataFormatError(f"record id too long: {rec_id[:32]!r}...")
         parts += [struct.pack("<H", len(encoded)), encoded,
-                  struct.pack("<II", rec.coarse_label, fine),
-                  rec.views.astype("<f8").tobytes()]
+                  struct.pack("<II", coarse,
+                              NO_FINE_LABEL if fine == NO_FINE else fine),
+                  views.astype("<f8").tobytes()]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
@@ -215,30 +238,24 @@ def _decode(blob: bytes, source: str) -> FeatureDataset:
                             (d, "view width", 16)):
         if value == 0:
             raise r.error(f"zero {what}", at=at)
-    heads, starts = [], []
+    records, starts = [], []
     for k in range(count):
         (id_len,) = r.unpack("H", f"record {k}")
         rec_id = r.text(id_len, f"record {k} id")
         coarse, fine = r.unpack("II", f"record {k}")
-        heads.append((rec_id, coarse,
-                      None if fine == NO_FINE_LABEL else fine))
         starts.append(r.take(8 * n * d, f"record {k} views"))
+        views = np.frombuffer(blob, "<f8", n * d, starts[-1]).reshape(n, d)
+        records.append(ShapeRecord(rec_id, views, coarse,
+                                   None if fine == NO_FINE_LABEL else fine))
     r.end()
-    # The structure holds, so the blob bounds the one array of every
-    # record's views, which is checked once; each record's are a row.
-    views = np.empty((count, n, d))
-    flat = views.reshape(count, n * d)
-    for k, start in enumerate(starts):
-        flat[k] = np.frombuffer(blob, "<f8", n * d, start)
-    finite = np.isfinite(views).all(axis=(1, 2))
+    # The structure holds, so the dataset's one copy of the views is
+    # checked once, after its ids and labels.
+    dataset = FeatureDataset(records, num_classes, num_fine)
+    finite = np.isfinite(dataset.views).all(axis=(1, 2))
     if not finite.all():
         k = int(np.argmin(finite))
-        r.check_finite(views[k], starts[k], f"record {k} views")
-    records = [ShapeRecord(id=rec_id, views=row, coarse_label=coarse,
-                           fine_label=fine)
-               for (rec_id, coarse, fine), row in zip(heads, views)]
-    return FeatureDataset(records=records, num_classes=num_classes,
-                          num_fine_classes=num_fine)
+        r.check_finite(dataset.views[k], starts[k], f"record {k} views")
+    return dataset
 
 
 GENERATOR_KINDS = ("prototype", "relational-order")
@@ -310,44 +327,29 @@ def generate_synthetic(spec: SyntheticSpec) -> FeatureDataset:
     construction.
     """
     rng = np.random.default_rng(spec.seed)
-    n, d = spec.num_views, spec.dim
-    records = []
-    if spec.kind == "prototype":
+    n, d, per = spec.num_views, spec.dim, spec.fine_per_class
+    prototype = spec.kind == "prototype"
+    if prototype:
         protos = rng.normal(size=(spec.num_classes, n, d))
-        fine_offsets = None
-        if spec.fine_per_class:
-            fine_offsets = 0.5 * rng.normal(
-                size=(spec.num_classes, spec.fine_per_class, n, d))
-        for c in range(spec.num_classes):
-            for k in range(spec.shapes_per_class):
-                views = protos[c].copy()
-                fine = None
-                if spec.fine_per_class:
-                    sub = k % spec.fine_per_class
-                    views = views + fine_offsets[c, sub]
-                    fine = c * spec.fine_per_class + sub
-                views = views + spec.noise * rng.normal(size=(n, d))
-                records.append(ShapeRecord(
-                    id=f"proto-{c}-{k}", views=views,
-                    coarse_label=c, fine_label=fine))
+        if per:
+            fine_offsets = 0.5 * rng.normal(size=(spec.num_classes, per, n, d))
     else:
         base = rng.normal(size=(n, d))
         perms = _distinct_permutations(rng, n, spec.num_classes)
-        for c in range(spec.num_classes):
-            ordered = base[perms[c]]
-            for k in range(spec.shapes_per_class):
-                shift = int(rng.integers(n))
-                views = np.roll(ordered, shift, axis=0)
-                views = views + spec.noise * rng.normal(size=(n, d))
-                fine = None
-                if spec.fine_per_class:
-                    fine = c * spec.fine_per_class + k % spec.fine_per_class
-                records.append(ShapeRecord(
-                    id=f"order-{c}-{k}", views=views,
-                    coarse_label=c, fine_label=fine))
-    return FeatureDataset(
-        records=records, num_classes=spec.num_classes,
-        num_fine_classes=spec.num_classes * spec.fine_per_class)
+    records = []
+    for c in range(spec.num_classes):
+        for k in range(spec.shapes_per_class):
+            if prototype:
+                views = protos[c]
+                if per:
+                    views = views + fine_offsets[c, k % per]
+            else:
+                views = np.roll(base[perms[c]], int(rng.integers(n)), axis=0)
+            views = views + spec.noise * rng.normal(size=(n, d))
+            records.append(ShapeRecord(
+                f"{'proto' if prototype else 'order'}-{c}-{k}", views, c,
+                c * per + k % per if per else None))
+    return FeatureDataset(records, spec.num_classes, spec.num_classes * per)
 
 
 def _distinct_permutations(rng, n, count):
@@ -371,24 +373,23 @@ def split(dataset: FeatureDataset, train_fraction: float, seed: int = 0):
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(
             f"train_fraction must be in (0, 1), got {train_fraction}")
-    if not dataset.records:
+    if not len(dataset):
         raise EmptyInputError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
-    train_recs, test_recs = [], []
-    labels = np.array([r.coarse_label for r in dataset.records])
-    for c in np.unique(labels):
-        members = [dataset.records[k] for k in np.nonzero(labels == c)[0]]
+    parts = ([], [])
+    for c in np.unique(dataset.coarse):
+        members = np.flatnonzero(dataset.coarse == c)
         if len(members) < 2:
             warnings.warn(
                 f"class {c} has fewer than 2 samples; keeping it in train")
-            train_recs.extend(members)
+            parts[0].extend(members)
             continue
         order = rng.permutation(len(members))
         cut = int(round(train_fraction * len(members)))
         cut = min(max(cut, 1), len(members) - 1)
-        train_recs.extend(members[k] for k in order[:cut])
-        test_recs.extend(members[k] for k in order[cut:])
-    make = lambda recs: FeatureDataset(
-        records=recs, num_classes=dataset.num_classes,
-        num_fine_classes=dataset.num_fine_classes)
-    return make(train_recs), make(test_recs)
+        parts[0].extend(members[order[:cut]])
+        parts[1].extend(members[order[cut:]])
+    records = dataset.records
+    return tuple(FeatureDataset([records[k] for k in part],
+                                dataset.num_classes, dataset.num_fine_classes)
+                 for part in parts)

@@ -54,19 +54,17 @@ class DescriptorIndex:
 
 
 def build_index(model, dataset) -> DescriptorIndex:
-    """One descriptor row per record; `NumericError` naming the first
-    record whose descriptor is not finite."""
-    vectors = np.stack([extract_descriptor(model, r.views)
-                        for r in dataset.records])
+    """One descriptor row per shape of the dataset's views array, with its
+    id and coarse label; `NumericError` naming the first record whose
+    descriptor is not finite."""
+    vectors = np.stack([extract_descriptor(model, v) for v in dataset.views])
     bad = ~np.isfinite(vectors).all(axis=1)
     if bad.any():
         k = int(bad.argmax())
         raise NumericError(f"non-finite descriptor for record {k} "
-                           f"({dataset.records[k].id!r})")
-    return DescriptorIndex(
-        ids=[r.id for r in dataset.records],
-        labels=np.array([r.coarse_label for r in dataset.records]),
-        vectors=vectors)
+                           f"({dataset.ids[k]!r})")
+    return DescriptorIndex(ids=dataset.ids, labels=dataset.coarse,
+                           vectors=vectors)
 
 
 def pairwise_distances(queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:

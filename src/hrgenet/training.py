@@ -88,14 +88,15 @@ class TrainLog:
         return [r for r in self.records if "acc" in r]
 
 
-def predict_batch(model, classifier, views_list):
-    """Logits and argmax labels (first-wins tie-break), one row per shape.
+def predict_batch(model, classifier, views):
+    """Logits and argmax labels (first-wins tie-break) of an ``(N, n, w)``
+    views array, one row per shape.
 
     Runs one grad-free forward per shape and the head's kernel, with no
     graph node.  Raises `NumericError` naming the first shape whose
     logits are not finite."""
     descs = np.stack([hrge_forward(model, v, grad=False).concat.data
-                      for v in views_list])
+                      for v in views])
     head = classifier.head
     logits = ag.affine_kernel(descs, head.weight.data, head.bias.data)
     bad = ~np.isfinite(logits).all(axis=1)
@@ -117,22 +118,20 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
     logits are not finite, as from finite weights so large that a
     forward overflows.
     """
-    records = list(dataset.records)
-    if not records:
+    if not len(dataset):
         raise EmptyInputError("cannot train on an empty dataset")
-    for rec in records:
-        if not 0 <= rec.coarse_label < classifier.num_classes:
-            raise ConfigError(
-                f"record {rec.id!r} has label {rec.coarse_label} outside "
-                f"[0, {classifier.num_classes})"
-            )
-    views = np.stack([rec.views for rec in records])
-    all_labels = np.array([rec.coarse_label for rec in records])
+    views, all_labels = dataset.views, dataset.coarse
+    bad = (all_labels < 0) | (all_labels >= classifier.num_classes)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ConfigError(
+            f"record {dataset.ids[k]!r} has label {all_labels[k]} outside "
+            f"[0, {classifier.num_classes})")
     params = model.named_parameters() + classifier.named_parameters()
     opt = Adam(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    n = len(records)
+    n = len(dataset)
     for epoch in range(cfg.epochs):
         opt.lr = cfg.lr_at_epoch(epoch)
         order = rng.permutation(n)
@@ -165,18 +164,17 @@ def train(model: HrgeModel, classifier: Classifier, dataset,
         predict_batch(model, classifier, views[:1])
     except NumericError:
         raise NumericError(f"the trained model gives non-finite logits for "
-                           f"record {records[0].id!r}") from None
+                           f"record {dataset.ids[0]!r}") from None
     return log
 
 
 def evaluate_accuracy(model: HrgeModel, classifier: Classifier, dataset):
     """(per_instance, per_class) accuracy; empty classes are excluded
     from the per-class mean."""
-    records = list(dataset.records)
-    if not records:
+    if not len(dataset):
         raise EmptyInputError("cannot evaluate an empty dataset")
-    labels = np.array([r.coarse_label for r in records])
-    _, preds = predict_batch(model, classifier, [r.views for r in records])
+    labels = dataset.coarse
+    _, preds = predict_batch(model, classifier, dataset.views)
     hits = preds == labels
     per_instance = float(hits.mean())
     class_accs = [float(hits[labels == c].mean())

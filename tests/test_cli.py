@@ -14,7 +14,7 @@ from hrgenet import autograd as ag
 from hrgenet import cli, retrieval
 from hrgenet.checkpoint import load_model, save_model
 from hrgenet.cli import main
-from hrgenet.data import ShapeRecord, load_dataset, save_dataset
+from hrgenet.data import FeatureDataset, load_dataset, save_dataset
 from hrgenet.errors import ConfigError, NumericError
 from hrgenet.graph import VARIANT_NAMES, HrgeModel, hrge_forward
 from hrgenet.retrieval import METRIC_KEYS, build_index
@@ -262,10 +262,11 @@ class TestTrainEval:
                     "--out", str(data_path)]) == 0
         dataset = load_dataset(data_path)
         assert dataset.num_fine_classes == 4
-        unlabelled = dataset.records[5]
-        dataset.records[5] = ShapeRecord(unlabelled.id, unlabelled.views,
-                                         unlabelled.coarse_label)
-        save_dataset(dataset, data_path)
+        records = dataset.records
+        unlabelled = records[5]._replace(fine_label=None)
+        records[5] = unlabelled
+        save_dataset(FeatureDataset(records, dataset.num_classes,
+                                    dataset.num_fine_classes), data_path)
         assert run(["train", "--data", str(data_path), "--use-fine-labels",
                     "--epochs", "1", "--out", str(out)]) == 3
         assert (f"record {unlabelled.id!r} has no fine label"
@@ -819,8 +820,7 @@ class TestRetrieve:
                     "--views", "12", "--dim", "8", "--seed", "3",
                     "--out", str(data)]) == 0
         dataset = load_dataset(data)
-        for r in dataset.records:
-            r.views *= 1e160
+        dataset.views *= 1e160
         save_dataset(dataset, data)
         train_dir, out = tmp_path / "train", tmp_path / "retr"
         assert run(["train", "--data", str(data), "--epochs", "1",
@@ -872,8 +872,9 @@ class TestRetrieve:
                     "--views", "6", "--dim", "4", "--seed", "1",
                     "--out", str(data)]) == 0
         dataset = load_dataset(data)
-        dataset.records[0].id = "form\u00e9-0"
-        save_dataset(dataset, data)
+        records = dataset.records
+        records[0] = records[0]._replace(id="form\u00e9-0")
+        save_dataset(FeatureDataset(records, dataset.num_classes), data)
         ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 2)
         outs = {}
         for name, env in (("ascii", dict(LC_ALL="C", PYTHONUTF8="0",
@@ -981,9 +982,9 @@ class TestRetrieve:
              "--dim", "4", "--seed", "5", "--out", str(base)])
         dataset = load_dataset(base)
         copies = [(0, "copy0a"), (0, "copy0b"), (5, "copy5")]
-        dataset.records += [ShapeRecord(new_id, dataset.records[k].views,
-                                        dataset.records[k].coarse_label)
-                            for k, new_id in copies]
+        records = dataset.records
+        records += [records[k]._replace(id=new_id) for k, new_id in copies]
+        dataset = FeatureDataset(records, dataset.num_classes)
         data = tmp_path / "data.hrgf"
         save_dataset(dataset, data)
         ckpt = write_checkpoint(tmp_path / "c.hrgm", 6, 4, 3)

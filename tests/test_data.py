@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hrgenet.data import (
+    NO_FINE,
     FeatureDataset,
     ShapeRecord,
     SyntheticSpec,
@@ -12,7 +13,7 @@ from hrgenet.data import (
     save_dataset,
     split,
 )
-from hrgenet.errors import ConfigError, DataFormatError
+from hrgenet.errors import ConfigError, DataFormatError, LabelError
 
 
 def sample_dataset(rng, with_fine=False):
@@ -123,6 +124,23 @@ class TestContainerFormat:
             save_dataset(ds, path)
         assert not path.exists()
 
+    def test_writer_refuses_a_label_the_reader_refuses(self, rng, tmp_path):
+        ds = sample_dataset(rng)
+        ds.coarse[3] = 7
+        path = tmp_path / "ds.hrgf"
+        with pytest.raises(LabelError, match=r"'shape-0-3': coarse label 7 "
+                                             r"outside \[0, 3\)"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_writer_refuses_a_duplicate_id(self, rng, tmp_path):
+        ds = sample_dataset(rng)
+        ds.ids[4] = ds.ids[0]
+        path = tmp_path / "ds.hrgf"
+        with pytest.raises(DataFormatError, match="duplicate record id"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_writer_refuses_empty_dataset(self, tmp_path):
         path = tmp_path / "ds.hrgf"
         with pytest.raises(DataFormatError, match="empty dataset"):
@@ -161,6 +179,71 @@ class TestContainerFormat:
                                coarse_label=0)]
         with pytest.raises(DataFormatError, match="record id"):
             FeatureDataset(records=records, num_classes=1)
+
+    @pytest.mark.parametrize("coarse,fine,num_fine,message", [
+        (3, None, 0, r"'shape-1-1': coarse label 3 outside \[0, 3\)"),
+        (-1, None, 0, r"'shape-1-1': coarse label -1 outside \[0, 3\)"),
+        (1, 6, 6, r"'shape-1-1': fine label 6 outside \[0, 6\)"),
+        (1, -1, 6, r"'shape-1-1': fine label -1 outside \[0, 6\)"),
+        (1, -2, 6, r"'shape-1-1': fine label -2 outside \[0, 6\)"),
+        (1, 0, 0, "'shape-1-1' carries a fine label but the dataset "
+                  "declares none"),
+    ])
+    def test_label_out_of_range_names_the_first_record(
+            self, rng, coarse, fine, num_fine, message):
+        records = sample_dataset(rng, with_fine=num_fine > 0).records
+        for k in (5, 9):
+            records[k] = records[k]._replace(coarse_label=coarse,
+                                             fine_label=fine)
+        with pytest.raises(LabelError, match=message):
+            FeatureDataset(records, num_classes=3, num_fine_classes=num_fine)
+
+
+class TestRecords:
+    """`FeatureDataset` holds columns; `records` reads them back as rows."""
+
+    def test_rows_rebuild_the_same_columns(self, rng):
+        ds = sample_dataset(rng, with_fine=True)
+        ds.fine[2] = NO_FINE
+        again = FeatureDataset(ds.records, ds.num_classes,
+                               ds.num_fine_classes)
+        assert again.ids == ds.ids
+        assert ds.records[2].fine_label is None
+        for column in ("views", "coarse", "fine"):
+            want, got = getattr(ds, column), getattr(again, column)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_columns_are_one_array_each(self, rng):
+        ds = sample_dataset(rng, with_fine=True)
+        assert ds.views.shape == (12, 6, 5) and ds.views.dtype == np.float64
+        assert ds.coarse.dtype == ds.fine.dtype == np.int64
+        np.testing.assert_array_equal(ds.coarse, np.repeat([0, 1, 2], 4))
+
+    def test_a_row_is_read_only(self, rng):
+        record = sample_dataset(rng).records[0]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_row_views_are_rows_of_the_views_array(self, rng):
+        ds = sample_dataset(rng)
+        for k, record in enumerate(ds.records):
+            assert np.shares_memory(record.views, ds.views)
+            np.testing.assert_array_equal(record.views, ds.views[k])
+
+    def test_each_read_is_a_new_list(self, rng):
+        ds = sample_dataset(rng)
+        records = ds.records
+        records.append(records[0]._replace(id="extra"))
+        assert len(ds) == len(ds.records) == 12
+        assert ds.records is not ds.records
+
+    def test_empty_dataset_has_empty_columns(self):
+        ds = FeatureDataset([], num_classes=2)
+        assert ds.views.shape == (0, 0, 0)
+        assert (len(ds), ds.num_views, ds.dim, ds.records) == (0, 0, 0, [])
+        assert ds.coarse.shape == ds.fine.shape == (0,)
 
 
 class TestSyntheticGenerators:

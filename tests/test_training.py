@@ -101,7 +101,8 @@ class TestTrain:
     def test_label_outside_head_rejected(self, rng, tiny_model):
         model, classifier = tiny_model
         dataset = make_dataset(rng, num_classes=3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=r"'s2-0' has label 2 outside \[0, 2\)"):
             train(model, classifier, dataset,
                   TrainConfig(batch_size=4, epochs=1))
 
