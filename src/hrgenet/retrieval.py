@@ -56,7 +56,9 @@ class DescriptorIndex:
 def build_index(model, dataset) -> DescriptorIndex:
     """One descriptor row per shape of the dataset's views array, with its
     id and coarse label; `NumericError` naming the first record whose
-    descriptor is not finite."""
+    descriptor is not finite, and `EmptyInputError` for no record."""
+    if not len(dataset):
+        raise EmptyInputError("cannot index an empty dataset")
     vectors = np.stack([extract_descriptor(model, v) for v in dataset.views])
     bad = ~np.isfinite(vectors).all(axis=1)
     if bad.any():

@@ -94,7 +94,9 @@ def predict_batch(model, classifier, views):
 
     Runs one grad-free forward per shape and the head's kernel, with no
     graph node.  Raises `NumericError` naming the first shape whose
-    logits are not finite."""
+    logits are not finite, and `EmptyInputError` for no shape."""
+    if not len(views):
+        raise EmptyInputError("no shapes to predict")
     descs = np.stack([hrge_forward(model, v, grad=False).concat.data
                       for v in views])
     head = classifier.head

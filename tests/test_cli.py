@@ -1043,6 +1043,80 @@ class TestRetrieve:
         assert sorted(os.listdir(out)) == ["manifest.txt"]
 
 
+class TestRankedText:
+    def test_distances_are_the_percent_format(self):
+        """``_g8_text``'s bytes, zero bytes dropped, are ``"%.8g"`` of
+        each value: 1M uniform values on [0, 2], 300k log-uniform on
+        [2**-40, 2], 100k just past a rounding half, values next to the
+        powers of ten where log10 rounds, and edge values.  Both the
+        array path and the Python fallback format some of them."""
+        rng = np.random.default_rng(33)
+        k = rng.integers(-4, 1, 100_000)
+        m = rng.integers(10**7, 10**8, 100_000)
+        powers = 10.0 ** np.arange(-5, 10)
+        values = np.concatenate([
+            rng.uniform(0, 2, 1_000_000),
+            2.0 ** rng.uniform(-40, 1, 300_000),
+            np.nextafter((m + 0.5) * 10.0 ** (k - 7), np.inf),
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            [0, 1, 2, 1e-4, 9.9999999e-05, 0.99999999, 0.999999995,
+             1e-300, 5e-324, 1.5e8]])
+        out = np.empty((len(values), 2), np.uint64)
+        sep = np.full(len(values), ord(" "), np.uint8)
+        slow = cli._g8_text(values, sep, out)
+        text = out.view(np.uint8)
+        got = np.array(text[text != 0].tobytes().split())
+        want = np.array([b"%.8g" % v for v in values.tolist()])
+        wrong = np.flatnonzero(got != want)
+        assert not len(wrong), list(zip(values[wrong[:5]], got[wrong[:5]],
+                                        want[wrong[:5]]))
+        assert 0 < len(slow) < len(values) // 2
+
+    @pytest.mark.parametrize("entries", [1, 7, cli.RANKED_ENTRIES])
+    def test_rows_do_not_depend_on_the_entries_a_write(self, monkeypatch,
+                                                       entries):
+        """Rows of 0 to 69 entries, exact copies at distance 0 and
+        distances over ten decades, written a row, a few entries or a
+        block at a time."""
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(70, 3))
+        vectors *= 10.0 ** rng.integers(-7, 8, size=(70, 1))
+        vectors[60:] = vectors[:10]
+        index = retrieval.DescriptorIndex(
+            ids=[f"shape-{k}" for k in range(70)],
+            labels=rng.integers(0, 3, 70), vectors=vectors)
+        fine = dict(zip(index.ids, rng.integers(0, 4, 70))).__getitem__
+        blocks = []
+
+        class Sink(list):
+            write = list.append
+
+        monkeypatch.setattr(cli, "RANKED_ENTRIES", entries)
+        sink = Sink()
+        emit = cli._ranked_bytes_writer(sink, index.ids)
+
+        def keep(*block):
+            blocks.append(block)
+            emit(*block)
+
+        retrieval.evaluate_retrieval(index, threshold=1e3,
+                                     predict_fine=fine, emit=keep)
+        ids = index.ids
+        expected = "".join(
+            f"{ids[q]}\t" + " ".join(f"{ids[j]}:{d:.8g}"
+                                     for j, d in zip(row[:n], dist[:n]))
+            + "\n"
+            for queries, order, dists, kept in blocks
+            for q, row, dist, n in zip(queries, order, dists, kept))
+        assert b"".join(sink) == expected.encode()
+        lengths = {n for *_, kept in blocks for n in kept.tolist()}
+        assert 0 in lengths and max(lengths) > 1
+        kept_dists = np.concatenate([d[i, :n] for _, _, d, kept in blocks
+                                     for i, n in enumerate(kept)])
+        assert kept_dists.min() == 0 and kept_dists.max() > 1e2
+        assert np.count_nonzero(kept_dists == 0) >= 20
+
+
 class TestGradcheck:
     def test_fresh_model_passes(self, capsys):
         assert run(["gradcheck", "--views", "4", "--dim", "3",

@@ -371,8 +371,8 @@ class TestEvaluateRetrieval:
         # writer, the peak is one block of (QUERY_BLOCK, 2000) work
         # arrays beside the mirrored distances, 8 MB at the middle block.
         index = random_index(0, 2000, dim=96, classes=20)
-        with open(os.devnull, "w") as sink:
-            emit = cli._ranked_writer(sink, index.ids)
+        with open(os.devnull, "wb") as sink:
+            emit = cli._ranked_bytes_writer(sink, index.ids)
             tracemalloc.start()
             try:
                 evaluate_retrieval(index, emit=emit)
@@ -437,6 +437,11 @@ class TestEvaluateRetrieval:
         assert len(index) == 6
         norms = np.linalg.norm(index.vectors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+    def test_build_index_of_empty_dataset_is_empty_input(self):
+        model = HrgeModel(num_views=6, width=3, variant="full", seed=0)
+        with pytest.raises(EmptyInputError):
+            build_index(model, FeatureDataset(records=[], num_classes=2))
 
 
 class TestMetricsReport:

@@ -65,6 +65,12 @@ class TestPredict:
             np.testing.assert_array_equal(logits_p, logits)
             assert label_p == label
 
+    def test_empty_dataset_is_empty_input(self, tiny_model):
+        model, classifier = tiny_model
+        empty = FeatureDataset(records=[], num_classes=2)
+        with pytest.raises(EmptyInputError):
+            predict_batch(model, classifier, empty.views)
+
 
 class TestTrain:
     def test_zero_lr_keeps_parameters_and_loss_flat(self, rng, tiny_model):
